@@ -11,8 +11,7 @@ optimality gap against the closed-form decay bound.
 from sbpu.config import FederationConfig
 from sbpu.convergence import (ConvergenceConfig, final_decade_slope,
                               run_convergence_experiment)
-from sbpu.federation import run_round
-from sbpu.mutation import GlobalHistory
+from sbpu.federation import iter_rounds
 
 ALPHA = 0.1
 cfg = FederationConfig.from_dict({
@@ -26,12 +25,10 @@ cfg = FederationConfig.from_dict({
 
 # --- per-round neighborhood check -----------------------------------------
 plan = cfg.build_plan()
-h = GlobalHistory.bootstrap(plan.w_init)
 violations = 0
 print("round  global_loss   worst dist^2 / upper-envelope ratio")
-for r in range(plan.rounds):
-    h, rec = run_round(h, plan.clients, plan.rates, plan.schedule, plan.policy,
-                       plan.seed, alpha=ALPHA, tie_gradients=plan.tie_gradients)
+for _, rec in iter_rounds(plan):
+    r = rec.round
     violations += sum(not b.holds for b in rec.bound_reports)
     if r % 40 == 0 or r == plan.rounds - 1:
         worst = max((b.dist_sq / b.upper if b.upper > 0 else 0.0)

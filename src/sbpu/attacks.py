@@ -20,8 +20,7 @@ Attacks are read-only over frozen models; every run owns its RNG stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,8 +24,7 @@ from .attacks import ir_experiment, lia_experiment, mia_experiment
 from .config import ConfigError, FederationConfig
 from .convergence import (ConvergenceConfig, run_convergence_experiment,
                           write_report_csv, write_report_json)
-from .federation import DivergenceError, run_federation, run_round
-from .mutation import GlobalHistory
+from .federation import DivergenceError, iter_rounds, run_federation
 
 log = logging.getLogger("sbpu")
 
@@ -92,30 +91,33 @@ def cmd_run_fl(args) -> int:
     plan = cfg.build_plan()
     out = _outdir(cfg)
     _write_manifest(cfg, out)
-    h = GlobalHistory.bootstrap(plan.w_init)
+    w_final = plan.w_init
     records = []
-    for _ in range(plan.rounds):
-        h, rec = run_round(h, plan.clients, plan.rates, plan.schedule, plan.policy,
-                           plan.seed, alpha=plan.alpha,
-                           tie_gradients=plan.tie_gradients)
+    for h, rec in iter_rounds(plan):
         records.append(rec)
+        w_final = h.w_glb
         if cfg.checkpoint_every > 0 and (rec.round + 1) % cfg.checkpoint_every == 0:
-            (out / f"checkpoint_{rec.round:05d}.json").write_text(P.dump_json(h.w_glb) + "\n")
+            (out / f"checkpoint_{rec.round:05d}.json").write_text(P.dump_json(w_final) + "\n")
     _write_metrics(records, len(plan.clients), out)
     if plan.alpha is not None:
         _write_bounds(records, out)
-    (out / "checkpoint_final.json").write_text(P.dump_json(h.w_glb) + "\n")
+    (out / "checkpoint_final.json").write_text(P.dump_json(w_final) + "\n")
     log.info("run-fl: %d rounds -> %s", len(records), out)
     return EXIT_OK
 
 
-def cmd_verify_bounds(args) -> int:
-    cfg = _load(args)
+def _require_bound_alpha(cfg: FederationConfig, missing: str) -> None:
+    """The closed-form bounds need 0 < alpha < 1/2."""
     if cfg.alpha is None:
-        raise ConfigError(["verify-bounds needs 'alpha'"])
+        raise ConfigError([missing])
     if not (0.0 < cfg.alpha < 0.5):
         raise ConfigError([f"bound checks need 0 < alpha < 1/2 (1 - 4*alpha^2 "
                            f"must stay positive); got alpha = {cfg.alpha}"])
+
+
+def cmd_verify_bounds(args) -> int:
+    cfg = _load(args)
+    _require_bound_alpha(cfg, "verify-bounds needs 'alpha'")
     cfg.check_bounds = True
     plan = cfg.build_plan()
     out = _outdir(cfg)
@@ -190,9 +192,8 @@ def cmd_convergence(args) -> int:
     cfg = _load(args)
     if args.seeds is not None:
         cfg.n_seeds = args.seeds
-    if cfg.alpha is None:
-        raise ConfigError(["convergence runs need 'alpha'"])
-    plan = cfg.build_plan(record_trajectories=True)
+    _require_bound_alpha(cfg, "convergence runs need 'alpha'")
+    plan = cfg.build_plan()
     ccfg = ConvergenceConfig(plan=plan, alpha=cfg.alpha, n_seeds=cfg.n_seeds)
     out = _outdir(cfg)
     _write_manifest(cfg, out)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -100,6 +99,8 @@ class FederationConfig:
             errs.append("beta2 must be >= 0")
         if cfg.beta is None and cfg.beta1 is None:
             cfg.beta = 0.0
+        if cfg.alpha is not None and cfg.alpha <= 0:
+            errs.append("alpha must be > 0")
         if cfg.check_bounds and cfg.alpha is not None and not (0.0 < cfg.alpha < 0.5):
             errs.append(f"bound checks need 0 < alpha < 1/2 (1 - 4*alpha^2 must stay "
                         f"positive); got alpha = {cfg.alpha}")
@@ -142,20 +143,17 @@ class FederationConfig:
     def build_objectives(self) -> list:
         return build_objectives(self.objective, self.K, self.seed)
 
-    def build_plan(self, seed_override: int | None = None,
-                   record_trajectories: bool = False) -> RunPlan:
-        seed = self.seed if seed_override is None else seed_override
+    def build_plan(self, record_trajectories: bool = False) -> RunPlan:
         objs = self.build_objectives()
         n_k = self.resolved_n_k()
         clients = tuple(ClientState(id=k, n_k=n_k[k], objective=objs[k],
                                     E=self.E, batch_size=self.batch_size)
                         for k in range(self.K))
         schedule = self.build_schedule(objs)
-        alpha = self.alpha if (self.check_bounds or self.alpha is not None) else None
         return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
                        policy=_parse_defense(self.defense), rounds=self.rounds,
-                       seed=seed, w_init=initial_params(objs[0]),
-                       alpha=alpha, tie_gradients=self.tie_gradients,
+                       seed=self.seed, w_init=initial_params(objs[0]),
+                       alpha=self.alpha, tie_gradients=self.tie_gradients,
                        record_trajectories=record_trajectories)
 
     def build_schedule(self, objs) -> LrSchedule:
@@ -171,12 +169,12 @@ class FederationConfig:
             gamma = self.gamma_override if self.gamma_override is not None else max(8.0, self.E)
         return LrSchedule(mu=mu, gamma=gamma)
 
-    def manifest(self, resolved_seed: int | None = None) -> dict:
+    def manifest(self) -> dict:
         rates = self.rates()
         return {
             "version": VERSION,
             "experiment": self.experiment,
-            "seed": self.seed if resolved_seed is None else resolved_seed,
+            "seed": self.seed,
             "beta1": rates.beta1,
             "beta2": rates.beta2,
             "config": {k: getattr(self, k) for k in sorted(self.KNOWN_KEYS)},

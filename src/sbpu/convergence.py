@@ -26,7 +26,7 @@ import numpy as np
 
 from . import params as P
 from . import seeds
-from .federation import RunPlan, aggregate, run_federation
+from .federation import RunPlan, iter_rounds, measure_divergence
 from .objectives import AssumptionConstants, QuadraticObjective, constants_for
 from .params import LayeredParams
 
@@ -68,15 +68,6 @@ def divergence_bound(alpha: float, eta_t: float, E: int, G: float) -> float:
         raise ValueError(f"need 1 - 4*alpha^2 > 0; alpha = {alpha:g} is out of domain")
     return 16.0 * alpha * alpha * eta_t * eta_t / (1.0 - 4.0 * alpha * alpha) \
         * (E - 1) ** 2 * G * G
-
-
-def measure_divergence(client_weights: Sequence[LayeredParams],
-                       sizes: Sequence[int]) -> float:
-    """sum_k p_k * ||wbar - w_k||^2 with wbar the sample-weighted average."""
-    mean = aggregate(client_weights, sizes)
-    total = float(sum(sizes))
-    return math.fsum((n / total) * P.sq_distance(mean, w)
-                     for n, w in zip(sizes, client_weights))
 
 
 @dataclass(frozen=True)
@@ -135,25 +126,17 @@ def run_convergence_experiment(cfg: ConvergenceConfig) -> ConvergenceReport:
     D0 = P.sq_distance(plan.w_init, w_star)
     B = sum(s * s for s in consts.sigma) / (K * K) + sbpu_variance_term(cfg.alpha, E, consts.G)
 
-    def global_loss(w: LayeredParams) -> float:
-        return math.fsum(p * o.loss(w) for p, o in zip(weights, objs))
-
     n_rounds = plan.rounds
     gap_sum = np.zeros(n_rounds)
     div_sum = np.zeros(n_rounds * E)
     div_max = np.zeros(n_rounds * E)
     for i in range(cfg.n_seeds):
         seed_i = seeds.child_seed(plan.seed, "mc", i)
-        records = run_federation(replace(plan, seed=seed_i))
-        h_box: list = []
-        # re-walk the rounds to read the aggregates: records carry losses
-        # already, but the gap needs f at the post-round aggregate, which is
-        # exactly RoundRecord.global_loss minus f*.
-        for r, rec in enumerate(records):
-            gap_sum[r] += rec.global_loss - f_star
-            for s in range(E):
-                t = r * E + s
-                step_weights = [rec.trajectories[k][s] for k in range(K)]
+        # the gap needs f at the post-round aggregate: RoundRecord.global_loss
+        for _, rec in iter_rounds(replace(plan, seed=seed_i)):
+            gap_sum[rec.round] += rec.global_loss - f_star
+            for s, step_weights in enumerate(zip(*rec.trajectories)):
+                t = rec.round * E + s
                 d = measure_divergence(step_weights, sizes)
                 div_sum[t] += d
                 div_max[t] = max(div_max[t], d)

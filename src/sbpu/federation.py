@@ -12,9 +12,8 @@ concurrent and serial client schedules produce bit-identical results.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -87,7 +86,6 @@ class RoundRecord:
     client_losses: tuple[float, ...]
     divergence: float
     bound_reports: tuple[BoundReport, ...]
-    wall_clock: float
     trajectories: tuple[tuple[LayeredParams, ...], ...] | None = None
 
 
@@ -150,6 +148,15 @@ def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> Layered
     return P.from_arrays(acc, [l.kind for l in base.layers])
 
 
+def measure_divergence(client_weights: Sequence[LayeredParams],
+                       sizes: Sequence[int]) -> float:
+    """sum_k p_k * ||wbar - w_k||^2 with wbar the sample-weighted average."""
+    mean = aggregate(client_weights, sizes)
+    total = float(sum(sizes))
+    return math.fsum((n / total) * P.sq_distance(mean, w)
+                     for n, w in zip(sizes, client_weights))
+
+
 def apply_defense(g: LayeredParams, policy: DefensePolicy,
                   rng: np.random.Generator) -> LayeredParams:
     """Defend an uploaded delta: identity, clip+noise, or magnitude pruning."""
@@ -177,7 +184,6 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
               alpha: float | None = None, tie_gradients: bool = False,
               record_trajectories: bool = False) -> tuple[GlobalHistory, RoundRecord]:
     """Execute one full federation round and rotate the history."""
-    t0 = time.perf_counter()
     K = len(clients)
     sizes = [c.n_k for c in clients]
     E = clients[0].E
@@ -212,10 +218,8 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
             uploads.append(P.add_scaled(w0, 1.0, defended))
 
     new_glb = aggregate(uploads, sizes)
-    mean_local = aggregate(trained, sizes)
+    divergence = measure_divergence(trained, sizes)
     total = float(sum(sizes))
-    divergence = math.fsum((n / total) * P.sq_distance(mean_local, w)
-                           for n, w in zip(sizes, trained))
     global_loss = math.fsum((c.n_k / total) * c.objective.loss(new_glb) for c in clients)
     client_losses = tuple(c.objective.loss(w) for c, w in zip(clients, trained))
 
@@ -225,7 +229,6 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
         client_losses=client_losses,
         divergence=divergence,
         bound_reports=tuple(reports),
-        wall_clock=time.perf_counter() - t0,
         trajectories=tuple(trajs) if record_trajectories else None,
     )
     return h.rotated(new_glb, tie_gradients=tie_gradients), record
@@ -253,20 +256,29 @@ class RunPlan:
             raise ValueError("rounds must be >= 0")
 
 
-def run_federation(plan: RunPlan, history_out: list | None = None) -> list[RoundRecord]:
-    """Run all rounds; T = rounds * E SGD iterations per client in total.
+def iter_rounds(plan: RunPlan) -> Iterator[tuple[GlobalHistory, RoundRecord]]:
+    """The round loop: yield (history after the round, its record) per round.
 
-    history_out, when given, receives the final GlobalHistory (and starts
-    with the bootstrap history if rounds == 0).
+    T = rounds * E SGD iterations per client in total.
     """
     h = GlobalHistory.bootstrap(plan.w_init)
-    records = []
     for _ in range(plan.rounds):
         h, rec = run_round(h, plan.clients, plan.rates, plan.schedule, plan.policy,
                            plan.seed, alpha=plan.alpha, tie_gradients=plan.tie_gradients,
                            record_trajectories=plan.record_trajectories)
+        yield h, rec
+
+
+def run_federation(plan: RunPlan, history_out: list | None = None) -> list[RoundRecord]:
+    """Run all rounds and return their records.
+
+    history_out, when given, receives the final GlobalHistory (the bootstrap
+    history if rounds == 0).
+    """
+    h = GlobalHistory.bootstrap(plan.w_init)
+    records = []
+    for h, rec in iter_rounds(plan):
         records.append(rec)
     if history_out is not None:
-        history_out.clear()
-        history_out.append(h)
+        history_out[:] = [h]
     return records

@@ -110,6 +110,15 @@ class TestRunFl:
         cadence = json.loads((out / "checkpoint_00003.json").read_text())
         assert final == cadence   # round 3 is the last of 4 rounds
 
+    def test_zero_rounds_with_checkpoints(self, tmp_path):
+        path, out = write_config(tmp_path, rounds=0, checkpoint_every=2)
+        assert main(["run-fl", "--config", str(path)]) == 0
+        final = json.loads((out / "checkpoint_final.json").read_text())
+        assert final == [[[0.0]] * 8]   # the zero initial model, layout [[8, 1]]
+        lines = (out / "metrics.csv").read_text().strip().split("\n")
+        assert lines == ["round,global_loss,divergence,loss_0,loss_1,loss_2"]
+        assert not list(out.glob("checkpoint_0*.json"))
+
 
 class TestVerifyBounds:
     def test_compliant_regime_passes(self, tmp_path):
@@ -184,3 +193,10 @@ class TestConvergenceCommand:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         assert main(["convergence", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command,alpha", [("run-fl", -0.1), ("convergence", 0.6),
+                                           ("convergence", -0.1)])
+def test_alpha_out_of_domain_exit_1(tmp_path, command, alpha):
+    path, _ = write_config(tmp_path, alpha=alpha)
+    assert main([command, "--config", str(path)]) == 1
