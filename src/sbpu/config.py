@@ -17,7 +17,6 @@ from typing import Any
 
 import numpy as np
 
-from . import params as P
 from . import seeds
 from .federation import ClientState, DefensePolicy, RunPlan
 from .mutation import DiversityRates
@@ -141,7 +140,12 @@ class FederationConfig:
         return list(self.n_k) if self.n_k is not None else [1] * self.K
 
     def build_objectives(self) -> list:
-        return build_objectives(self.objective, self.K, self.seed)
+        try:
+            return build_objectives(self.objective, self.K, self.seed)
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, KeyError, IndexError) as e:
+            raise ConfigError([f"objective: {e}"]) from e
 
     def build_plan(self, record_trajectories: bool = False) -> RunPlan:
         objs = self.build_objectives()
@@ -152,7 +156,7 @@ class FederationConfig:
         schedule = self.build_schedule(objs)
         return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
                        policy=_parse_defense(self.defense), rounds=self.rounds,
-                       seed=self.seed, w_init=initial_params(objs[0]),
+                       seed=self.seed, w_init=objs[0].template(),
                        alpha=self.alpha, tie_gradients=self.tie_gradients,
                        record_trajectories=record_trajectories)
 
@@ -195,15 +199,6 @@ def _parse_defense(d: dict) -> DefensePolicy:
     raise ValueError(f"unknown defense tag {tag!r}")
 
 
-def _layout(spec, dim) -> tuple[tuple[int, int], ...]:
-    if spec is None:
-        return ((1, dim),)
-    layout = tuple((int(nf), int(w)) for nf, w in spec)
-    if sum(nf * w for nf, w in layout) != dim:
-        raise ConfigError([f"layout {layout} does not cover dimension {dim}"])
-    return layout
-
-
 def build_objectives(spec: dict, K: int, seed: int) -> list:
     kind = spec.get("kind")
     if kind == "quadratic":
@@ -228,7 +223,7 @@ def _quadratic_explicit(spec: dict, K: int) -> list[QuadraticObjective]:
         out.append(QuadraticObjective(matrix=matrix, center=center,
                                       noise_sigma=float(c.get("sigma", 0.0)),
                                       radius=radius,
-                                      layout=_layout(spec.get("layout"), d)))
+                                      layout=spec.get("layout")))
     return out
 
 
@@ -244,7 +239,7 @@ def _quadratic_random(spec: dict, K: int, seed: int) -> list[QuadraticObjective]
     if len(sigmas) != K:
         raise ConfigError(["sigma list must have one entry per client"])
     shared = bool(spec.get("shared_matrix", False))
-    layout = _layout(spec.get("layout"), dim)
+    layout = spec.get("layout")
     out = []
     shared_A = None
     for k in range(K):
@@ -284,10 +279,3 @@ def _classifier(spec: dict, K: int, seed: int) -> list[ClassifierObjective]:
         x, y = blobs.sample(n, seeds.stream(seed, "dataset", k))
         out.append(ClassifierObjective(architecture=arch, data_x=x, data_y=y))
     return out
-
-
-def initial_params(obj) -> P.LayeredParams:
-    """Deterministic initial model: zeros in the objective's layout."""
-    if isinstance(obj, QuadraticObjective):
-        return obj.template()
-    return obj.zero_params()

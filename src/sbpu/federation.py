@@ -139,13 +139,11 @@ def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> Layered
     for u in updates[1:]:
         P.check_same_shape(updates[0], u)
     total = float(sum(sizes))
-    base = updates[0]
-    acc = [l.filters.copy() for l in base.layers]
+    base = updates[0].vector
+    acc = base.copy()
     for u, nk in zip(updates[1:], sizes[1:]):
-        w = nk / total
-        for j, (lu, lb) in enumerate(zip(u.layers, base.layers)):
-            acc[j] += w * (lu.filters - lb.filters)
-    return P.from_arrays(acc, [l.kind for l in base.layers])
+        acc += (nk / total) * (u.vector - base)
+    return P.from_vector(acc, updates[0])
 
 
 def measure_divergence(client_weights: Sequence[LayeredParams],

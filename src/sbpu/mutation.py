@@ -15,6 +15,7 @@ deterministic and near-balanced (and covers tiny layers with f < 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,30 +119,27 @@ def apply_stochastic_lists(w_glb: LayeredParams, g_glb: LayeredParams,
     """Per-filter branch update for explicitly supplied selector lists."""
     P.check_same_shape(w_glb, g_glb)
     P.check_same_shape(w_glb, g_prev)
-    if len(lists) != len(w_glb.layers):
-        raise ValueError(f"need one list per layer, got {len(lists)} for {len(w_glb.layers)}")
-    arrays = []
-    for i, (lw, lg, lgp) in enumerate(zip(w_glb.layers, g_glb.layers, g_prev.layers)):
+    layout = w_glb.layout
+    if len(lists) != len(layout):
+        raise ValueError(f"need one list per layer, got {len(lists)} for {len(layout)}")
+    per_scalar = []
+    for i, (nf, fl, _) in enumerate(layout):
         sel = np.asarray(lists[i], dtype=np.int64)
-        if sel.size != lw.n_filters:
-            raise ValueError(f"layer {i}: list length {sel.size} != {lw.n_filters} filters")
+        if sel.size != nf:
+            raise ValueError(f"layer {i}: list length {sel.size} != {nf} filters")
         if not np.all(np.isin(sel, (-1, 1, -2, 2))):
             raise ValueError(f"layer {i}: entries must come from {{-1, +1, -2, +2}}")
-        out = lw.filters.copy()
-        one = np.abs(sel) == 1
-        if np.any(one):
-            out[one] += rates.beta1 * sel[one, None] * lg.filters[one]
-        two = ~one
-        if np.any(two):
-            out[two] += rates.beta2 * sel[two, None] * lgp.filters[two]
-        arrays.append(out)
-    return P.from_arrays(arrays, [l.kind for l in w_glb.layers])
+        per_scalar.append(np.repeat(sel, fl))
+    sel = np.concatenate(per_scalar)
+    one = np.abs(sel) == 1
+    coef = np.where(one, rates.beta1 * sel, rates.beta2 * sel)
+    return P.from_vector(w_glb.vector + coef * np.where(one, g_glb.vector, g_prev.vector), w_glb)
 
 
 def sbpu_mutate(w_glb: LayeredParams, g_glb: LayeredParams, g_prev: LayeredParams,
                 rates: DiversityRates, rng: np.random.Generator) -> LayeredParams:
     """One diverse model: fresh shuffled list per layer, then the branch update."""
-    lists = [build_stochastic_list(l.n_filters, rng) for l in w_glb.layers]
+    lists = [build_stochastic_list(nf, rng) for nf, _, _ in w_glb.layout]
     return apply_stochastic_lists(w_glb, g_glb, g_prev, rates, lists)
 
 
@@ -172,6 +170,7 @@ def check_neighborhood_bound(w_loc: LayeredParams, h: GlobalHistory,
     lower = alpha * alpha * delta_sq
     upper = 4.0 * alpha * alpha * delta_sq
     slack = BOUND_SLACK * max(dist_sq, upper, 1e-300)
-    holds = (lower - slack) <= dist_sq <= (upper + slack)
+    # an overflowed distance would make the slack infinite and always hold
+    holds = math.isfinite(dist_sq) and (lower - slack) <= dist_sq <= (upper + slack)
     return BoundReport(dist_sq=dist_sq, delta_sq=delta_sq, lower=lower,
                        upper=upper, holds=bool(holds))

@@ -56,14 +56,16 @@ class QuadraticObjective:
             raise ValueError("noise_sigma must be >= 0")
         if self.radius <= 0.0:
             raise ValueError("radius must be > 0")
-        layout = self.layout or ((1, c.size),)
+        layout = ((1, c.size),) if self.layout is None else self.layout
+        layout = tuple((int(nf), int(w)) for nf, w in layout)
         if sum(nf * w for nf, w in layout) != c.size:
             raise ValueError(f"layout {layout} does not cover dimension {c.size}")
         a = a.copy(); a.flags.writeable = False
         c = c.copy(); c.flags.writeable = False
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "layout", tuple((int(nf), int(w)) for nf, w in layout))
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_template", P.from_arrays([np.zeros(s) for s in layout]))
 
     @property
     def dim(self) -> int:
@@ -79,10 +81,10 @@ class QuadraticObjective:
 
     def template(self) -> LayeredParams:
         """A zero LayeredParams with this objective's layer layout."""
-        return P.from_arrays([np.zeros((nf, w)) for nf, w in self.layout])
+        return self._template
 
     def params_from_vector(self, v: np.ndarray) -> LayeredParams:
-        return P.from_vector(v, self.template())
+        return P.from_vector(v, self._template)
 
     def loss(self, w: LayeredParams, batch=None) -> float:
         dv = P.as_vector(w) - self.center
@@ -113,12 +115,15 @@ class QuadraticObjective:
 
     def project(self, w: LayeredParams) -> LayeredParams:
         """Euclidean projection onto the ball of radius R around the center."""
-        v = P.as_vector(w)
-        dv = v - self.center
-        r = float(np.linalg.norm(dv))
-        if r <= self.radius:
-            return w
-        return self.params_from_vector(self.center + dv * (self.radius / r))
+        return _project(w, self.center, self.radius)
+
+
+def _project(w: LayeredParams, center: np.ndarray, radius: float) -> LayeredParams:
+    """w, or center + (w - center) * R/r when w lies r > R from the center."""
+    center = np.asarray(center, dtype=np.float64).ravel()
+    dv = P.as_vector(w) - center
+    r = float(np.linalg.norm(dv))
+    return w if r <= radius else P.from_vector(center + dv * (radius / r), w)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +189,7 @@ def sgd_step(w: LayeredParams, g: LayeredParams, eta: float,
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     out = P.add_scaled(w, -eta, g)
-    if ball is not None:
-        center, radius = ball
-        v = P.as_vector(out)
-        dv = v - np.asarray(center, dtype=np.float64).ravel()
-        r = float(np.linalg.norm(dv))
-        if r > radius:
-            out = P.from_vector(np.asarray(center).ravel() + dv * (radius / r), w)
-    return out
+    return out if ball is None else _project(out, *ball)
 
 
 # ---------------------------------------------------------------------------
@@ -268,37 +266,38 @@ class ClassifierObjective:
         object.__setattr__(self, "data_x", x)
         object.__setattr__(self, "data_y", y)
         object.__setattr__(self, "n_c", int(n_c))
+        zeros = [np.zeros(s) for i, o, _ in arch for s in ((o, i), (1, o))]
+        object.__setattr__(self, "_template", P.from_arrays(zeros, ["weight", "bias"] * len(arch)))
 
     @property
     def n_samples(self) -> int:
         return 0 if self.data_x is None else self.data_x.shape[0]
 
-    def init_params(self, rng: np.random.Generator, scale: float = 0.1) -> LayeredParams:
-        arrays, kinds = [], []
-        for i, o, _ in self.architecture:
-            arrays.append(scale * rng.standard_normal((o, i)))
-            kinds.append("weight")
-            arrays.append(np.zeros((1, o)))
-            kinds.append("bias")
-        return P.from_arrays(arrays, kinds)
+    def template(self) -> LayeredParams:
+        """The zero LayeredParams: one (out, in) weight and one bias layer per dense layer."""
+        return self._template
 
-    def zero_params(self) -> LayeredParams:
-        arrays, kinds = [], []
+    zero_params = template
+
+    def init_params(self, rng: np.random.Generator, scale: float = 0.1) -> LayeredParams:
+        """Scaled standard-normal weights (drawn layer by layer), zero biases."""
+        v, pos = self._template.vector.copy(), 0
         for i, o, _ in self.architecture:
-            arrays.append(np.zeros((o, i))); kinds.append("weight")
-            arrays.append(np.zeros((1, o))); kinds.append("bias")
-        return P.from_arrays(arrays, kinds)
+            v[pos:pos + o * i] = (scale * rng.standard_normal((o, i))).ravel()
+            pos += o * i + o
+        return P.from_vector(v, self._template)
 
     def _unpack(self, w: LayeredParams):
-        if len(w.layers) != 2 * len(self.architecture):
-            raise P.ShapeMismatchError(len(w.layers) // 2, None, "wrong number of dense layers")
-        pairs = []
+        if len(w.layout) != 2 * len(self.architecture):
+            raise P.ShapeMismatchError(len(w.layout) // 2, None, "wrong number of dense layers")
+        pairs, pos = [], 0
         for li, (i, o, a) in enumerate(self.architecture):
-            W = w.layers[2 * li].filters
-            b = w.layers[2 * li + 1].filters.ravel()
-            if W.shape != (o, i) or b.size != o:
+            (nf, fl, _), (nb, fb, _) = w.layout[2 * li:2 * li + 2]
+            if (nf, fl) != (o, i) or nb * fb != o:
                 raise P.ShapeMismatchError(2 * li, None, f"expected ({o},{i})+bias {o}")
-            pairs.append((W, b, a))
+            pairs.append((w.vector[pos:pos + o * i].reshape(o, i),
+                          w.vector[pos + o * i:pos + o * i + o], a))
+            pos += o * i + o
         return pairs
 
     def logits(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
@@ -350,11 +349,10 @@ class ClassifierObjective:
         arrays = [None] * (2 * len(pairs))
         for li in range(len(pairs) - 1, -1, -1):
             W, b, a = pairs[li]
-            arrays[2 * li] = delta.T @ hs[li]
-            arrays[2 * li + 1] = np.sum(delta, axis=0).reshape(1, -1)
+            arrays[2 * li] = (delta.T @ hs[li]).ravel()
+            arrays[2 * li + 1] = np.sum(delta, axis=0)
             if li > 0:
                 delta = delta @ W
                 ap = pairs[li - 1][2]
                 delta = delta * _act_deriv(ap, zs[li - 1], hs[li])
-        kinds = [l.kind for l in w.layers]
-        return P.from_arrays(arrays, kinds)
+        return P.from_vector(np.concatenate(arrays), w)

@@ -1,13 +1,14 @@
-"""Layered, filter-addressable parameter containers.
+"""Filter-addressable parameter values: one flat vector plus a layout.
 
-A model's weights are organized as layers, each layer holding an ordered
-sequence of equally sized filter slices.  The filter is the unit the
-bidirectional mutation acts on: weight layers store one filter per output
-row, bias layers store the whole vector as a single filter.
+A model is one read-only float64 vector w (layer order, row-major filters)
+and a layout splitting it into layers of equally sized filter slices.  The
+filter is the unit the bidirectional mutation acts on: weight layers store
+one filter per output row, bias layers the whole vector as a single filter.
 
-Values are immutable after construction (the backing arrays are marked
-read-only) and every operation returns freshly allocated results, so
-instances can be shared freely across threads.
+A value checks its vector for finite entries once, when it takes it; each
+operation is one vector expression returning a fresh value, so instances
+can be shared freely across threads.  `.layers` gives read-only per-layer
+views for boundary callers (JSON, attacks); `Layer` validates input arrays.
 """
 
 from __future__ import annotations
@@ -68,32 +69,53 @@ class Layer:
         return self.filters.shape[1]
 
 
-@dataclass(frozen=True)
 class LayeredParams:
-    """An ordered sequence of layers; the federation-wide parameter unit."""
+    """The federation-wide parameter unit: every scalar in `vector`, and
+    (n_filters, filter_len, kind) per layer in `layout`."""
 
-    layers: tuple[Layer, ...]
+    __slots__ = ("vector", "layout", "_layers")
 
-    def __post_init__(self):
-        layers = tuple(self.layers)
+    def __init__(self, layers: Iterable[Layer]):
+        layers = tuple(layers)
         if not layers:
             raise ValueError("LayeredParams needs at least one layer")
-        object.__setattr__(self, "layers", layers)
+        self._adopt(np.concatenate([l.filters.ravel() for l in layers]),
+                    tuple((l.n_filters, l.filter_len, l.kind) for l in layers))
+
+    def _adopt(self, vector: np.ndarray, layout: tuple) -> "LayeredParams":
+        if not np.isfinite(vector).all():
+            raise ValueError("non-finite value in parameters")
+        vector.flags.writeable = False
+        self.vector, self.layout, self._layers = vector, layout, None
+        return self
+
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        """Read-only per-layer views of the vector, built on first use."""
+        if self._layers is None:
+            layers, pos = [], 0
+            for nf, fl, kind in self.layout:
+                layer = object.__new__(Layer)   # skip Layer's copy: the vector is checked
+                object.__setattr__(layer, "filters", self.vector[pos:pos + nf * fl].reshape(nf, fl))
+                object.__setattr__(layer, "kind", kind)
+                layers.append(layer)
+                pos += nf * fl
+            self._layers = tuple(layers)
+        return self._layers
 
     @property
     def shape(self) -> tuple[tuple[int, int], ...]:
-        return tuple((l.n_filters, l.filter_len) for l in self.layers)
-
-    @property
-    def size(self) -> int:
-        return sum(l.filters.size for l in self.layers)
+        return tuple((nf, fl) for nf, fl, _ in self.layout)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayeredParams):
             return NotImplemented
-        return self.shape == other.shape and all(
-            np.array_equal(a.filters, b.filters) for a, b in zip(self.layers, other.layers)
-        )
+        return self.shape == other.shape and np.array_equal(self.vector, other.vector)
+
+
+def _wrap(vector: np.ndarray, layout: tuple) -> LayeredParams:
+    """A value owning the freshly computed `vector` (checked, then frozen)."""
+    return object.__new__(LayeredParams)._adopt(vector, layout)
 
 
 def from_arrays(arrays: Iterable[np.ndarray], kinds: Sequence[str] | None = None) -> LayeredParams:
@@ -104,26 +126,27 @@ def from_arrays(arrays: Iterable[np.ndarray], kinds: Sequence[str] | None = None
 
 
 def check_same_shape(a: LayeredParams, b: LayeredParams) -> None:
-    if len(a.layers) != len(b.layers):
-        raise ShapeMismatchError(min(len(a.layers), len(b.layers)), None,
-                                 f"{len(a.layers)} vs {len(b.layers)} layers")
-    for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
-        if la.n_filters != lb.n_filters:
-            raise ShapeMismatchError(i, None, f"{la.n_filters} vs {lb.n_filters} filters")
-        if la.filter_len != lb.filter_len:
-            raise ShapeMismatchError(i, 0, f"filter length {la.filter_len} vs {lb.filter_len}")
+    la, lb = a.layout, b.layout
+    if la == lb:
+        return
+    if len(la) != len(lb):
+        raise ShapeMismatchError(min(len(la), len(lb)), None, f"{len(la)} vs {len(lb)} layers")
+    for i, ((nfa, fla, _), (nfb, flb, _)) in enumerate(zip(la, lb)):
+        if nfa != nfb:
+            raise ShapeMismatchError(i, None, f"{nfa} vs {nfb} filters")
+        if fla != flb:
+            raise ShapeMismatchError(i, 0, f"filter length {fla} vs {flb}")
 
 
 def clone_params(p: LayeredParams) -> LayeredParams:
     """Deep, value-equal copy; mutating one side never affects the other."""
-    return from_arrays([l.filters.copy() for l in p.layers], [l.kind for l in p.layers])
+    return _wrap(p.vector.copy(), p.layout)
 
 
 def diff(a: LayeredParams, b: LayeredParams) -> LayeredParams:
     """Element-wise a - b."""
     check_same_shape(a, b)
-    return from_arrays([la.filters - lb.filters for la, lb in zip(a.layers, b.layers)],
-                       [l.kind for l in a.layers])
+    return _wrap(a.vector - b.vector, a.layout)
 
 
 def add_scaled(base: LayeredParams, coef: float, delta: LayeredParams) -> LayeredParams:
@@ -131,8 +154,7 @@ def add_scaled(base: LayeredParams, coef: float, delta: LayeredParams) -> Layere
     if not math.isfinite(coef):
         raise ValueError(f"coefficient must be finite, got {coef}")
     check_same_shape(base, delta)
-    return from_arrays([lb.filters + coef * ld.filters for lb, ld in zip(base.layers, delta.layers)],
-                       [l.kind for l in base.layers])
+    return _wrap(base.vector + coef * delta.vector, base.layout)
 
 
 def sq_distance(a: LayeredParams, b: LayeredParams) -> float:
@@ -147,29 +169,24 @@ def sq_norm(p: LayeredParams) -> float:
 
 
 def zeros_like(p: LayeredParams) -> LayeredParams:
-    return from_arrays([np.zeros_like(l.filters) for l in p.layers], [l.kind for l in p.layers])
+    return _wrap(np.zeros_like(p.vector), p.layout)
 
 
 def scale(p: LayeredParams, coef: float) -> LayeredParams:
-    return from_arrays([coef * l.filters for l in p.layers], [l.kind for l in p.layers])
+    return _wrap(coef * p.vector, p.layout)
 
 
 def as_vector(p: LayeredParams) -> np.ndarray:
-    """Flatten to a single float64 vector (layer order, row-major filters)."""
-    return np.concatenate([l.filters.ravel() for l in p.layers])
+    """The stored read-only vector (layer order, row-major filters)."""
+    return p.vector
 
 
 def from_vector(v: np.ndarray, template: LayeredParams) -> LayeredParams:
-    """Inverse of as_vector for a given structural template."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size != template.size:
-        raise ShapeMismatchError(0, None, f"vector length {v.size} vs {template.size} scalars")
-    out, pos = [], 0
-    for l in template.layers:
-        n = l.filters.size
-        out.append(v[pos:pos + n].reshape(l.filters.shape))
-        pos += n
-    return from_arrays(out, [l.kind for l in template.layers])
+    """A copy of v laid out like template (inverse of as_vector)."""
+    v = np.array(v, dtype=np.float64).reshape(-1)
+    if v.size != template.vector.size:
+        raise ShapeMismatchError(0, None, f"vector length {v.size} vs {template.vector.size} scalars")
+    return _wrap(v, template.layout)
 
 
 def to_jsonable(p: LayeredParams) -> list:

@@ -200,3 +200,15 @@ class TestConvergenceCommand:
 def test_alpha_out_of_domain_exit_1(tmp_path, command, alpha):
     path, _ = write_config(tmp_path, alpha=alpha)
     assert main([command, "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("objective", [
+    {"kind": "quadratic_random", "dim": 8, "eig_range": [-1, 2]},
+    {"kind": "quadratic_random", "dim": 0},
+    {"kind": "quadratic", "clients": [{"center": [0.0, 0.0]}] * 3},
+    {"kind": "classifier", "architecture": [[2, 3, "relu"], [3, 2, "relu"]]},
+], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer"])
+def test_objective_construction_errors_exit_1(tmp_path, capsys, objective):
+    path, _ = write_config(tmp_path, objective=objective)
+    assert main(["run-fl", "--config", str(path)]) == 1
+    assert "invalid configuration" in capsys.readouterr().err

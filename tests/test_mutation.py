@@ -263,3 +263,9 @@ class TestNeighborhoodBound:
             out = apply_stochastic_lists(w, g, gp, rates, [list(perm)])
             total = P.add_scaled(total, 1.0, P.diff(out, w))
         assert math.sqrt(P.sq_norm(total)) / len(perms) < 1e-12
+
+    def test_overflowed_distance_does_not_hold(self):
+        h = GlobalHistory.bootstrap(single(0.0, 0.0))
+        with np.errstate(over="ignore"):
+            rep = check_neighborhood_bound(single(1e200, 0.0), h, alpha=0.2)
+        assert rep.dist_sq == math.inf and not rep.holds

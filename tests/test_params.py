@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +114,14 @@ class TestSqDistance:
         flat = float(np.sum((P.as_vector(a) - P.as_vector(b)) ** 2))
         assert P.sq_distance(a, b) == pytest.approx(flat, rel=1e-12)
 
+    def test_per_layer_summation_order(self):
+        rng = np.random.default_rng(8)
+        a = random_params(rng, n_layers=3)
+        b = pair_like(rng, a)
+        per_layer = [float(np.sum((la.filters - lb.filters) ** 2))
+                     for la, lb in zip(a.layers, b.layers)]
+        assert P.sq_distance(a, b) == math.fsum(per_layer)
+
 
 class TestProperties:
     @given(layered_params())
@@ -146,6 +155,17 @@ class TestVectorRoundtrip:
         p = single(1.0, 2.0)
         with pytest.raises(P.ShapeMismatchError):
             P.from_vector(np.zeros(3), p)
+
+    def test_as_vector_read_only(self):
+        v = P.as_vector(single(1.0, 2.0))
+        with pytest.raises(ValueError):
+            v[0] = 9.0
+
+    def test_from_vector_copies_input(self):
+        v = np.array([1.0, 2.0])
+        p = P.from_vector(v, single(0.0, 0.0))
+        v[0] = 9.0
+        assert p == single(1.0, 2.0)
 
 
 class TestJson:
