@@ -5,9 +5,9 @@ verify-bounds (neighborhood-bound audit), run-attack (lia / mia / ir),
 convergence (Monte-Carlo gap and divergence measurement against the
 closed-form bounds).
 
-Exit codes: 0 ok, 1 configuration error, 2 runtime divergence, 3 bound
-violation in the guaranteed regime.  Set SBPU_LOG to a logging level name
-(e.g. DEBUG) for verbose progress output.
+Exit codes: 0 ok, 1 configuration error, 2 runtime divergence (a non-finite
+loss or parameter value), 3 bound violation in the guaranteed regime.  Set
+SBPU_LOG to a logging level name (e.g. DEBUG) for verbose progress output.
 """
 
 from __future__ import annotations
@@ -193,6 +193,8 @@ def cmd_convergence(args) -> int:
     if args.seeds is not None:
         cfg.n_seeds = args.seeds
     _require_bound_alpha(cfg, "convergence runs need 'alpha'")
+    if cfg.rounds < 1:
+        raise ConfigError(["convergence runs need rounds >= 1"])
     plan = cfg.build_plan()
     ccfg = ConvergenceConfig(plan=plan, alpha=cfg.alpha, n_seeds=cfg.n_seeds)
     out = _outdir(cfg)
@@ -238,7 +240,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as e:
+    except (DivergenceError, P.NonFiniteError) as e:
         print(f"runtime divergence: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,8 +1,9 @@
 """JSON experiment configuration.
 
 A config file resolves to a RunPlan: client objectives, diversity rates,
-learning-rate schedule, defense policy, rounds, and the master seed.  All
-validation failures are collected and reported together.
+learning-rate schedule, defense policy, rounds, and the master seed.  Every
+field is first checked against its annotated type; the range checks then
+run on well-typed fields.  Each stage reports all its failures together.
 
 Named presets carry the diversity-rate defaults used for the four benchmark
 settings (mnist 0.025, fmnist 0.25, cifar10 0.15, svhn 1.1), applied here
@@ -12,7 +13,9 @@ to synthetic objectives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -26,6 +29,22 @@ from .objectives import (ClassifierObjective, LrSchedule, QuadraticObjective,
 PRESETS = {"mnist": 0.025, "fmnist": 0.25, "cifar10": 0.15, "svhn": 1.1}
 
 VERSION = "0.1.0"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# field annotation -> (accepts a value, what the value must be)
+_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: math.isfinite(v) if isinstance(v, float)
+              else _is_int(v) and abs(v) <= sys.float_info.max, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
 
 
 class ConfigError(ValueError):
@@ -63,49 +82,48 @@ class FederationConfig:
     check_bounds: bool = False
     attack: dict = field(default_factory=dict)
 
-    KNOWN_KEYS = {
-        "experiment", "objective", "K", "n_k", "E", "batch_size", "beta",
-        "beta1", "beta2", "alpha", "mu", "gamma_override", "rounds", "defense",
-        "seed", "out_dir", "tie_gradients", "n_seeds", "checkpoint_every",
-        "preset", "check_bounds", "attack",
-    }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FederationConfig":
-        errs = [f"unknown key {k!r}" for k in d if k not in cls.KNOWN_KEYS]
-        cfg = cls(**{k: v for k, v in d.items() if k in cls.KNOWN_KEYS})
+        known = {f.name for f in fields(cls)}
+        errs = [f"unknown key {k!r}" for k in d if k not in known]
+        cfg = cls(**{k: v for k, v in d.items() if k in known})
+        wrong = []
+        for f in fields(cls):   # the annotation is the field's type, e.g. "float | None"
+            kind, _, optional = f.type.partition(" | ")
+            accepts, want = _TYPES[kind]
+            v = getattr(cfg, f.name)
+            if not (accepts(v) or optional and v is None):
+                wrong.append(f"{f.name} must be {want}{' or null' if optional else ''}, got {v!r}")
+            elif kind == "float" and v is not None:
+                setattr(cfg, f.name, float(v))
+        if wrong:
+            raise ConfigError(errs + wrong)
 
         if cfg.preset is not None:
             if cfg.preset not in PRESETS:
                 errs.append(f"unknown preset {cfg.preset!r}; valid: {sorted(PRESETS)}")
             elif cfg.beta is None and cfg.beta1 is None:
                 cfg.beta = PRESETS[cfg.preset]
-        if cfg.K < 1:
-            errs.append("K must be >= 1")
-        if cfg.rounds < 0:
-            errs.append("rounds must be >= 0")
-        if cfg.E < 1:
-            errs.append("E must be >= 1")
-        if cfg.batch_size < 1:
-            errs.append("batch_size must be >= 1")
+        for name, lo in (("K", 1), ("rounds", 0), ("E", 1), ("batch_size", 1), ("n_seeds", 1),
+                         ("beta", 0), ("beta1", 0), ("beta2", 0)):
+            if getattr(cfg, name) is not None and getattr(cfg, name) < lo:
+                errs.append(f"{name} must be >= {lo}")
+        for name in ("alpha", "mu", "gamma_override"):
+            if getattr(cfg, name) is not None and getattr(cfg, name) <= 0:
+                errs.append(f"{name} must be > 0")
         if cfg.n_k is not None and (len(cfg.n_k) != cfg.K or any(n < 1 for n in cfg.n_k)):
             errs.append("n_k must list one positive sample count per client")
-        if cfg.beta is not None and cfg.beta < 0:
-            errs.append("beta must be >= 0")
-        if cfg.beta1 is not None and cfg.beta1 < 0:
-            errs.append("beta1 must be >= 0")
-        if cfg.beta2 is not None and cfg.beta2 < 0:
-            errs.append("beta2 must be >= 0")
         if cfg.beta is None and cfg.beta1 is None:
             cfg.beta = 0.0
-        if cfg.alpha is not None and cfg.alpha <= 0:
-            errs.append("alpha must be > 0")
+        if cfg.beta1 is not None and cfg.beta2 is None:
+            try:
+                cfg.beta1 ** 2      # the default beta2
+            except OverflowError:
+                errs.append("beta1 ** 2, the default beta2, overflows; set beta2")
         if cfg.check_bounds and cfg.alpha is not None and not (0.0 < cfg.alpha < 0.5):
             errs.append(f"bound checks need 0 < alpha < 1/2 (1 - 4*alpha^2 must stay "
                         f"positive); got alpha = {cfg.alpha}")
-        if cfg.n_seeds < 1:
-            errs.append("n_seeds must be >= 1")
-        if not isinstance(cfg.objective, dict) or "kind" not in cfg.objective:
+        if "kind" not in cfg.objective:
             errs.append("objective spec must be an object with a 'kind'")
         try:
             _parse_defense(cfg.defense)
@@ -147,7 +165,7 @@ class FederationConfig:
         except (ValueError, TypeError, KeyError, IndexError) as e:
             raise ConfigError([f"objective: {e}"]) from e
 
-    def build_plan(self, record_trajectories: bool = False) -> RunPlan:
+    def build_plan(self) -> RunPlan:
         objs = self.build_objectives()
         n_k = self.resolved_n_k()
         clients = tuple(ClientState(id=k, n_k=n_k[k], objective=objs[k],
@@ -157,13 +175,15 @@ class FederationConfig:
         return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
                        policy=_parse_defense(self.defense), rounds=self.rounds,
                        seed=self.seed, w_init=objs[0].template(),
-                       alpha=self.alpha, tie_gradients=self.tie_gradients,
-                       record_trajectories=record_trajectories)
+                       alpha=self.alpha, tie_gradients=self.tie_gradients)
 
     def build_schedule(self, objs) -> LrSchedule:
         if all(isinstance(o, QuadraticObjective) for o in objs):
             R = max(o.radius for o in objs)
-            c = constants_for(objs, self.E, R)
+            try:
+                c = constants_for(objs, self.E, R)
+            except ValueError as e:     # e.g. clients of different dimensions
+                raise ConfigError([f"objective: {e}"]) from e
             mu = self.mu if self.mu is not None else c.mu
             gamma = self.gamma_override if self.gamma_override is not None else c.gamma
         else:
@@ -171,7 +191,13 @@ class FederationConfig:
                 raise ConfigError(["classifier runs need an explicit 'mu'"])
             mu = self.mu
             gamma = self.gamma_override if self.gamma_override is not None else max(8.0, self.E)
-        return LrSchedule(mu=mu, gamma=gamma)
+        schedule = LrSchedule(mu=mu, gamma=gamma)
+        # eta_t falls with t: positive and finite at the first and last step is at every step
+        if not (mu * gamma > 0.0 and schedule.lr_at(0) < math.inf
+                and schedule.lr_at(max(self.rounds * self.E - 1, 0)) > 0.0):
+            raise ConfigError([f"learning rate 2/(mu*(t+gamma)) leaves the positive float "
+                               f"range for mu = {mu}, gamma = {gamma}"])
+        return schedule
 
     def manifest(self) -> dict:
         rates = self.rates()
@@ -181,13 +207,11 @@ class FederationConfig:
             "seed": self.seed,
             "beta1": rates.beta1,
             "beta2": rates.beta2,
-            "config": {k: getattr(self, k) for k in sorted(self.KNOWN_KEYS)},
+            "config": {f.name: getattr(self, f.name) for f in fields(self)},
         }
 
 
 def _parse_defense(d: dict) -> DefensePolicy:
-    if not isinstance(d, dict):
-        raise ValueError("defense must be an object")
     tag = d.get("tag", "none")
     if tag == "dp":
         return DefensePolicy(tag="dp", epsilon_per_round=float(d.get("epsilon_per_round", 0.0)),

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import params as P
 from . import seeds
-from .federation import RunPlan, iter_rounds, measure_divergence
+from .federation import measure_divergence  # re-exported: the divergence this module bounds
+from .federation import RunPlan, iter_rounds
 from .objectives import AssumptionConstants, QuadraticObjective, constants_for
 from .params import LayeredParams
 
@@ -72,7 +73,7 @@ def divergence_bound(alpha: float, eta_t: float, E: int, G: float) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
-    plan: RunPlan             # quadratic clients only; trajectories are forced on
+    plan: RunPlan             # quadratic clients only
     alpha: float
     n_seeds: int = 32
 
@@ -111,7 +112,7 @@ class ConvergenceReport:
 
 def run_convergence_experiment(cfg: ConvergenceConfig) -> ConvergenceReport:
     """Monte-Carlo gap/divergence measurement against the closed-form bounds."""
-    plan = replace(cfg.plan, record_trajectories=True)
+    plan = cfg.plan
     clients = plan.clients
     objs = [c.objective for c in clients]
     sizes = [c.n_k for c in clients]
@@ -135,9 +136,8 @@ def run_convergence_experiment(cfg: ConvergenceConfig) -> ConvergenceReport:
         # the gap needs f at the post-round aggregate: RoundRecord.global_loss
         for _, rec in iter_rounds(replace(plan, seed=seed_i)):
             gap_sum[rec.round] += rec.global_loss - f_star
-            for s, step_weights in enumerate(zip(*rec.trajectories)):
+            for s, d in enumerate(rec.step_divergences):
                 t = rec.round * E + s
-                d = measure_divergence(step_weights, sizes)
                 div_sum[t] += d
                 div_max[t] = max(div_max[t], d)
 

@@ -1,9 +1,10 @@
 """Round orchestration for the simulated federation.
 
 One round: (1) generate a diverse model per client from the global history,
-(2) run E local SGD iterations on each client, (3) apply the configured
-defense to each uploaded parameter delta and aggregate by sample fraction,
-(4) rotate the history and advance the round counter.
+(2) run E local SGD iterations on all clients in lockstep, measuring the
+client divergence after every step, (3) apply the configured defense to each
+uploaded parameter delta and aggregate by sample fraction, (4) rotate the
+history and advance the round counter.
 
 All randomness flows through streams derived from the master seed, so
 concurrent and serial client schedules produce bit-identical results.
@@ -67,10 +68,10 @@ class DefensePolicy:
         if self.tag not in ("none", "dp", "gc"):
             raise ValueError(f"unknown defense tag {self.tag!r}")
         if self.tag == "dp":
-            if self.clip <= 0.0:
-                raise ValueError("dp clip bound C must be > 0")
-            if self.epsilon_per_round <= 0.0:
-                raise ValueError("dp epsilon_per_round must be > 0")
+            if not 0.0 < self.clip < math.inf:
+                raise ValueError("dp clip bound C must be finite and > 0")
+            if not 0.0 < self.epsilon_per_round < math.inf:
+                raise ValueError("dp epsilon_per_round must be finite and > 0")
         if self.tag == "gc" and not (0.0 <= self.prune_fraction < 1.0):
             raise ValueError("gc prune fraction must lie in [0, 1)")
 
@@ -83,53 +84,50 @@ class DefensePolicy:
 class RoundRecord:
     round: int
     global_loss: float
-    client_losses: tuple[float, ...]
-    divergence: float
+    client_losses: tuple[float, ...]          # full loss after the last local step
+    step_divergences: tuple[float, ...]       # client divergence after each local step
     bound_reports: tuple[BoundReport, ...]
-    trajectories: tuple[tuple[LayeredParams, ...], ...] | None = None
+
+    @property
+    def divergence(self) -> float:
+        """Client divergence after the last local step."""
+        return self.step_divergences[-1]
+
+
+def _local_step(c: ClientState, w: LayeredParams, eta: float, s: int,
+                rng: np.random.Generator) -> tuple[LayeredParams, float]:
+    """Local iteration s of client c: (new w, its full loss), or DivergenceError.
+
+    Quadratic clients start from w projected onto their radius-R ball and
+    take projected sphere-noise gradient steps; classifier clients sample
+    one batch uniformly with replacement.
+    """
+    obj = c.objective
+    if isinstance(obj, QuadraticObjective):
+        w = obj.project(w) if s == 0 else w
+        w = sgd_step(w, obj.stochastic_grad(w, rng), eta, ball=(obj.center, obj.radius))
+    else:
+        idx = rng.integers(0, obj.n_samples, size=c.batch_size)
+        w = sgd_step(w, obj.grad(w, (obj.data_x[idx], obj.data_y[idx])), eta)
+    loss = obj.loss(w)
+    if not math.isfinite(loss):
+        raise DivergenceError(c.id, s)
+    return w, loss
 
 
 def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
-                global_step_offset: int, rng: np.random.Generator,
-                record_trajectory: bool = False):
-    """E SGD iterations from w_init with the shared step-count schedule.
-
-    Quadratic clients draw a fresh sphere-noise stochastic gradient per
-    iteration and project back onto their radius-R ball; classifier clients
-    sample one batch uniformly with replacement per iteration.
-
-    Returns the final weights, or (final, trajectory) when recording; the
-    trajectory holds the post-step weights of each of the E iterations.
-    """
-    obj = c.objective
-    quadratic = isinstance(obj, QuadraticObjective)
-    w = obj.project(w_init) if quadratic else w_init
-    traj = []
+                global_step_offset: int, rng: np.random.Generator) -> LayeredParams:
+    """One client's E SGD iterations from w_init with the shared step-count
+    schedule; run_round takes the same steps for all clients in lockstep."""
+    w = w_init
     for s in range(c.E):
-        eta = schedule.lr_at(global_step_offset + s)
-        if quadratic:
-            g = obj.stochastic_grad(w, rng)
-            w = sgd_step(w, g, eta, ball=(obj.center, obj.radius))
-        else:
-            idx = rng.integers(0, obj.n_samples, size=c.batch_size)
-            batch = (obj.data_x[idx], obj.data_y[idx])
-            g = obj.grad(w, batch)
-            w = sgd_step(w, g, eta)
-        if not math.isfinite(obj.loss(w)):
-            raise DivergenceError(c.id, s)
-        if record_trajectory:
-            traj.append(w)
-    if record_trajectory:
-        return w, tuple(traj)
+        w, _ = _local_step(c, w, schedule.lr_at(global_step_offset + s), s, rng)
     return w
 
 
-def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> LayeredParams:
-    """Sample-fraction weighted average, sum_k (n_k / N) * update_k.
-
-    Computed as anchor + weighted deviations from the first update, which
-    makes the aggregate of identical inputs bit-for-bit that input.
-    """
+def _weighted_mean(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> np.ndarray:
+    """Checked sum_k (n_k / N) * update_k as a fresh vector: the anchor plus weighted
+    deviations from the first update, so identical inputs give that input bit for bit."""
     if not updates:
         raise ValueError("no updates to aggregate")
     if len(updates) != len(sizes):
@@ -137,21 +135,28 @@ def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> Layered
     if any(s <= 0 for s in sizes):
         raise ValueError("client sizes must be positive")
     for u in updates[1:]:
-        P.check_same_shape(updates[0], u)
+        if u.layout != updates[0].layout:
+            P.check_same_shape(updates[0], u)   # names the first differing layer
     total = float(sum(sizes))
     base = updates[0].vector
     acc = base.copy()
     for u, nk in zip(updates[1:], sizes[1:]):
         acc += (nk / total) * (u.vector - base)
-    return P.from_vector(acc, updates[0])
+    return acc
+
+
+def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> LayeredParams:
+    """Sample-fraction weighted average, sum_k (n_k / N) * update_k."""
+    return P.from_vector(_weighted_mean(updates, sizes), updates[0])
 
 
 def measure_divergence(client_weights: Sequence[LayeredParams],
                        sizes: Sequence[int]) -> float:
     """sum_k p_k * ||wbar - w_k||^2 with wbar the sample-weighted average."""
-    mean = aggregate(client_weights, sizes)
+    mean = _weighted_mean(client_weights, sizes)
+    layout = client_weights[0].layout
     total = float(sum(sizes))
-    return math.fsum((n / total) * P.sq_distance(mean, w)
+    return math.fsum((n / total) * P.layer_sq_sum(mean - w.vector, layout)
                      for n, w in zip(sizes, client_weights))
 
 
@@ -179,9 +184,16 @@ def apply_defense(g: LayeredParams, policy: DefensePolicy,
 
 def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: DiversityRates,
               schedule: LrSchedule, policy: DefensePolicy, seed: int,
-              alpha: float | None = None, tie_gradients: bool = False,
-              record_trajectories: bool = False) -> tuple[GlobalHistory, RoundRecord]:
-    """Execute one full federation round and rotate the history."""
+              alpha: float | None = None,
+              tie_gradients: bool = False) -> tuple[GlobalHistory, RoundRecord]:
+    """Execute one full federation round and rotate the history.
+
+    Clients train in lockstep: local iteration s runs on each client in turn,
+    then the client divergence is measured, before iteration s + 1 runs.  Each
+    client draws from its own ("train", round, client) stream, so the order
+    changes no value, but a DivergenceError names the earliest diverging
+    iteration.  The client losses are those of the last iteration.
+    """
     K = len(clients)
     sizes = [c.n_k for c in clients]
     E = clients[0].E
@@ -194,19 +206,17 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     if alpha is not None:
         reports = [check_neighborhood_bound(w, h, alpha) for w in dispatched]
 
-    trained, trajs = [], []
-    offset = h.round * E
-    for c, w0 in zip(clients, dispatched):
-        rng = seeds.stream(seed, "train", h.round, c.id)
-        if record_trajectories:
-            w, traj = local_train(c, w0, schedule, offset, rng, record_trajectory=True)
-            trajs.append(traj)
-        else:
-            w = local_train(c, w0, schedule, offset, rng)
-        trained.append(w)
+    rngs = [seeds.stream(seed, "train", h.round, c.id) for c in clients]
+    trained, step_divergences = dispatched, []
+    for s in range(E):
+        eta = schedule.lr_at(h.round * E + s)
+        steps = [_local_step(c, w, eta, s, rng)
+                 for c, w, rng in zip(clients, trained, rngs)]
+        trained = [w for w, _ in steps]
+        step_divergences.append(measure_divergence(trained, sizes))
 
     if policy.tag == "none":
-        uploads = list(trained)   # identity defense: avoid the delta round-trip
+        uploads = trained   # identity defense: avoid the delta round-trip
     else:
         uploads = []
         for c, w0, w in zip(clients, dispatched, trained):
@@ -216,18 +226,15 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
             uploads.append(P.add_scaled(w0, 1.0, defended))
 
     new_glb = aggregate(uploads, sizes)
-    divergence = measure_divergence(trained, sizes)
     total = float(sum(sizes))
     global_loss = math.fsum((c.n_k / total) * c.objective.loss(new_glb) for c in clients)
-    client_losses = tuple(c.objective.loss(w) for c, w in zip(clients, trained))
 
     record = RoundRecord(
         round=h.round,
         global_loss=global_loss,
-        client_losses=client_losses,
-        divergence=divergence,
+        client_losses=tuple(loss for _, loss in steps),
+        step_divergences=tuple(step_divergences),
         bound_reports=tuple(reports),
-        trajectories=tuple(trajs) if record_trajectories else None,
     )
     return h.rotated(new_glb, tie_gradients=tie_gradients), record
 
@@ -245,7 +252,6 @@ class RunPlan:
     w_init: LayeredParams
     alpha: float | None = None
     tie_gradients: bool = False
-    record_trajectories: bool = False
 
     def __post_init__(self):
         if not self.clients:
@@ -262,8 +268,7 @@ def iter_rounds(plan: RunPlan) -> Iterator[tuple[GlobalHistory, RoundRecord]]:
     h = GlobalHistory.bootstrap(plan.w_init)
     for _ in range(plan.rounds):
         h, rec = run_round(h, plan.clients, plan.rates, plan.schedule, plan.policy,
-                           plan.seed, alpha=plan.alpha, tie_gradients=plan.tie_gradients,
-                           record_trajectories=plan.record_trajectories)
+                           plan.seed, alpha=plan.alpha, tie_gradients=plan.tie_gradients)
         yield h, rec
 
 

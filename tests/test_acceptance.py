@@ -203,7 +203,7 @@ def _c5_config():
 
 def test_ac05_client_divergence_bound_every_step(capsys):
     t0 = time.perf_counter()
-    plan = _c5_config().build_plan(record_trajectories=True)
+    plan = _c5_config().build_plan()
     rep = run_convergence_experiment(ConvergenceConfig(plan=plan, alpha=0.1,
                                                        n_seeds=4))
     bad = sum(1 for _, _, mx, b in rep.divergence_series

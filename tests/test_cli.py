@@ -1,6 +1,12 @@
+import dataclasses
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbpu.cli import main
 from sbpu.config import PRESETS, ConfigError, FederationConfig
@@ -194,6 +200,11 @@ class TestConvergenceCommand:
         path.write_text(json.dumps(cfg))
         assert main(["convergence", "--config", str(path)]) == 1
 
+    def test_zero_rounds_exit_1(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, rounds=0)
+        assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 1
+        assert "rounds >= 1" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command,alpha", [("run-fl", -0.1), ("convergence", 0.6),
                                            ("convergence", -0.1)])
@@ -207,8 +218,50 @@ def test_alpha_out_of_domain_exit_1(tmp_path, command, alpha):
     {"kind": "quadratic_random", "dim": 0},
     {"kind": "quadratic", "clients": [{"center": [0.0, 0.0]}] * 3},
     {"kind": "classifier", "architecture": [[2, 3, "relu"], [3, 2, "relu"]]},
-], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer"])
+    {"kind": "quadratic", "clients": [
+        {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]},
+        {"center": [0.0, 0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]},
+        {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]}]},
+], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer",
+        "mixed-dimensions"])
 def test_objective_construction_errors_exit_1(tmp_path, capsys, objective):
     path, _ = write_config(tmp_path, objective=objective)
     assert main(["run-fl", "--config", str(path)]) == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"K": "2"}, {"K": True}, {"n_k": "ab"}, {"n_k": [1, 1.5, 1]}, {"rounds": 2.5},
+    {"checkpoint_every": "x"}, {"beta": float("nan")}, {"beta1": float("inf")},
+    {"alpha": "0.1"}, {"mu": 0.0}, {"gamma_override": -1.0}, {"tie_gradients": 1},
+    {"check_bounds": "yes"}, {"out_dir": 3}, {"preset": ["mnist"]}, {"attack": "lia"},
+    {"defense": {"tag": "dp", "epsilon_per_round": float("nan")}},
+], ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()))
+def test_mistyped_fields_exit_1(tmp_path, capsys, overrides):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**base_config(tmp_path / "out"), **overrides}))
+    assert main(["run-fl", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(),
+                    st.text(max_size=3))
+FUZZ_KEYS = [f.name for f in dataclasses.fields(FederationConfig) if f.name != "objective"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS),
+                                 st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
+                                 max_size=5))
+def test_config_fuzz_keeps_exit_code_contract(overrides):
+    cfg = {"objective": {"kind": "quadratic_random", "dim": 3, "radius": 2.0,
+                         "sigma": 0.1, "layout": [[3, 1]]},
+           "K": 2, "E": 2, "rounds": 2, "alpha": 0.1, "beta1": 0.1, "beta2": 0.05,
+           "seed": 1, **overrides}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+            code = main(["run-fl", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)

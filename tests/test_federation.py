@@ -6,9 +6,9 @@ import pytest
 from sbpu import params as P
 from sbpu import seeds
 from sbpu.federation import (ClientState, DefensePolicy, DivergenceError, RunPlan,
-                             aggregate, apply_defense, local_train, run_federation,
-                             run_round)
-from sbpu.mutation import DiversityRates, GlobalHistory
+                             aggregate, apply_defense, local_train, measure_divergence,
+                             run_federation, run_round)
+from sbpu.mutation import DiversityRates, GlobalHistory, generate_diverse_models
 from sbpu.objectives import ClassifierObjective, LrSchedule, QuadraticObjective
 
 
@@ -269,6 +269,48 @@ class TestRunRound:
         mean = sum(finals) / 3.0
         expect = sum(np.sum((mean - f) ** 2) for f in finals) / 3.0
         assert rec.divergence == pytest.approx(expect, rel=1e-12)
+
+    def test_lockstep_steps_match_local_train(self):
+        # three one-scalar filters and a round-2 history with distinct lagged
+        # models, so the dispatched models differ
+        objs = [QuadraticObjective(matrix=o.matrix, center=o.center, noise_sigma=0.3,
+                                   radius=1.0, layout=((3, 1),))
+                for o in quad_suite(2, 3, seed=40)]
+        sizes = [2, 3]
+        clients = [ClientState(id=k, n_k=n, objective=o, E=3)
+                   for k, (o, n) in enumerate(zip(objs, sizes))]
+        rng = np.random.default_rng(41)
+        w_glb, w_prev, w_prev2 = (objs[0].params_from_vector(rng.standard_normal(3))
+                                  for _ in range(3))
+        h = GlobalHistory(w_glb=w_glb, w_prev=w_prev, w_prev2=w_prev2, round=2)
+        rates, schedule, seed = DiversityRates(0.3, 0.2), LrSchedule(mu=1.0, gamma=8.0), 42
+        _, rec = run_round(h, clients, rates, schedule, DefensePolicy(), seed=seed)
+        dispatched = generate_diverse_models(h, 2, rates, seed)
+        assert dispatched[0] != dispatched[1]
+        for s in range(3):
+            finals = [local_train(ClientState(id=c.id, n_k=c.n_k, objective=c.objective,
+                                              E=s + 1),
+                                  w0, schedule, h.round * 3,
+                                  seeds.stream(seed, "train", h.round, c.id))
+                      for c, w0 in zip(clients, dispatched)]
+            assert measure_divergence(finals, sizes) == rec.step_divergences[s]
+        assert rec.client_losses == tuple(o.loss(w) for o, w in zip(objs, finals))
+        assert rec.divergence == rec.step_divergences[-1]
+        assert len(rec.step_divergences) == 3
+
+    def test_divergence_reported_from_round(self):
+        rng = np.random.default_rng(11)
+        obj = ClassifierObjective(architecture=((4, 8, "relu"), (8, 3, "linear")),
+                                  data_x=rng.uniform(size=(12, 4)),
+                                  data_y=rng.integers(0, 3, 12))
+        clients = [ClientState(id=k, n_k=12, objective=obj, E=5, batch_size=4)
+                   for k in (3, 1)]
+        h = GlobalHistory.bootstrap(obj.init_params(rng, scale=1.0))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as e:
+            run_round(h, clients, DiversityRates(0.0, 0.0),
+                      LrSchedule(mu=1e-300, gamma=8.0), DefensePolicy(), seed=12)
+        # lockstep: the first client to diverge at the earliest iteration
+        assert (e.value.client_id, e.value.iteration) == (3, 0)
 
 
 class TestRunFederation:

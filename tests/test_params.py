@@ -115,12 +115,17 @@ class TestSqDistance:
         assert P.sq_distance(a, b) == pytest.approx(flat, rel=1e-12)
 
     def test_per_layer_summation_order(self):
+        # reference: one np.sum per 2-D layer view, then math.fsum; layers
+        # past 128 scalars exercise numpy's pairwise summation blocks
         rng = np.random.default_rng(8)
-        a = random_params(rng, n_layers=3)
-        b = pair_like(rng, a)
-        per_layer = [float(np.sum((la.filters - lb.filters) ** 2))
-                     for la, lb in zip(a.layers, b.layers)]
-        assert P.sq_distance(a, b) == math.fsum(per_layer)
+        for _ in range(200):
+            a = random_params(rng, max_filters=70, max_width=70)
+            b = pair_like(rng, a)
+            per_layer = [float(np.sum((la.filters - lb.filters) ** 2))
+                         for la, lb in zip(a.layers, b.layers)]
+            assert P.sq_distance(a, b) == math.fsum(per_layer)
+            assert P.sq_norm(a) == math.fsum(float(np.sum(l.filters ** 2))
+                                             for l in a.layers)
 
 
 class TestProperties:
