@@ -52,7 +52,6 @@ class AttackReport:
     member: ClassScores | None = None
     nonmember: ClassScores | None = None
     accuracy: float | None = None
-    psnr_db: float | None = None
     label_count_error: int | None = None
 
 
@@ -136,20 +135,22 @@ class MiaTrainConfig:
     seed: int = 0
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_train(obj: ClassifierObjective, w: LayeredParams, epochs: int,
-               lr: float, beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8) -> LayeredParams:
+               lr: float) -> LayeredParams:
     """Full-batch Adam on the objective's embedded dataset."""
     v = P.as_vector(w)
     m = np.zeros_like(v)
     s = np.zeros_like(v)
     for t in range(1, epochs + 1):
         g = P.as_vector(obj.grad(P.from_vector(v, w)))
-        m = beta1 * m + (1.0 - beta1) * g
-        s = beta2 * s + (1.0 - beta2) * g * g
-        mh = m / (1.0 - beta1 ** t)
-        sh = s / (1.0 - beta2 ** t)
-        v = v - lr * mh / (np.sqrt(sh) + eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        s = ADAM_BETA2 * s + (1.0 - ADAM_BETA2) * g * g
+        mh = m / (1.0 - ADAM_BETA1 ** t)
+        sh = s / (1.0 - ADAM_BETA2 ** t)
+        v = v - lr * mh / (np.sqrt(sh) + ADAM_EPS)
     return P.from_vector(v, w)
 
 

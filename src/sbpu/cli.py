@@ -3,11 +3,13 @@
 Subcommands: run-fl (federation run with metrics, checkpoints, manifest),
 verify-bounds (neighborhood-bound audit), run-attack (lia / mia / ir),
 convergence (Monte-Carlo gap and divergence measurement against the
-closed-form bounds).
+closed-form bounds).  FederationConfig validates the file together with the
+command-line values and each command's needs; this module only dispatches.
 
 Exit codes: 0 ok, 1 configuration error, 2 runtime divergence (a non-finite
-loss or parameter value), 3 bound violation in the guaranteed regime.  Set
-SBPU_LOG to a logging level name (e.g. DEBUG) for verbose progress output.
+loss, parameter value or envelope quantity), 3 bound violation in the
+guaranteed regime.  Set SBPU_LOG to a logging level name (e.g. DEBUG) for
+verbose progress output.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from pathlib import Path
 from . import params as P
 from .attacks import ir_experiment, lia_experiment, mia_experiment
 from .config import ConfigError, FederationConfig
-from .convergence import (ConvergenceConfig, run_convergence_experiment,
-                          write_report_csv, write_report_json)
+from .convergence import run_convergence_experiment, write_report_csv, write_report_json
 from .federation import DivergenceError, iter_rounds, run_federation
 
 log = logging.getLogger("sbpu")
@@ -33,20 +34,16 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_BOUND = 3
 
-ATTACK_TAGS = ("lia", "mia", "ir")
-
 
 def _fmt6(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _load(args) -> FederationConfig:
-    cfg = FederationConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+def _load(args, **fixed) -> FederationConfig:
+    """The config file with the command-line values and the command's fixed ones."""
+    given = {"seed": args.seed, "out_dir": args.out, "n_seeds": getattr(args, "seeds", None)}
+    return FederationConfig.from_file(
+        args.config, {**{k: v for k, v in given.items() if v is not None}, **fixed})
 
 
 def _outdir(cfg: FederationConfig) -> Path:
@@ -56,9 +53,7 @@ def _outdir(cfg: FederationConfig) -> Path:
 
 
 def _write_manifest(cfg: FederationConfig, out: Path) -> None:
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(cfg.manifest(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "manifest.json").write_text(json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n")
 
 
 def _write_metrics(records, K: int, out: Path) -> None:
@@ -68,22 +63,15 @@ def _write_metrics(records, K: int, out: Path) -> None:
         row = [str(rec.round), _fmt6(rec.global_loss), _fmt6(rec.divergence)]
         row += [_fmt6(v) for v in rec.client_losses]
         lines.append(",".join(row))
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
 
 
-def _write_bounds(records, out: Path) -> int:
-    """bounds.csv from the per-round reports; returns the violation count."""
+def _write_bounds(records, out: Path) -> None:
+    """bounds.csv from the per-round reports."""
     lines = ["round,client,dist_sq,lower,upper,holds"]
-    violations = 0
-    for rec in records:
-        for k, b in enumerate(rec.bound_reports):
-            lines.append(f"{rec.round},{k},{b.dist_sq:.17g},{b.lower:.17g},"
-                         f"{b.upper:.17g},{int(b.holds)}")
-            violations += not b.holds
-    with open(out / "bounds.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return violations
+    lines += [f"{rec.round},{k},{b.dist_sq:.17g},{b.lower:.17g},{b.upper:.17g},{int(b.holds)}"
+              for rec in records for k, b in enumerate(rec.bound_reports)]
+    (out / "bounds.csv").write_text("\n".join(lines) + "\n")
 
 
 def cmd_run_fl(args) -> int:
@@ -106,24 +94,14 @@ def cmd_run_fl(args) -> int:
     return EXIT_OK
 
 
-def _require_bound_alpha(cfg: FederationConfig, missing: str) -> None:
-    """The closed-form bounds need 0 < alpha < 1/2."""
-    if cfg.alpha is None:
-        raise ConfigError([missing])
-    if not (0.0 < cfg.alpha < 0.5):
-        raise ConfigError([f"bound checks need 0 < alpha < 1/2 (1 - 4*alpha^2 "
-                           f"must stay positive); got alpha = {cfg.alpha}"])
-
-
 def cmd_verify_bounds(args) -> int:
-    cfg = _load(args)
-    _require_bound_alpha(cfg, "verify-bounds needs 'alpha'")
-    cfg.check_bounds = True
+    cfg = _load(args, check_bounds=True)
     plan = cfg.build_plan()
     out = _outdir(cfg)
     _write_manifest(cfg, out)
     records = run_federation(plan)
-    violations = _write_bounds(records, out)
+    _write_bounds(records, out)
+    violations = sum(not b.holds for rec in records for b in rec.bound_reports)
 
     rates = cfg.rates()
     a = cfg.alpha
@@ -152,10 +130,7 @@ def _scores_row(attack, setting, metric, member, nonmember) -> str:
 
 def cmd_run_attack(args) -> int:
     cfg = _load(args)
-    tag = args.attack or cfg.attack.get("tag")
-    if tag not in ATTACK_TAGS:
-        raise ConfigError([f"unknown attack tag {tag!r}; valid tags: "
-                           f"{{{', '.join(ATTACK_TAGS)}}}"])
+    tag = cfg.attack_tag(args.attack)
     out = _outdir(cfg)
     _write_manifest(cfg, out)
     rows = ["attack,setting,metric,member,nonmember"]
@@ -181,22 +156,15 @@ def cmd_run_attack(args) -> int:
                                 res["objective_mismatched"], None))
         rows.append(_scores_row("ir", "matched", "psnr_db", res["psnr_db"], None))
         rows.append(_scores_row("ir", "matched", "max_error", res["max_error"], None))
-    with open(out / "attacks.csv", "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    (out / "attacks.csv").write_text("\n".join(rows) + "\n")
     for line in rows:
         print(line)
     return EXIT_OK
 
 
 def cmd_convergence(args) -> int:
-    cfg = _load(args)
-    if args.seeds is not None:
-        cfg.n_seeds = args.seeds
-    _require_bound_alpha(cfg, "convergence runs need 'alpha'")
-    if cfg.rounds < 1:
-        raise ConfigError(["convergence runs need rounds >= 1"])
-    plan = cfg.build_plan()
-    ccfg = ConvergenceConfig(plan=plan, alpha=cfg.alpha, n_seeds=cfg.n_seeds)
+    cfg = _load(args, check_bounds=True)
+    ccfg = cfg.build_convergence()
     out = _outdir(cfg)
     _write_manifest(cfg, out)
     report = run_convergence_experiment(ccfg)

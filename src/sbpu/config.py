@@ -4,6 +4,8 @@ A config file resolves to a RunPlan: client objectives, diversity rates,
 learning-rate schedule, defense policy, rounds, and the master seed.  Every
 field is first checked against its annotated type; the range checks then
 run on well-typed fields.  Each stage reports all its failures together.
+Overrides (command-line values, a command's needs) are checked with the file,
+and errors raised while building objects from a checked config are mapped too.
 
 Named presets carry the diversity-rate defaults used for the four benchmark
 settings (mnist 0.025, fmnist 0.25, cifar10 0.15, svhn 1.1), applied here
@@ -15,18 +17,21 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
 from . import seeds
+from .convergence import ConvergenceConfig
 from .federation import ClientState, DefensePolicy, RunPlan
 from .mutation import DiversityRates
 from .objectives import (ClassifierObjective, LrSchedule, QuadraticObjective,
                          constants_for)
 
 PRESETS = {"mnist": 0.025, "fmnist": 0.25, "cifar10": 0.15, "svhn": 1.1}
+ATTACK_TAGS = ("lia", "mia", "ir")
 
 VERSION = "0.1.0"
 
@@ -120,7 +125,7 @@ class FederationConfig:
                 cfg.beta1 ** 2      # the default beta2
             except OverflowError:
                 errs.append("beta1 ** 2, the default beta2, overflows; set beta2")
-        if cfg.check_bounds and cfg.alpha is not None and not (0.0 < cfg.alpha < 0.5):
+        if cfg.check_bounds and not (cfg.alpha is not None and 0.0 < cfg.alpha < 0.5):
             errs.append(f"bound checks need 0 < alpha < 1/2 (1 - 4*alpha^2 must stay "
                         f"positive); got alpha = {cfg.alpha}")
         if "kind" not in cfg.objective:
@@ -134,7 +139,9 @@ class FederationConfig:
         return cfg
 
     @classmethod
-    def from_file(cls, path) -> "FederationConfig":
+    def from_file(cls, path, overrides: dict[str, Any] | None = None) -> "FederationConfig":
+        """The config at path; overrides (e.g. command-line values) replace file
+        keys and are checked with the file, after the file is checked alone."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -144,7 +151,8 @@ class FederationConfig:
             raise ConfigError([f"config is not valid JSON: {e}"])
         if not isinstance(data, dict):
             raise ConfigError(["top-level config must be a JSON object"])
-        return cls.from_dict(data)
+        cfg = cls.from_dict(data)
+        return cls.from_dict({**data, **overrides}) if overrides else cfg
 
     # -- resolution -------------------------------------------------------
 
@@ -157,21 +165,14 @@ class FederationConfig:
     def resolved_n_k(self) -> list[int]:
         return list(self.n_k) if self.n_k is not None else [1] * self.K
 
-    def build_objectives(self) -> list:
-        try:
-            return build_objectives(self.objective, self.K, self.seed)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError, KeyError, IndexError) as e:
-            raise ConfigError([f"objective: {e}"]) from e
-
     def build_plan(self) -> RunPlan:
-        objs = self.build_objectives()
+        with _construction_errors():
+            objs = build_objectives(self.objective, self.K, self.seed)
+            schedule = self.build_schedule(objs)
         n_k = self.resolved_n_k()
         clients = tuple(ClientState(id=k, n_k=n_k[k], objective=objs[k],
                                     E=self.E, batch_size=self.batch_size)
                         for k in range(self.K))
-        schedule = self.build_schedule(objs)
         return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
                        policy=_parse_defense(self.defense), rounds=self.rounds,
                        seed=self.seed, w_init=objs[0].template(),
@@ -179,11 +180,7 @@ class FederationConfig:
 
     def build_schedule(self, objs) -> LrSchedule:
         if all(isinstance(o, QuadraticObjective) for o in objs):
-            R = max(o.radius for o in objs)
-            try:
-                c = constants_for(objs, self.E, R)
-            except ValueError as e:     # e.g. clients of different dimensions
-                raise ConfigError([f"objective: {e}"]) from e
+            c = constants_for(objs, self.E, max(o.radius for o in objs))
             mu = self.mu if self.mu is not None else c.mu
             gamma = self.gamma_override if self.gamma_override is not None else c.gamma
         else:
@@ -199,6 +196,23 @@ class FederationConfig:
                                f"range for mu = {mu}, gamma = {gamma}"])
         return schedule
 
+    def attack_tag(self, given: str | None = None) -> str:
+        """The attack run-attack runs: the given tag, else the config's."""
+        tag = given or self.attack.get("tag")
+        if tag not in ATTACK_TAGS:
+            raise ConfigError([f"unknown attack tag {tag!r}; valid tags: "
+                               f"{{{', '.join(ATTACK_TAGS)}}}"])
+        return tag
+
+    def build_convergence(self) -> ConvergenceConfig:
+        """The Monte-Carlo convergence experiment on this config's plan; alpha
+        is the one check_bounds validated."""
+        if self.rounds < 1:
+            raise ConfigError(["convergence runs need rounds >= 1"])
+        plan = self.build_plan()
+        with _construction_errors():    # e.g. classifier clients
+            return ConvergenceConfig(plan=plan, alpha=self.alpha, n_seeds=self.n_seeds)
+
     def manifest(self) -> dict:
         rates = self.rates()
         return {
@@ -209,6 +223,17 @@ class FederationConfig:
             "beta2": rates.beta2,
             "config": {f.name: getattr(self, f.name) for f in fields(self)},
         }
+
+
+@contextmanager
+def _construction_errors():
+    """Report an error raised while building objects from a checked config as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, KeyError, IndexError) as e:
+        raise ConfigError([f"objective: {e}"]) from e
 
 
 def _parse_defense(d: dict) -> DefensePolicy:

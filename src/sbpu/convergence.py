@@ -133,8 +133,8 @@ def run_convergence_experiment(cfg: ConvergenceConfig) -> ConvergenceReport:
     div_max = np.zeros(n_rounds * E)
     for i in range(cfg.n_seeds):
         seed_i = seeds.child_seed(plan.seed, "mc", i)
-        # the gap needs f at the post-round aggregate: RoundRecord.global_loss
-        for _, rec in iter_rounds(replace(plan, seed=seed_i)):
+        # the gap needs f at the post-round aggregate (RoundRecord.global_loss); no envelope audit
+        for _, rec in iter_rounds(replace(plan, seed=seed_i, alpha=None)):
             gap_sum[rec.round] += rec.global_loss - f_star
             for s, d in enumerate(rec.step_divergences):
                 t = rec.round * E + s

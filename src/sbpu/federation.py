@@ -192,7 +192,9 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     then the client divergence is measured, before iteration s + 1 runs.  Each
     client draws from its own ("train", round, client) stream, so the order
     changes no value, but a DivergenceError names the earliest diverging
-    iteration.  The client losses are those of the last iteration.
+    iteration.  The client losses are those of the last iteration.  A
+    non-finite envelope quantity (alpha given) raises params.NonFiniteError
+    naming the round and the client.
     """
     K = len(clients)
     sizes = [c.n_k for c in clients]
@@ -202,9 +204,11 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
 
     dispatched = generate_diverse_models(h, K, rates, seed)
 
-    reports = []
-    if alpha is not None:
-        reports = [check_neighborhood_bound(w, h, alpha) for w in dispatched]
+    reports = [] if alpha is None else [check_neighborhood_bound(w, h, alpha) for w in dispatched]
+    for c, b in zip(clients, reports):
+        if not all(map(math.isfinite, (b.dist_sq, b.delta_sq, b.lower, b.upper))):
+            raise P.NonFiniteError(f"round {h.round}, client {c.id}: non-finite "
+                                   f"envelope quantity in {b}")
 
     rngs = [seeds.stream(seed, "train", h.round, c.id) for c in clients]
     trained, step_divergences = dispatched, []

@@ -65,6 +65,21 @@ class TestConfigValidation:
             FederationConfig.from_dict({"alpha": 0.6, "check_bounds": True,
                                         "objective": {"kind": "quadratic_random"}})
 
+    def test_bound_checks_need_alpha(self):
+        with pytest.raises(ConfigError, match="4\\*alpha"):
+            FederationConfig.from_dict({"check_bounds": True,
+                                        "objective": {"kind": "quadratic_random"}})
+
+    def test_file_overrides_validated(self, tmp_path):
+        path, _ = write_config(tmp_path, n_seeds=4)
+        cfg = FederationConfig.from_file(path, {"seed": 5, "n_seeds": 3})
+        assert (cfg.seed, cfg.n_seeds) == (5, 3)
+        assert FederationConfig.from_file(path).n_seeds == 4
+        with pytest.raises(ConfigError, match="n_seeds must be >= 1"):
+            FederationConfig.from_file(path, {"n_seeds": 0})
+        with pytest.raises(ConfigError, match="4\\*alpha"):
+            FederationConfig.from_file(path, {"alpha": 0.5, "check_bounds": True})
+
 
 class TestRunFl:
     def test_zero_rounds_header_only(self, tmp_path):
@@ -205,12 +220,44 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 1
         assert "rounds >= 1" in capsys.readouterr().err
 
+    def test_manifest_records_bound_checks(self, tmp_path):
+        path, out = write_config(tmp_path, rounds=2)
+        assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["check_bounds"] is True
+
+
+CLASSIFIER = {"kind": "classifier", "architecture": [[4, 6, "relu"], [6, 3, "linear"]]}
+
+
+@pytest.mark.parametrize("argv,overrides", [
+    (["--seeds", "0"], {}),
+    (["--seeds", "-2"], {}),
+    ([], {"objective": CLASSIFIER, "mu": 1.0}),
+], ids=["seeds-0", "seeds-negative", "classifier-objective"])
+def test_convergence_inputs_exit_1(tmp_path, capsys, argv, overrides):
+    path, _ = write_config(tmp_path, **overrides)
+    assert main(["convergence", "--config", str(path), *argv]) == 1
+    assert "invalid configuration" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command,alpha", [("run-fl", -0.1), ("convergence", 0.6),
                                            ("convergence", -0.1)])
 def test_alpha_out_of_domain_exit_1(tmp_path, command, alpha):
     path, _ = write_config(tmp_path, alpha=alpha)
     assert main([command, "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["run-fl", "verify-bounds"])
+def test_overflowed_envelope_exit_2(tmp_path, capsys, command):
+    # the dispatched models stay finite, but their squared distance overflows
+    path, _ = write_config(tmp_path, K=2, beta1=1e300, beta2=1e300, tie_gradients=False,
+                           objective={**base_config(tmp_path)["objective"], "sigma": 0.3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+        assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "round 2, client 0: non-finite envelope quantity" in err
 
 
 @pytest.mark.parametrize("objective", [
@@ -249,11 +296,12 @@ SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(),
 FUZZ_KEYS = [f.name for f in dataclasses.fields(FederationConfig) if f.name != "objective"]
 
 
+@pytest.mark.parametrize("command", ["run-fl", "verify-bounds", "convergence"])
 @settings(max_examples=50, deadline=None)
 @given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS),
                                  st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
                                  max_size=5))
-def test_config_fuzz_keeps_exit_code_contract(overrides):
+def test_config_fuzz_keeps_exit_code_contract(command, overrides):
     cfg = {"objective": {"kind": "quadratic_random", "dim": 3, "radius": 2.0,
                          "sigma": 0.1, "layout": [[3, 1]]},
            "K": 2, "E": 2, "rounds": 2, "alpha": 0.1, "beta1": 0.1, "beta2": 0.05,
@@ -263,5 +311,5 @@ def test_config_fuzz_keeps_exit_code_contract(overrides):
         path.write_text(json.dumps(cfg))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
-            code = main(["run-fl", "--config", str(path), "--out", str(Path(tmp) / "out")])
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3)
