@@ -116,6 +116,8 @@ class FederationConfig:
         for name in ("alpha", "mu", "gamma_override"):
             if getattr(cfg, name) is not None and getattr(cfg, name) <= 0:
                 errs.append(f"{name} must be > 0")
+        if not 0 <= cfg.seed < 2 ** 64:
+            errs.append(f"seed must be an unsigned 64-bit integer, in [0, 2**64); got {cfg.seed}")
         if cfg.n_k is not None and (len(cfg.n_k) != cfg.K or any(n < 1 for n in cfg.n_k)):
             errs.append("n_k must list one positive sample count per client")
         if cfg.beta is None and cfg.beta1 is None:

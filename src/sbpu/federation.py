@@ -6,6 +6,12 @@ client divergence after every step, (3) apply the configured defense to each
 uploaded parameter delta and aggregate by sample fraction, (4) rotate the
 history and advance the round counter.
 
+Inside a round the K dispatched models are the rows of one (K, d) float64
+array, from the mutation through local SGD, divergence, defense and
+aggregation; quadratic clients step all rows at once (QuadraticStack),
+classifier clients row by row.  LayeredParams appears only at the history,
+the bound reports and the public functions.
+
 All randomness flows through streams derived from the master seed, so
 concurrent and serial client schedules produce bit-identical results.
 """
@@ -20,10 +26,10 @@ import numpy as np
 
 from . import params as P
 from . import seeds
-from .mutation import (BoundReport, DiversityRates, GlobalHistory,
-                       check_neighborhood_bound, generate_diverse_models)
+from .mutation import (BoundReport, DiversityRates, GlobalHistory, _dispatch_matrix,
+                       check_neighborhood_bound)
 from .objectives import (ClassifierObjective, LrSchedule, QuadraticObjective,
-                         sgd_step)
+                         QuadraticStack, sgd_step)
 from .params import LayeredParams
 
 DP_DELTA = 1e-5  # delta used by the Gaussian-mechanism noise calibration
@@ -94,40 +100,60 @@ class RoundRecord:
         return self.step_divergences[-1]
 
 
-def _local_step(c: ClientState, w: LayeredParams, eta: float, s: int,
-                rng: np.random.Generator) -> tuple[LayeredParams, float]:
-    """Local iteration s of client c: (new w, its full loss), or DivergenceError.
+def _stack(clients: Sequence[ClientState]) -> QuadraticStack | None:
+    """The clients' quadratics stacked for _local_step, or None for classifiers."""
+    kinds = {isinstance(c.objective, QuadraticObjective) for c in clients}
+    if len(kinds) > 1:
+        raise ValueError("all clients must share one objective kind")
+    return QuadraticStack([c.objective for c in clients]) if True in kinds else None
 
-    Quadratic clients start from w projected onto their radius-R ball and
-    take projected sphere-noise gradient steps; classifier clients sample
-    one batch uniformly with replacement.
+
+def _local_step(clients: Sequence[ClientState], quads: QuadraticStack | None,
+                X: np.ndarray, eta: float, s: int, rngs: Sequence[np.random.Generator],
+                template: LayeredParams) -> tuple[np.ndarray, list[float]]:
+    """Local iteration s of client k on row k of X: (new rows, their full losses).
+
+    Quadratic clients start from their row projected onto their radius-R
+    ball and take projected sphere-noise gradient steps, all rows at once;
+    classifier clients, row by row, sample one batch uniformly with
+    replacement.  The first client whose row is not finite raises
+    params.NonFiniteError, or DivergenceError if only its loss is not.
     """
-    obj = c.objective
-    if isinstance(obj, QuadraticObjective):
-        w = obj.project(w) if s == 0 else w
-        w = sgd_step(w, obj.stochastic_grad(w, rng), eta, ball=(obj.center, obj.radius))
-    else:
-        idx = rng.integers(0, obj.n_samples, size=c.batch_size)
-        w = sgd_step(w, obj.grad(w, (obj.data_x[idx], obj.data_y[idx])), eta)
-    loss = obj.loss(w)
-    if not math.isfinite(loss):
-        raise DivergenceError(c.id, s)
-    return w, loss
+    if quads is None:
+        X, losses = X.copy(), []
+        for k, (c, rng) in enumerate(zip(clients, rngs)):
+            obj = c.objective
+            idx = rng.integers(0, obj.n_samples, size=c.batch_size)
+            w = P.from_vector(X[k], template)
+            w = sgd_step(w, obj.grad(w, (obj.data_x[idx], obj.data_y[idx])), eta)
+            losses.append(obj.loss(w))
+            if not math.isfinite(losses[-1]):
+                raise DivergenceError(c.id, s)
+            X[k] = w.vector
+        return X, losses
+    X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
+    losses = quads.loss(X)
+    if not (np.isfinite(X).all() and np.isfinite(losses).all()):
+        k = int(np.argmin(np.isfinite(X).all(axis=1) & np.isfinite(losses)))
+        if not np.isfinite(X[k]).all():
+            raise P.NonFiniteError("non-finite value in parameters")
+        raise DivergenceError(clients[k].id, s)
+    return X, losses.tolist()
 
 
 def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
                 global_step_offset: int, rng: np.random.Generator) -> LayeredParams:
     """One client's E SGD iterations from w_init with the shared step-count
     schedule; run_round takes the same steps for all clients in lockstep."""
-    w = w_init
+    quads, X = _stack([c]), w_init.vector[None, :]
     for s in range(c.E):
-        w, _ = _local_step(c, w, schedule.lr_at(global_step_offset + s), s, rng)
-    return w
+        X, _ = _local_step([c], quads, X, schedule.lr_at(global_step_offset + s), s,
+                           [rng], w_init)
+    return P.from_vector(X[0], w_init)
 
 
-def _weighted_mean(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> np.ndarray:
-    """Checked sum_k (n_k / N) * update_k as a fresh vector: the anchor plus weighted
-    deviations from the first update, so identical inputs give that input bit for bit."""
+def _checked_vectors(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> np.ndarray:
+    """The updates' vectors as rows, once the updates and sizes are checked."""
     if not updates:
         raise ValueError("no updates to aggregate")
     if len(updates) != len(sizes):
@@ -137,27 +163,37 @@ def _weighted_mean(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> np
     for u in updates[1:]:
         if u.layout != updates[0].layout:
             P.check_same_shape(updates[0], u)   # names the first differing layer
+    return np.stack([u.vector for u in updates])
+
+
+def _weighted_mean(X: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """sum_k (n_k / N) * X[k] as a fresh vector: the anchor plus weighted
+    deviations from the first row, so identical rows give that row bit for bit."""
     total = float(sum(sizes))
-    base = updates[0].vector
+    base = X[0]
     acc = base.copy()
-    for u, nk in zip(updates[1:], sizes[1:]):
-        acc += (nk / total) * (u.vector - base)
+    for x, nk in zip(X[1:], sizes[1:]):
+        acc += (nk / total) * (x - base)
     return acc
+
+
+def _divergence(X: np.ndarray, sizes: Sequence[int], layout: tuple) -> float:
+    """sum_k p_k * ||wbar - X[k]||^2 with wbar the sample-weighted mean of the rows."""
+    total = float(sum(sizes))
+    return math.fsum((n / total) * sq for n, sq in
+                     zip(sizes, P.layer_sq_sums(_weighted_mean(X, sizes) - X, layout)))
 
 
 def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> LayeredParams:
     """Sample-fraction weighted average, sum_k (n_k / N) * update_k."""
-    return P.from_vector(_weighted_mean(updates, sizes), updates[0])
+    return P.from_vector(_weighted_mean(_checked_vectors(updates, sizes), sizes), updates[0])
 
 
 def measure_divergence(client_weights: Sequence[LayeredParams],
                        sizes: Sequence[int]) -> float:
     """sum_k p_k * ||wbar - w_k||^2 with wbar the sample-weighted average."""
-    mean = _weighted_mean(client_weights, sizes)
-    layout = client_weights[0].layout
-    total = float(sum(sizes))
-    return math.fsum((n / total) * P.layer_sq_sum(mean - w.vector, layout)
-                     for n, w in zip(sizes, client_weights))
+    return _divergence(_checked_vectors(client_weights, sizes), sizes,
+                       client_weights[0].layout)
 
 
 def apply_defense(g: LayeredParams, policy: DefensePolicy,
@@ -188,23 +224,25 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
               tie_gradients: bool = False) -> tuple[GlobalHistory, RoundRecord]:
     """Execute one full federation round and rotate the history.
 
-    Clients train in lockstep: local iteration s runs on each client in turn,
-    then the client divergence is measured, before iteration s + 1 runs.  Each
-    client draws from its own ("train", round, client) stream, so the order
-    changes no value, but a DivergenceError names the earliest diverging
-    iteration.  The client losses are those of the last iteration.  A
-    non-finite envelope quantity (alpha given) raises params.NonFiniteError
-    naming the round and the client.
+    The K dispatched models are the rows of one (K, d) matrix from the
+    mutation to the aggregate.  Clients train in lockstep: local iteration s
+    runs on every row, then the client divergence is measured, before
+    iteration s + 1 runs.  Each client draws from its own ("train", round,
+    client) stream, so the order changes no value, but a DivergenceError
+    names the earliest diverging iteration.  The client losses are those of
+    the last iteration.  A non-finite envelope quantity (alpha given) raises
+    params.NonFiniteError naming the round and the client.
     """
-    K = len(clients)
     sizes = [c.n_k for c in clients]
     E = clients[0].E
     if any(c.E != E for c in clients):
         raise ValueError("all clients must share one E")
+    quads = _stack(clients)
 
-    dispatched = generate_diverse_models(h, K, rates, seed)
+    dispatched = _dispatch_matrix(h, len(clients), rates, seed)
 
-    reports = [] if alpha is None else [check_neighborhood_bound(w, h, alpha) for w in dispatched]
+    reports = [] if alpha is None else [
+        check_neighborhood_bound(P.from_vector(x, h.w_glb), h, alpha) for x in dispatched]
     for c, b in zip(clients, reports):
         if not all(map(math.isfinite, (b.dist_sq, b.delta_sq, b.lower, b.upper))):
             raise P.NonFiniteError(f"round {h.round}, client {c.id}: non-finite "
@@ -213,30 +251,26 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     rngs = [seeds.stream(seed, "train", h.round, c.id) for c in clients]
     trained, step_divergences = dispatched, []
     for s in range(E):
-        eta = schedule.lr_at(h.round * E + s)
-        steps = [_local_step(c, w, eta, s, rng)
-                 for c, w, rng in zip(clients, trained, rngs)]
-        trained = [w for w, _ in steps]
-        step_divergences.append(measure_divergence(trained, sizes))
+        trained, losses = _local_step(clients, quads, trained, schedule.lr_at(h.round * E + s),
+                                      s, rngs, h.w_glb)
+        step_divergences.append(_divergence(trained, sizes, h.w_glb.layout))
 
-    if policy.tag == "none":
-        uploads = trained   # identity defense: avoid the delta round-trip
-    else:
-        uploads = []
-        for c, w0, w in zip(clients, dispatched, trained):
-            delta = P.diff(w, w0)
-            defended = apply_defense(delta, policy,
-                                     seeds.stream(seed, "defense", h.round, c.id))
-            uploads.append(P.add_scaled(w0, 1.0, defended))
-
-    new_glb = aggregate(uploads, sizes)
+    uploads = trained   # identity defense
+    if policy.tag != "none":
+        uploads = dispatched + np.stack([
+            apply_defense(P.from_vector(delta, h.w_glb), policy,
+                          seeds.stream(seed, "defense", h.round, c.id)).vector
+            for c, delta in zip(clients, trained - dispatched)])
+    new_glb = P.from_vector(_weighted_mean(uploads, sizes), h.w_glb)
     total = float(sum(sizes))
-    global_loss = math.fsum((c.n_k / total) * c.objective.loss(new_glb) for c in clients)
+    glb_losses = ([c.objective.loss(new_glb) for c in clients] if quads is None
+                  else quads.loss(new_glb.vector).tolist())
+    global_loss = math.fsum((n / total) * loss for n, loss in zip(sizes, glb_losses))
 
     record = RoundRecord(
         round=h.round,
         global_loss=global_loss,
-        client_losses=tuple(loss for _, loss in steps),
+        client_losses=tuple(losses),
         step_divergences=tuple(step_divergences),
         bound_reports=tuple(reports),
     )

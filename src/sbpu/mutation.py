@@ -11,6 +11,10 @@ The list holds floor(f/4) copies of each element type; when f is not a
 multiple of 4 the remaining r = f - 4*floor(f/4) slots are filled from the
 fixed cycle [-1, +1, -2, +2] before shuffling, which keeps the multiset
 deterministic and near-balanced (and covers tiny layers with f < 4).
+
+A round's K diverse models are built as the rows of one (K, d) matrix;
+generate_diverse_models wraps those rows as LayeredParams, while sbpu_mutate
+and apply_stochastic_lists keep their per-model checks.
 """
 
 from __future__ import annotations
@@ -130,10 +134,16 @@ def apply_stochastic_lists(w_glb: LayeredParams, g_glb: LayeredParams,
         if not np.all(np.isin(sel, (-1, 1, -2, 2))):
             raise ValueError(f"layer {i}: entries must come from {{-1, +1, -2, +2}}")
         per_scalar.append(np.repeat(sel, fl))
-    sel = np.concatenate(per_scalar)
+    return P.from_vector(_branch_update(w_glb.vector, g_glb.vector, g_prev.vector, rates,
+                                        np.concatenate(per_scalar)), w_glb)
+
+
+def _branch_update(w: np.ndarray, g: np.ndarray, g_prev: np.ndarray, rates: DiversityRates,
+                   sel: np.ndarray) -> np.ndarray:
+    """w + beta1 * s * g where |s| == 1, else w + beta2 * s * g_prev, for the
+    per-scalar selectors sel (one row per model, or one model)."""
     one = np.abs(sel) == 1
-    coef = np.where(one, rates.beta1 * sel, rates.beta2 * sel)
-    return P.from_vector(w_glb.vector + coef * np.where(one, g_glb.vector, g_prev.vector), w_glb)
+    return w + np.where(one, rates.beta1 * sel, rates.beta2 * sel) * np.where(one, g, g_prev)
 
 
 def sbpu_mutate(w_glb: LayeredParams, g_glb: LayeredParams, g_prev: LayeredParams,
@@ -143,6 +153,31 @@ def sbpu_mutate(w_glb: LayeredParams, g_glb: LayeredParams, g_prev: LayeredParam
     return apply_stochastic_lists(w_glb, g_glb, g_prev, rates, lists)
 
 
+def _dispatch_matrix(h: GlobalHistory, K: int, rates: DiversityRates,
+                     seed: int) -> np.ndarray:
+    """The K diverse models as the rows of one checked (K, d) float64 matrix.
+
+    Row k shuffles each layer's multiset with client k's own (seed, "sbpu",
+    round, k) stream, in layer order as sbpu_mutate does.  The lists are
+    built here, so they skip apply_stochastic_lists' checks.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    layout = h.w_glb.layout
+    multisets = [stochastic_multiset(nf) for nf, _, _ in layout]
+    sel = np.empty((K, sum(nf for nf, _, _ in layout)), dtype=np.int64)
+    for k in range(K):
+        rng = seeds.stream(seed, "sbpu", h.round, k)
+        sel[k] = np.concatenate([seeds.fisher_yates(m, rng) for m in multisets])
+    sel = np.repeat(sel, np.repeat([fl for _, fl, _ in layout], [nf for nf, _, _ in layout]),
+                    axis=1)
+    w = h.w_glb.vector
+    X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel)
+    if not np.isfinite(X).all():
+        raise P.NonFiniteError("non-finite value in parameters")
+    return X
+
+
 def generate_diverse_models(h: GlobalHistory, K: int, rates: DiversityRates,
                             seed: int) -> list[LayeredParams]:
     """K independently mutated copies of the aggregate, ordered by client.
@@ -150,14 +185,7 @@ def generate_diverse_models(h: GlobalHistory, K: int, rates: DiversityRates,
     Each client consumes its own RNG stream derived from (seed, round,
     client index), so results are identical under any evaluation order.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    g_glb, g_prev = h.lagged_gradients()
-    return [
-        sbpu_mutate(w_glb=h.w_glb, g_glb=g_glb, g_prev=g_prev, rates=rates,
-                    rng=seeds.stream(seed, "sbpu", h.round, k))
-        for k in range(K)
-    ]
+    return [P.from_vector(x, h.w_glb) for x in _dispatch_matrix(h, K, rates, seed)]
 
 
 def check_neighborhood_bound(w_loc: LayeredParams, h: GlobalHistory,

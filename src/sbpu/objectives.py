@@ -66,6 +66,7 @@ class QuadraticObjective:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "_template", P.from_arrays([np.zeros(s) for s in layout]))
+        object.__setattr__(self, "_stack", QuadraticStack([self]))
 
     @property
     def dim(self) -> int:
@@ -87,8 +88,7 @@ class QuadraticObjective:
         return P.from_vector(v, self._template)
 
     def loss(self, w: LayeredParams, batch=None) -> float:
-        dv = P.as_vector(w) - self.center
-        return 0.5 * float(dv @ self.matrix @ dv)
+        return float(self._stack.loss(P.as_vector(w))[0])
 
     def grad(self, w: LayeredParams, batch=None) -> LayeredParams:
         dv = P.as_vector(w) - self.center
@@ -99,31 +99,84 @@ class QuadraticObjective:
 
         Requires w inside the projection ball; callers project first.
         """
-        dv = P.as_vector(w) - self.center
-        r = float(np.linalg.norm(dv))
-        if r > self.radius * (1.0 + 1e-12):
-            raise ValueError(f"w outside projection ball: distance {r:g} > radius {self.radius:g}")
-        g = self.matrix @ dv
-        if self.noise_sigma > 0.0:
-            xi = rng.standard_normal(self.dim)
-            n = np.linalg.norm(xi)
-            while n == 0.0:  # probability-zero guard
-                xi = rng.standard_normal(self.dim)
-                n = np.linalg.norm(xi)
-            g = g + (self.noise_sigma / n) * xi
-        return self.params_from_vector(g)
+        return self.params_from_vector(self._stack.stochastic_grad(P.as_vector(w)[None], [rng])[0])
 
     def project(self, w: LayeredParams) -> LayeredParams:
         """Euclidean projection onto the ball of radius R around the center."""
-        return _project(w, self.center, self.radius)
+        return self.params_from_vector(self._stack.project(P.as_vector(w)[None])[0])
 
 
-def _project(w: LayeredParams, center: np.ndarray, radius: float) -> LayeredParams:
-    """w, or center + (w - center) * R/r when w lies r > R from the center."""
-    center = np.asarray(center, dtype=np.float64).ravel()
-    dv = P.as_vector(w) - center
-    r = float(np.linalg.norm(dv))
-    return w if r <= radius else P.from_vector(center + dv * (radius / r), w)
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of V as a stacked matmul self-dot: the
+    bits of np.linalg.norm per row (einsum and norm(axis=1) sum differently)."""
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+
+
+def _project_rows(X: np.ndarray, center: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Row k of X, or center[k] + (x - center[k]) * R/r when it lies r > R =
+    radius[k] from center[k]; only those rows are divided."""
+    D = X - center
+    r = _row_norms(D)
+    out = r > radius
+    if not out.any():
+        return X
+    X = X.copy()
+    X[out] = center[out] + D[out] * (radius[out] / r[out])[:, None]
+    return X
+
+
+class QuadraticStack:
+    """K quadratic objectives stacked along a leading axis: row k of every
+    (K, d) array belongs to objective k.
+
+    A QuadraticObjective runs its loss, projection and stochastic gradient
+    through a one-row stack.  The stacked forms (np.matmul for A @ x and
+    x @ A, np.vecdot, _row_norms) give each row the bits it gets alone.
+    """
+
+    def __init__(self, objs: Sequence[QuadraticObjective]):
+        self.matrix = np.stack([o.matrix for o in objs])
+        self.center = np.stack([o.center for o in objs])
+        self.radius = np.array([o.radius for o in objs])
+        self.sigma = np.array([o.noise_sigma for o in objs])
+        self.noisy = [k for k, o in enumerate(objs) if o.noise_sigma > 0.0]
+
+    def loss(self, X: np.ndarray) -> np.ndarray:
+        """Objective k's loss at row k of X (or at X itself, when 1-D)."""
+        D = X - self.center
+        return 0.5 * np.vecdot(np.matmul(D[:, None, :], self.matrix)[:, 0], D)
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        return _project_rows(X, self.center, self.radius)
+
+    def stochastic_grad(self, X: np.ndarray,
+                        rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Row k: objective k's gradient plus sphere noise drawn from rngs[k]."""
+        D = X - self.center
+        r = _row_norms(D)
+        outside = r > self.radius * (1.0 + 1e-12)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"w outside projection ball: distance {r[k]:g} > "
+                             f"radius {self.radius[k]:g}")
+        G = np.matmul(self.matrix, D[:, :, None])[:, :, 0]
+        if self.noisy:
+            xi = np.stack([rngs[k].standard_normal(X.shape[1]) for k in self.noisy])
+            n = _row_norms(xi)
+            for i in np.flatnonzero(n == 0.0):   # probability-zero guard
+                while n[i] == 0.0:
+                    xi[i] = rngs[self.noisy[i]].standard_normal(X.shape[1])
+                    n[i] = np.linalg.norm(xi[i])
+            rows = slice(None) if len(self.noisy) == len(G) else self.noisy
+            G[rows] = G[rows] + (self.sigma[rows] / n)[:, None] * xi
+        return G
+
+    def sgd_step(self, X: np.ndarray, eta: float,
+                 rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One projected stochastic gradient step per row (sgd_step with the ball)."""
+        if eta <= 0.0:
+            raise ValueError("eta must be > 0")
+        return self.project(X + (-eta) * self.stochastic_grad(X, rngs))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +242,10 @@ def sgd_step(w: LayeredParams, g: LayeredParams, eta: float,
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     out = P.add_scaled(w, -eta, g)
-    return out if ball is None else _project(out, *ball)
+    if ball is None:
+        return out
+    center = np.asarray(ball[0], dtype=np.float64).reshape(1, -1)
+    return P.from_vector(_project_rows(out.vector[None], center, np.array([ball[1]]))[0], out)
 
 
 # ---------------------------------------------------------------------------

@@ -159,24 +159,26 @@ def add_scaled(base: LayeredParams, coef: float, delta: LayeredParams) -> Layere
     return _wrap(base.vector + coef * delta.vector, base.layout)
 
 
-def layer_sq_sum(v: np.ndarray, layout: tuple) -> float:
-    """sum(v ** 2) as one np.sum per layer slice of v, then math.fsum: the
-    summation order of sq_distance and sq_norm (bounds.csv prints 17 digits)."""
-    sq, sums, pos = v ** 2, [], 0
+def layer_sq_sums(V: np.ndarray, layout: tuple) -> list[float]:
+    """sum(v ** 2) for each row v of V, as one np.sum per layer slice of the
+    row, then math.fsum: the summation order of sq_distance and sq_norm
+    (bounds.csv prints 17 digits).  np.sum along axis 1 adds each row in the
+    order it adds that row alone, so a row's sum does not depend on K."""
+    sq, sums, pos = V ** 2, [], 0
     for nf, fl, _ in layout:
-        sums.append(float(np.sum(sq[pos:pos + nf * fl])))
+        sums.append(np.sum(sq[:, pos:pos + nf * fl], axis=1).tolist())
         pos += nf * fl
-    return math.fsum(sums)
+    return [math.fsum(row) for row in zip(*sums)]
 
 
 def sq_distance(a: LayeredParams, b: LayeredParams) -> float:
     """Squared Euclidean distance over all scalars."""
     check_same_shape(a, b)
-    return layer_sq_sum(a.vector - b.vector, a.layout)
+    return layer_sq_sums((a.vector - b.vector)[None], a.layout)[0]
 
 
 def sq_norm(p: LayeredParams) -> float:
-    return layer_sq_sum(p.vector, p.layout)
+    return layer_sq_sums(p.vector[None], p.layout)[0]
 
 
 def zeros_like(p: LayeredParams) -> LayeredParams:

@@ -33,9 +33,15 @@ def stream(*keys) -> np.random.Generator:
 
 
 def fisher_yates(items, rng: np.random.Generator) -> np.ndarray:
-    """Classic Fisher-Yates shuffle; returns a shuffled copy."""
+    """Classic Fisher-Yates shuffle; returns a shuffled copy.
+
+    Swap i (from the last entry down) takes j uniform in [0, i].  All the js
+    are drawn in one call, which yields the same values and leaves the
+    generator in the same state as drawing them one by one.
+    """
     a = np.array(items)
-    for i in range(len(a) - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        a[i], a[j] = a[j], a[i]
-    return a
+    perm = list(range(len(a)))
+    for i, j in zip(range(len(a) - 1, 0, -1),
+                    rng.integers(0, np.arange(len(a), 1, -1)).tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return a[perm]

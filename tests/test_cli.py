@@ -5,7 +5,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpu.cli import main
@@ -313,3 +313,20 @@ def test_config_fuzz_keeps_exit_code_contract(command, overrides):
             warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
             code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                      st.sampled_from([-1, 0, 2 ** 64 - 1, 2 ** 64])),
+       on_command_line=st.booleans())
+@example(seed=-5, on_command_line=True)
+def test_seed_outside_unsigned_64_bit_exit_1(seed, on_command_line):
+    cfg = {"objective": {"kind": "quadratic_random", "dim": 3, "radius": 2.0,
+                         "sigma": 0.1, "layout": [[3, 1]]},
+           "K": 2, "E": 1, "rounds": 1, "seed": 1 if on_command_line else seed}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["run-fl", "--config", str(path), "--out", str(Path(tmp) / "out")]
+        code = main(argv + (["--seed", str(seed)] if on_command_line else []))
+    assert code == (0 if 0 <= seed < 2 ** 64 else 1)

@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sbpu import params as P
 from sbpu import seeds
-from sbpu.federation import (ClientState, DefensePolicy, DivergenceError, RunPlan,
-                             aggregate, apply_defense, local_train, measure_divergence,
-                             run_federation, run_round)
-from sbpu.mutation import DiversityRates, GlobalHistory, generate_diverse_models
-from sbpu.objectives import ClassifierObjective, LrSchedule, QuadraticObjective
+from sbpu.federation import (ClientState, DefensePolicy, DivergenceError, RoundRecord,
+                             RunPlan, aggregate, apply_defense, local_train,
+                             measure_divergence, run_federation, run_round)
+from sbpu.mutation import (DiversityRates, GlobalHistory, check_neighborhood_bound,
+                           generate_diverse_models, sbpu_mutate)
+from sbpu.objectives import ClassifierObjective, LrSchedule, QuadraticObjective, sgd_step
 
 
 def single(*values):
@@ -311,6 +313,131 @@ class TestRunRound:
                       LrSchedule(mu=1e-300, gamma=8.0), DefensePolicy(), seed=12)
         # lockstep: the first client to diverge at the earliest iteration
         assert (e.value.client_id, e.value.iteration) == (3, 0)
+
+
+def reference_step(c, w, eta, s, rng):
+    """One client's local iteration with the per-objective methods."""
+    obj = c.objective
+    if isinstance(obj, QuadraticObjective):
+        w = obj.project(w) if s == 0 else w
+        w = sgd_step(w, obj.stochastic_grad(w, rng), eta, ball=(obj.center, obj.radius))
+    else:
+        idx = rng.integers(0, obj.n_samples, size=c.batch_size)
+        w = sgd_step(w, obj.grad(w, (obj.data_x[idx], obj.data_y[idx])), eta)
+    return w, obj.loss(w)
+
+
+def per_client_round(h, clients, rates, schedule, policy, seed, alpha, tie_gradients):
+    """run_round one client at a time, from public per-model functions."""
+    K, E = len(clients), clients[0].E
+    sizes = [c.n_k for c in clients]
+    total = float(sum(sizes))
+    dispatched = generate_diverse_models(h, K, rates, seed)
+    g, gp = h.lagged_gradients()
+    assert dispatched == [sbpu_mutate(h.w_glb, g, gp, rates,
+                                      seeds.stream(seed, "sbpu", h.round, k))
+                          for k in range(K)]
+    reports = [] if alpha is None else [check_neighborhood_bound(w, h, alpha)
+                                        for w in dispatched]
+    rngs = [seeds.stream(seed, "train", h.round, c.id) for c in clients]
+    trained, divergences = dispatched, []
+    for s in range(E):
+        steps = [reference_step(c, w, schedule.lr_at(h.round * E + s), s, rng)
+                 for c, w, rng in zip(clients, trained, rngs)]
+        trained = [w for w, _ in steps]
+        mean = aggregate(trained, sizes)
+        divergences.append(math.fsum((n / total) * P.sq_distance(mean, w)
+                                     for n, w in zip(sizes, trained)))
+    for c, w0, w in zip(clients, dispatched, trained):
+        assert local_train(c, w0, schedule, h.round * E,
+                           seeds.stream(seed, "train", h.round, c.id)) == w
+    uploads = trained if policy.tag == "none" else [
+        P.add_scaled(w0, 1.0, apply_defense(P.diff(w, w0), policy,
+                                            seeds.stream(seed, "defense", h.round, c.id)))
+        for c, w0, w in zip(clients, dispatched, trained)]
+    new_glb = aggregate(uploads, sizes)
+    record = RoundRecord(
+        round=h.round,
+        global_loss=math.fsum((c.n_k / total) * c.objective.loss(new_glb) for c in clients),
+        client_losses=tuple(loss for _, loss in steps),
+        step_divergences=tuple(divergences),
+        bound_reports=tuple(reports))
+    return h.rotated(new_glb, tie_gradients=tie_gradients), record
+
+
+def two_layer_quadratics(sigmas, radii, seed):
+    layout = ((3, 2), (1, 5))
+    return [QuadraticObjective(matrix=o.matrix, center=o.center, noise_sigma=sig,
+                               radius=r, layout=layout)
+            for o, sig, r in zip(quad_suite(len(sigmas), 11, seed=seed, spread=0.3),
+                                 sigmas, radii)]
+
+
+def small_classifiers(K, seed):
+    rng = np.random.default_rng(seed)
+    arch = ((4, 6, "relu"), (6, 5, "sigmoid"), (5, 3, "linear"))
+    return [ClassifierObjective(architecture=arch, data_x=rng.uniform(size=(20, 4)),
+                                data_y=rng.integers(0, 3, 20)) for _ in range(K)]
+
+
+class TestBatchedEngine:
+    """run_round on shapes the benchmark leaves out, against per_client_round."""
+
+    @pytest.mark.parametrize("objs, policy, alpha", [
+        # radius 0.4 puts client 0's dispatched model outside its ball
+        (two_layer_quadratics([0.0, 0.3, 0.0], [0.4, 5.0, 5.0], 50), DefensePolicy(), 0.2),
+        (two_layer_quadratics([0.2, 0.3, 0.1], [0.4, 5.0, 0.6], 51), DefensePolicy(), None),
+        (two_layer_quadratics([0.0, 0.0, 0.0], [5.0, 0.4, 5.0], 52), DefensePolicy(), 0.3),
+        (small_classifiers(3, 53), DefensePolicy(tag="dp", epsilon_per_round=20.0), 0.2),
+        (small_classifiers(3, 54), DefensePolicy(tag="gc", prune_fraction=0.3), None),
+    ], ids=["quad-mixed-noise-alpha", "quad-all-noisy", "quad-noiseless-alpha",
+            "classifier-dp", "classifier-gc"])
+    def test_matches_per_client_oracle(self, objs, policy, alpha):
+        sizes = [2, 7, 4]
+        clients = [ClientState(id=k, n_k=n, objective=o, E=3, batch_size=3)
+                   for k, (o, n) in enumerate(zip(objs, sizes))]
+        rng = np.random.default_rng(55)
+        w_glb, w_prev, w_prev2 = (P.from_vector(rng.standard_normal(objs[0].template().vector.size),
+                                                objs[0].template()) for _ in range(3))
+        h = ref = GlobalHistory(w_glb=w_glb, w_prev=w_prev, w_prev2=w_prev2, round=2)
+        rates, schedule, seed = DiversityRates(0.3, 0.2), LrSchedule(mu=1.0, gamma=20.0), 56
+        for _ in range(3):
+            h, rec = run_round(h, clients, rates, schedule, policy, seed, alpha=alpha)
+            ref, want = per_client_round(ref, clients, rates, schedule, policy, seed, alpha,
+                                         tie_gradients=False)
+            assert rec == want
+            assert (h.w_glb.vector.tobytes(), h.w_prev.vector.tobytes(),
+                    h.w_prev2.vector.tobytes()) == (ref.w_glb.vector.tobytes(),
+                                                    ref.w_prev.vector.tobytes(),
+                                                    ref.w_prev2.vector.tobytes())
+        assert len(rec.bound_reports) == (0 if alpha is None else 3)
+
+    def test_center_and_outside_ball_raise_no_warning(self):
+        # client 0's dispatched model sits on its center (r = 0), client 1's
+        # lies outside its ball; no stacked division may warn
+        objs = quad_suite(2, 3, seed=57, sigma=0.2)
+        objs = [quad(objs[0].matrix, [0.5, -0.5, 1.0], sigma=0.2, radius=1.0),
+                quad(objs[1].matrix, [9.0, 9.0, 9.0], sigma=0.0, radius=0.5)]
+        clients = [ClientState(id=k, n_k=1, objective=o, E=2) for k, o in enumerate(objs)]
+        h = GlobalHistory.bootstrap(objs[0].params_from_vector(objs[0].center))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h2, rec = run_round(h, clients, DiversityRates(0.1, 0.05),
+                                LrSchedule(mu=1.0, gamma=8.0), DefensePolicy(), seed=58)
+        ref, want = per_client_round(h, clients, DiversityRates(0.1, 0.05),
+                                     LrSchedule(mu=1.0, gamma=8.0), DefensePolicy(), 58,
+                                     None, False)
+        assert rec == want and h2.w_glb == ref.w_glb
+
+    def test_mixed_objective_kinds_rejected(self):
+        q = quad(np.eye(3), [0.0, 0.0, 0.0])
+        c = small_classifiers(1, 59)[0]
+        clients = [ClientState(id=0, n_k=1, objective=q, E=1),
+                   ClientState(id=1, n_k=1, objective=c, E=1)]
+        with pytest.raises(ValueError, match="one objective kind"):
+            run_round(GlobalHistory.bootstrap(q.template()), clients,
+                      DiversityRates(0.0, 0.0), LrSchedule(mu=1.0, gamma=8.0),
+                      DefensePolicy(), seed=60)
 
 
 class TestRunFederation:

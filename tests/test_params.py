@@ -127,6 +127,17 @@ class TestSqDistance:
             assert P.sq_norm(a) == math.fsum(float(np.sum(l.filters ** 2))
                                              for l in a.layers)
 
+    def test_row_sums_match_single_rows(self):
+        # each row of a (K, d) stack sums as its own 1-D layer slices do
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            a = random_params(rng, max_filters=70, max_width=70)
+            V = rng.standard_normal((int(rng.integers(1, 9)), a.vector.size))
+            bounds = np.cumsum([0] + [nf * fl for nf, fl, _ in a.layout])
+            want = [math.fsum(float(np.sum(v[lo:hi] ** 2))
+                              for lo, hi in zip(bounds, bounds[1:])) for v in V]
+            assert P.layer_sq_sums(V, a.layout) == want
+
 
 class TestProperties:
     @given(layered_params())

@@ -1,0 +1,39 @@
+import numpy as np
+
+from sbpu import seeds
+
+
+def loop_fisher_yates(items, rng):
+    """The one-draw-per-swap shuffle, kept as the reference."""
+    a = np.array(items)
+    for i in range(len(a) - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        a[i], a[j] = a[j], a[i]
+    return a
+
+
+def test_fisher_yates_matches_loop_oracle():
+    # same output, dtype and generator state after the shuffle, for 1-130
+    # entries; odd lists start from a generator holding a buffered uint32
+    src = np.random.default_rng(0)
+    for n in range(1, 131):
+        for trial in range(8):
+            items = src.integers(-2, 3, n).tolist()
+            if trial % 4 == 3:
+                items = src.standard_normal(n)
+            a, b = seeds.stream(3, "fy", n, trial), seeds.stream(3, "fy", n, trial)
+            if n % 2:
+                a.integers(0, 7, dtype=np.uint32)
+                b.integers(0, 7, dtype=np.uint32)
+            want = loop_fisher_yates(items, a)
+            got = seeds.fisher_yates(items, b)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+            assert b.bit_generator.state == a.bit_generator.state
+
+
+def test_fisher_yates_copies_input():
+    items = np.arange(10)
+    out = seeds.fisher_yates(items, seeds.stream(4, "fy"))
+    assert sorted(out.tolist()) == list(range(10))
+    np.testing.assert_array_equal(items, np.arange(10))
