@@ -20,7 +20,7 @@ Attacks are read-only over frozen models; every run owns its RNG stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -370,9 +370,7 @@ def mia_experiment(setting: str, seed: int,
     setup = ShadowSetup(model=model, victim_params=v_params, others_params=o_params,
                         shadow_victim_x=shadow_x[:60], shadow_others_x=shadow_x[60:])
     cfg = train_cfg or MiaTrainConfig(seed=seeds.child_seed(seed, "mia", "attack"))
-    report = mia_run(setup, suspects_m, suspects_n, cfg)
-    return AttackReport(attack="mia", setting=setting, member=report.member,
-                        nonmember=report.nonmember, accuracy=report.accuracy)
+    return replace(mia_run(setup, suspects_m, suspects_n, cfg), setting=setting)
 
 
 def ir_experiment(seed: int, dim: int = 64, n_c: int = 10,
@@ -394,7 +392,7 @@ def ir_experiment(seed: int, dim: int = 64, n_c: int = 10,
 
     # the attacker holds the un-mutated aggregate while the gradient came
     # from a mutated dispatch
-    prev = P.add_scaled(w, -0.05, obj.grad(w, (x_true[None, :], np.array([label]))))
+    prev = P.add_scaled(w, -0.05, target)
     hist = GlobalHistory(w_glb=w, w_prev=prev, w_prev2=prev, round=3)
     mutated = generate_diverse_models(hist, 1, DiversityRates(0.8, 0.64),
                                       seed=seeds.child_seed(seed, "ir", "sbpu"))[0]

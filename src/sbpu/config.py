@@ -292,18 +292,13 @@ def _quadratic_random(spec: dict, K: int, seed: int) -> list[QuadraticObjective]
     shared = bool(spec.get("shared_matrix", False))
     layout = spec.get("layout")
     out = []
-    shared_A = None
     for k in range(K):
-        rng = seeds.stream(seed, "objective", 0 if shared else k)
-        if shared and shared_A is not None:
-            A = shared_A
-        else:
+        if k == 0 or not shared:   # a shared matrix is client 0's
+            rng = seeds.stream(seed, "objective", k)
             q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
             eigs = rng.uniform(float(lo), float(hi), size=dim)
             A = q @ np.diag(eigs) @ q.T
             A = 0.5 * (A + A.T)
-            if shared:
-                shared_A = A
         c_rng = seeds.stream(seed, "center", k)
         direction = c_rng.standard_normal(dim)
         direction /= np.linalg.norm(direction)

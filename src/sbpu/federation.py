@@ -7,10 +7,11 @@ uploaded parameter delta and aggregate by sample fraction, (4) rotate the
 history and advance the round counter.
 
 Inside a round the K dispatched models are the rows of one (K, d) float64
-array, from the mutation through local SGD, divergence, defense and
-aggregation; quadratic clients step all rows at once (QuadraticStack),
-classifier clients row by row.  LayeredParams appears only at the history,
-the bound reports and the public functions.
+array, from the mutation through the envelope reports, local SGD, defense
+and aggregation: quadratic clients step all rows at once (QuadraticStack),
+classifier clients row by row through the objective's flat kernels.
+LayeredParams appears only at the history (the new aggregate, once a
+round) and at the public functions, which wrap the kernels the engine runs.
 
 All randomness flows through streams derived from the master seed, so
 concurrent and serial client schedules produce bit-identical results.
@@ -26,10 +27,8 @@ import numpy as np
 
 from . import params as P
 from . import seeds
-from .mutation import (BoundReport, DiversityRates, GlobalHistory, _dispatch_matrix,
-                       check_neighborhood_bound)
-from .objectives import (ClassifierObjective, LrSchedule, QuadraticObjective,
-                         QuadraticStack, sgd_step)
+from .mutation import BoundReport, DiversityRates, GlobalHistory, _dispatch_matrix, _envelopes
+from .objectives import ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack
 from .params import LayeredParams
 
 DP_DELTA = 1e-5  # delta used by the Gaussian-mechanism noise calibration
@@ -100,39 +99,43 @@ class RoundRecord:
         return self.step_divergences[-1]
 
 
-def _stack(clients: Sequence[ClientState]) -> QuadraticStack | None:
-    """The clients' quadratics stacked for _local_step, or None for classifiers."""
+def _stack(clients: Sequence[ClientState], w: LayeredParams) -> QuadraticStack | None:
+    """The clients' quadratics stacked for _local_step; None for classifiers,
+    once each is checked to take w's layout (their flat kernels do not check)."""
     kinds = {isinstance(c.objective, QuadraticObjective) for c in clients}
     if len(kinds) > 1:
         raise ValueError("all clients must share one objective kind")
-    return QuadraticStack([c.objective for c in clients]) if True in kinds else None
+    if True in kinds:
+        return QuadraticStack([c.objective for c in clients])
+    for c in clients:
+        P.check_same_shape(c.objective.template(), w)
+    return None
 
 
 def _local_step(clients: Sequence[ClientState], quads: QuadraticStack | None,
-                X: np.ndarray, eta: float, s: int, rngs: Sequence[np.random.Generator],
-                template: LayeredParams) -> tuple[np.ndarray, list[float]]:
+                X: np.ndarray, eta: float, s: int,
+                rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, list[float]]:
     """Local iteration s of client k on row k of X: (new rows, their full losses).
 
-    Quadratic clients start from their row projected onto their radius-R
-    ball and take projected sphere-noise gradient steps, all rows at once;
-    classifier clients, row by row, sample one batch uniformly with
-    replacement.  The first client whose row is not finite raises
-    params.NonFiniteError, or DivergenceError if only its loss is not.
+    Rows stay flat; LayeredParams appears only at the history and the public
+    functions.  Quadratic clients start from their row projected onto their
+    radius-R ball and take projected sphere-noise gradient steps, all rows at
+    once; classifier clients each step X[k] + (-eta) * g on one batch sampled
+    uniformly with replacement.  The first client whose row is not finite
+    raises params.NonFiniteError, or DivergenceError if only its loss is not.
     """
+    if eta <= 0.0:
+        raise ValueError("eta must be > 0")
     if quads is None:
-        X, losses = X.copy(), []
+        X = X.copy()
         for k, (c, rng) in enumerate(zip(clients, rngs)):
             obj = c.objective
             idx = rng.integers(0, obj.n_samples, size=c.batch_size)
-            w = P.from_vector(X[k], template)
-            w = sgd_step(w, obj.grad(w, (obj.data_x[idx], obj.data_y[idx])), eta)
-            losses.append(obj.loss(w))
-            if not math.isfinite(losses[-1]):
-                raise DivergenceError(c.id, s)
-            X[k] = w.vector
-        return X, losses
-    X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
-    losses = quads.loss(X)
+            X[k] += (-eta) * obj._grad(X[k], (obj.data_x[idx], obj.data_y[idx]))
+        losses = np.array([c.objective._loss(x) for c, x in zip(clients, X)])
+    else:
+        X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
+        losses = quads.loss(X)
     if not (np.isfinite(X).all() and np.isfinite(losses).all()):
         k = int(np.argmin(np.isfinite(X).all(axis=1) & np.isfinite(losses)))
         if not np.isfinite(X[k]).all():
@@ -145,10 +148,9 @@ def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
                 global_step_offset: int, rng: np.random.Generator) -> LayeredParams:
     """One client's E SGD iterations from w_init with the shared step-count
     schedule; run_round takes the same steps for all clients in lockstep."""
-    quads, X = _stack([c]), w_init.vector[None, :]
+    quads, X = _stack([c], w_init), w_init.vector[None, :]
     for s in range(c.E):
-        X, _ = _local_step([c], quads, X, schedule.lr_at(global_step_offset + s), s,
-                           [rng], w_init)
+        X, _ = _local_step([c], quads, X, schedule.lr_at(global_step_offset + s), s, [rng])
     return P.from_vector(X[0], w_init)
 
 
@@ -196,26 +198,26 @@ def measure_divergence(client_weights: Sequence[LayeredParams],
                        client_weights[0].layout)
 
 
-def apply_defense(g: LayeredParams, policy: DefensePolicy,
-                  rng: np.random.Generator) -> LayeredParams:
-    """Defend an uploaded delta: identity, clip+noise, or magnitude pruning."""
-    if policy.tag == "none":
-        return g
-    v = P.as_vector(g)
+def _defend(v: np.ndarray, policy: DefensePolicy, rng: np.random.Generator) -> np.ndarray:
+    """The flat delta v under a dp or gc policy: clip+noise, or magnitude pruning."""
     if policy.tag == "dp":
         norm = float(np.linalg.norm(v))
         if norm > policy.clip:
             v = v * (policy.clip / norm)
-        v = v + policy.noise_std() * rng.standard_normal(v.size)
-        return P.from_vector(v, g)
+        return v + policy.noise_std() * rng.standard_normal(v.size)
     # gc: zero the smallest-magnitude fraction, ties broken by flat index
     n_zero = int(math.floor(policy.prune_fraction * v.size))
     if n_zero > 0:
         order = np.argsort(np.abs(v), kind="stable")
-        out = v.copy()
-        out[order[:n_zero]] = 0.0
-        v = out
-    return P.from_vector(v, g)
+        v = v.copy()
+        v[order[:n_zero]] = 0.0
+    return v
+
+
+def apply_defense(g: LayeredParams, policy: DefensePolicy,
+                  rng: np.random.Generator) -> LayeredParams:
+    """Defend an uploaded delta: identity, clip+noise, or magnitude pruning."""
+    return g if policy.tag == "none" else P.from_vector(_defend(g.vector, policy, rng), g)
 
 
 def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: DiversityRates,
@@ -237,12 +239,13 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     E = clients[0].E
     if any(c.E != E for c in clients):
         raise ValueError("all clients must share one E")
-    quads = _stack(clients)
+    quads = _stack(clients, h.w_glb)
 
     dispatched = _dispatch_matrix(h, len(clients), rates, seed)
 
-    reports = [] if alpha is None else [
-        check_neighborhood_bound(P.from_vector(x, h.w_glb), h, alpha) for x in dispatched]
+    reports = [] if alpha is None else _envelopes(
+        P.layer_sq_sums(dispatched - h.w_glb.vector, h.w_glb.layout),
+        P.sq_distance(h.w_glb, h.w_prev), alpha)
     for c, b in zip(clients, reports):
         if not all(map(math.isfinite, (b.dist_sq, b.delta_sq, b.lower, b.upper))):
             raise P.NonFiniteError(f"round {h.round}, client {c.id}: non-finite "
@@ -252,18 +255,17 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     trained, step_divergences = dispatched, []
     for s in range(E):
         trained, losses = _local_step(clients, quads, trained, schedule.lr_at(h.round * E + s),
-                                      s, rngs, h.w_glb)
+                                      s, rngs)
         step_divergences.append(_divergence(trained, sizes, h.w_glb.layout))
 
     uploads = trained   # identity defense
     if policy.tag != "none":
         uploads = dispatched + np.stack([
-            apply_defense(P.from_vector(delta, h.w_glb), policy,
-                          seeds.stream(seed, "defense", h.round, c.id)).vector
+            _defend(delta, policy, seeds.stream(seed, "defense", h.round, c.id))
             for c, delta in zip(clients, trained - dispatched)])
     new_glb = P.from_vector(_weighted_mean(uploads, sizes), h.w_glb)
     total = float(sum(sizes))
-    glb_losses = ([c.objective.loss(new_glb) for c in clients] if quads is None
+    glb_losses = ([c.objective._loss(new_glb.vector) for c in clients] if quads is None
                   else quads.loss(new_glb.vector).tolist())
     global_loss = math.fsum((n / total) * loss for n, loss in zip(sizes, glb_losses))
 

@@ -14,7 +14,8 @@ deterministic and near-balanced (and covers tiny layers with f < 4).
 
 A round's K diverse models are built as the rows of one (K, d) matrix;
 generate_diverse_models wraps those rows as LayeredParams, while sbpu_mutate
-and apply_stochastic_lists keep their per-model checks.
+and apply_stochastic_lists keep their per-model checks.  The round engine
+and check_neighborhood_bound share one envelope kernel over squared distances.
 """
 
 from __future__ import annotations
@@ -188,17 +189,24 @@ def generate_diverse_models(h: GlobalHistory, K: int, rates: DiversityRates,
     return [P.from_vector(x, h.w_glb) for x in _dispatch_matrix(h, K, rates, seed)]
 
 
+def _envelopes(dist_sqs: Sequence[float], delta_sq: float, alpha: float) -> list[BoundReport]:
+    """A report per ||w_loc - w_glb||^2 in dist_sqs; delta_sq = ||w_glb - w_prev||^2."""
+    if alpha <= 0.0:
+        raise ValueError("alpha must be > 0")
+    lower = alpha * alpha * delta_sq
+    upper = 4.0 * alpha * alpha * delta_sq
+    reports = []
+    for dist_sq in dist_sqs:
+        slack = BOUND_SLACK * max(dist_sq, upper, 1e-300)
+        # an overflowed distance would make the slack infinite and always hold
+        holds = math.isfinite(dist_sq) and (lower - slack) <= dist_sq <= (upper + slack)
+        reports.append(BoundReport(dist_sq=dist_sq, delta_sq=delta_sq, lower=lower,
+                                   upper=upper, holds=holds))
+    return reports
+
+
 def check_neighborhood_bound(w_loc: LayeredParams, h: GlobalHistory,
                              alpha: float) -> BoundReport:
     """Measure alpha^2*||delta||^2 <= ||w_loc - w_glb||^2 <= 4*alpha^2*||delta||^2."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be > 0")
-    dist_sq = P.sq_distance(w_loc, h.w_glb)
-    delta_sq = P.sq_distance(h.w_glb, h.w_prev)
-    lower = alpha * alpha * delta_sq
-    upper = 4.0 * alpha * alpha * delta_sq
-    slack = BOUND_SLACK * max(dist_sq, upper, 1e-300)
-    # an overflowed distance would make the slack infinite and always hold
-    holds = math.isfinite(dist_sq) and (lower - slack) <= dist_sq <= (upper + slack)
-    return BoundReport(dist_sq=dist_sq, delta_sq=delta_sq, lower=lower,
-                       upper=upper, holds=bool(holds))
+    return _envelopes([P.sq_distance(w_loc, h.w_glb)], P.sq_distance(h.w_glb, h.w_prev),
+                      alpha)[0]

@@ -173,9 +173,8 @@ class QuadraticStack:
 
     def sgd_step(self, X: np.ndarray, eta: float,
                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """One projected stochastic gradient step per row (sgd_step with the ball)."""
-        if eta <= 0.0:
-            raise ValueError("eta must be > 0")
+        """One projected stochastic gradient step per row (sgd_step with the ball)
+        at an eta > 0 the caller has checked."""
         return self.project(X + (-eta) * self.stochastic_grad(X, rngs))
 
 
@@ -284,7 +283,8 @@ class ClassifierObjective:
     architecture: (in_dim, out_dim, activation) per hidden layer; the final
     entry must use activation "linear" and have out_dim == n_c.  Parameters
     live in a LayeredParams with one weight layer (out x in filters-as-rows)
-    and one bias layer per dense layer.
+    and one bias layer per dense layer.  logits, predict, loss and grad check
+    that layout once and run the flat-vector kernels the round engine calls.
     """
 
     architecture: tuple[tuple[int, int, str], ...]
@@ -343,29 +343,17 @@ class ClassifierObjective:
             pos += o * i + o
         return P.from_vector(v, self._template)
 
-    def _unpack(self, w: LayeredParams):
-        if len(w.layout) != 2 * len(self.architecture):
-            raise P.ShapeMismatchError(len(w.layout) // 2, None, "wrong number of dense layers")
-        pairs, pos = [], 0
-        for li, (i, o, a) in enumerate(self.architecture):
-            (nf, fl, _), (nb, fb, _) = w.layout[2 * li:2 * li + 2]
-            if (nf, fl) != (o, i) or nb * fb != o:
-                raise P.ShapeMismatchError(2 * li, None, f"expected ({o},{i})+bias {o}")
-            pairs.append((w.vector[pos:pos + o * i].reshape(o, i),
-                          w.vector[pos + o * i:pos + o * i + o], a))
+    def _forward(self, v: np.ndarray, x: np.ndarray):
+        """(W, activation) per dense layer, W a view of the flat vector v, and
+        on the batch x each layer's input (then the logits) and pre-activation."""
+        layers, hs, zs, pos = [], [np.atleast_2d(np.asarray(x, dtype=np.float64))], [], 0
+        for i, o, a in self.architecture:
+            W, b = v[pos:pos + o * i].reshape(o, i), v[pos + o * i:pos + o * i + o]
             pos += o * i + o
-        return pairs
-
-    def logits(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h = x
-        for W, b, a in self._unpack(w):
-            z = h @ W.T + b
-            h = z if a == "linear" else _act(a, z)
-        return h
-
-    def predict(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(w, x))
+            layers.append((W, a))
+            zs.append(hs[-1] @ W.T + b)
+            hs.append(zs[-1] if a == "linear" else _act(a, zs[-1]))
+        return layers, hs, zs
 
     def _batch(self, batch):
         if batch is None:
@@ -379,36 +367,43 @@ class ClassifierObjective:
             raise ValueError("empty batch")
         return x, y
 
-    def loss(self, w: LayeredParams, batch=None) -> float:
+    def _loss(self, v: np.ndarray, batch=None) -> float:
         x, y = self._batch(batch)
-        z = self.logits(w, x)
+        z = self._forward(v, x)[1][-1]
         zs = z - np.max(z, axis=1, keepdims=True)
         logp = zs - np.log(np.sum(np.exp(zs), axis=1, keepdims=True))
         return float(-np.mean(logp[np.arange(x.shape[0]), y]))
 
-    def grad(self, w: LayeredParams, batch=None) -> LayeredParams:
-        """Mean cross-entropy gradient by backprop (same shape as w)."""
+    def _grad(self, v: np.ndarray, batch=None) -> np.ndarray:
+        """Mean cross-entropy gradient at the flat vector v by backprop."""
         x, y = self._batch(batch)
         n = x.shape[0]
-        pairs = self._unpack(w)
-        hs, zs = [x], []
-        h = x
-        for W, b, a in pairs:
-            z = h @ W.T + b
-            zs.append(z)
-            h = z if a == "linear" else _act(a, z)
-            hs.append(h)
+        layers, hs, zs = self._forward(v, x)
         probs = softmax(zs[-1])
         delta = probs.copy()
         delta[np.arange(n), y] -= 1.0
         delta /= n                      # logit gradient of the mean loss
-        arrays = [None] * (2 * len(pairs))
-        for li in range(len(pairs) - 1, -1, -1):
-            W, b, a = pairs[li]
+        arrays = [None] * (2 * len(layers))
+        for li in range(len(layers) - 1, -1, -1):
             arrays[2 * li] = (delta.T @ hs[li]).ravel()
             arrays[2 * li + 1] = np.sum(delta, axis=0)
             if li > 0:
-                delta = delta @ W
-                ap = pairs[li - 1][2]
-                delta = delta * _act_deriv(ap, zs[li - 1], hs[li])
-        return P.from_vector(np.concatenate(arrays), w)
+                delta = delta @ layers[li][0]
+                delta = delta * _act_deriv(layers[li - 1][1], zs[li - 1], hs[li])
+        return np.concatenate(arrays)
+
+    def logits(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
+        P.check_same_shape(self._template, w)
+        return self._forward(w.vector, x)[1][-1]
+
+    def predict(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
+        return softmax(self.logits(w, x))
+
+    def loss(self, w: LayeredParams, batch=None) -> float:
+        P.check_same_shape(self._template, w)
+        return self._loss(w.vector, batch)
+
+    def grad(self, w: LayeredParams, batch=None) -> LayeredParams:
+        """Mean cross-entropy gradient by backprop (same shape as w)."""
+        P.check_same_shape(self._template, w)
+        return P.from_vector(self._grad(w.vector, batch), w)

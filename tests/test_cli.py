@@ -260,6 +260,16 @@ def test_overflowed_envelope_exit_2(tmp_path, capsys, command):
     assert "round 2, client 0: non-finite envelope quantity" in err
 
 
+def test_diverging_classifier_exit_2(tmp_path, capsys):
+    # eta_0 = 2/(1e-300 * 8): the first steps push the weights past overflow
+    path, _ = write_config(tmp_path, objective={**CLASSIFIER, "architecture": [
+        [4, 6, "sigmoid"], [6, 3, "linear"]]}, K=2, E=3, batch_size=4, mu=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+        assert main(["run-fl", "--config", str(path)]) == 2
+    assert "runtime divergence" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("objective", [
     {"kind": "quadratic_random", "dim": 8, "eig_range": [-1, 2]},
     {"kind": "quadratic_random", "dim": 0},

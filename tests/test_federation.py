@@ -429,6 +429,63 @@ class TestBatchedEngine:
                                      None, False)
         assert rec == want and h2.w_glb == ref.w_glb
 
+    @pytest.mark.parametrize("objs, policy, alpha", [
+        (two_layer_quadratics([0.0, 0.3, 0.0], [0.4, 5.0, 5.0], 50), DefensePolicy(), 0.2),
+        (small_classifiers(3, 53), DefensePolicy(tag="dp", epsilon_per_round=20.0), 0.2),
+    ], ids=["quad-mixed-noise-alpha", "classifier-dp"])
+    def test_one_layered_params_per_round(self, monkeypatch, objs, policy, alpha):
+        # the rows stay flat from the mutation to the aggregate, which is
+        # the round's only LayeredParams
+        clients = [ClientState(id=k, n_k=n, objective=o, E=3, batch_size=3)
+                   for k, (o, n) in enumerate(zip(objs, [2, 7, 4]))]
+        rng, template = np.random.default_rng(55), objs[0].template()
+        h = GlobalHistory(*(P.from_vector(rng.standard_normal(template.vector.size), template)
+                            for _ in range(3)), round=2)
+        adopt, builds = P.LayeredParams._adopt, []
+
+        def counted(self, vector, layout):
+            builds.append(layout)
+            return adopt(self, vector, layout)
+
+        monkeypatch.setattr(P.LayeredParams, "_adopt", counted)
+        for _ in range(3):
+            builds.clear()
+            h, rec = run_round(h, clients, DiversityRates(0.3, 0.2),
+                               LrSchedule(mu=1.0, gamma=20.0), policy, 56, alpha=alpha)
+            assert len(builds) == 1 and len(rec.bound_reports) == 3
+
+    @staticmethod
+    def _calm_and_wild(scale):
+        # client 5 sees only zero inputs, so only its biases move and its row
+        # stays finite; client 9's inputs are all `scale`
+        rng = np.random.default_rng(61)
+        y = rng.integers(0, 3, 12)
+        return [ClientState(id=cid, n_k=12, E=3, batch_size=4,
+                            objective=ClassifierObjective(architecture=((4, 3, "linear"),),
+                                                          data_x=np.full((12, 4), x),
+                                                          data_y=y))
+                for cid, x in ((5, 0.0), (9, scale))]
+
+    def _run_huge_steps(self, clients):
+        h = GlobalHistory.bootstrap(clients[0].objective.template())
+        with np.errstate(all="ignore"):
+            run_round(h, clients, DiversityRates(0.0, 0.0),
+                      LrSchedule(mu=1e-300, gamma=8.0), DefensePolicy(), seed=12)
+
+    def test_classifier_divergence_names_the_diverging_row(self):
+        clients = self._calm_and_wild(7500.0)
+        with np.errstate(all="ignore"):   # the calm client alone trains finitely
+            w = local_train(clients[0], clients[0].objective.template(),
+                            LrSchedule(mu=1e-300, gamma=8.0), 0, np.random.default_rng(0))
+        assert np.isfinite(w.vector).all()
+        with pytest.raises(DivergenceError) as e:
+            self._run_huge_steps(clients)
+        assert (e.value.client_id, e.value.iteration) == (9, 2)
+
+    def test_classifier_row_overflow_raises_non_finite_error(self):
+        with pytest.raises(P.NonFiniteError):
+            self._run_huge_steps(self._calm_and_wild(1e12))
+
     def test_mixed_objective_kinds_rejected(self):
         q = quad(np.eye(3), [0.0, 0.0, 0.0])
         c = small_classifiers(1, 59)[0]
