@@ -307,29 +307,32 @@ class BlobDataset:
         return np.clip(x, 0.0, 1.0), y
 
 
-def lia_experiment(seed: int, bs: int = 32, n_c: int = 4, dim: int = 16,
-                   n_probes: int = 1000) -> AttackReport:
-    """Probe-based label inference against an untrained sigmoid classifier."""
+LIA_N_C, LIA_DIM = 4, 16                                 # lia_experiment's classifier
+IR_DIM, IR_N_C, IR_ITERS, IR_STEP = 64, 10, 20000, 0.5   # ir_experiment's model and descent
+
+
+def lia_experiment(seed: int, bs: int = 32, n_probes: int = 1000) -> AttackReport:
+    """Probe-based label inference against an untrained LIA_DIM-16-LIA_N_C sigmoid classifier."""
     rng = seeds.stream(seed, "lia")
-    obj = ClassifierObjective(architecture=((dim, 16, "sigmoid"), (16, n_c, "linear")))
+    obj = ClassifierObjective(architecture=((LIA_DIM, 16, "sigmoid"), (16, LIA_N_C, "linear")))
     w = obj.init_params(rng, scale=0.1)
-    x = rng.uniform(0.0, 1.0, size=(bs, dim))
-    y = rng.integers(0, n_c, size=bs)
+    x = rng.uniform(0.0, 1.0, size=(bs, LIA_DIM))
+    y = rng.integers(0, LIA_N_C, size=bs)
     bias_grad = final_bias_gradient(obj.grad(w, (x, y)))
     mean_pred = estimate_mean_predictions(obj, w, n_probes, rng)
     counts = lia_infer_counts(bias_grad, mean_pred, bs)
-    truth = np.bincount(y, minlength=n_c)
+    truth = np.bincount(y, minlength=LIA_N_C)
     return AttackReport(attack="lia",
                         label_count_error=int(np.sum(np.abs(counts - truth))))
 
 
-def mia_experiment(setting: str, seed: int,
-                   train_cfg: MiaTrainConfig | None = None) -> AttackReport:
+def mia_experiment(setting: str, seed: int) -> AttackReport:
     """Overfit-victim membership-inference testbed.
 
     settings: "shared" (classifier parameters visible to the attacker),
     "no_sharing" (attacker falls back to untrained stand-in models), and
-    "chance" (victim and others models identical; control).
+    "chance" (victim and others models identical; control).  The attack
+    network trains with MiaTrainConfig's defaults, seeded from seed.
     """
     if setting not in ("shared", "no_sharing", "chance"):
         raise ValueError(f"unknown MIA setting {setting!r}")
@@ -369,26 +372,25 @@ def mia_experiment(setting: str, seed: int,
     suspects_n, _ = blobs.sample(len(member_x), rng)
     setup = ShadowSetup(model=model, victim_params=v_params, others_params=o_params,
                         shadow_victim_x=shadow_x[:60], shadow_others_x=shadow_x[60:])
-    cfg = train_cfg or MiaTrainConfig(seed=seeds.child_seed(seed, "mia", "attack"))
+    cfg = MiaTrainConfig(seed=seeds.child_seed(seed, "mia", "attack"))
     return replace(mia_run(setup, suspects_m, suspects_n, cfg), setting=setting)
 
 
-def ir_experiment(seed: int, dim: int = 64, n_c: int = 10,
-                  iters: int = 20000, step: float = 0.5) -> dict:
-    """Matched vs SBPU-mismatched gradient-matching reconstruction."""
+def ir_experiment(seed: int) -> dict:
+    """Matched vs SBPU-mismatched gradient matching on an IR_DIM-IR_N_C linear model."""
     from .mutation import DiversityRates, GlobalHistory, generate_diverse_models
 
     rng = seeds.stream(seed, "ir")
-    obj = ClassifierObjective(architecture=((dim, n_c, "linear"),))
+    obj = ClassifierObjective(architecture=((IR_DIM, IR_N_C, "linear"),))
     w = obj.init_params(rng, scale=0.1)
-    x_true = rng.uniform(0.0, 1.0, size=dim)
-    label = int(rng.integers(0, n_c))
-    y_onehot = np.zeros(n_c)
+    x_true = rng.uniform(0.0, 1.0, size=IR_DIM)
+    label = int(rng.integers(0, IR_N_C))
+    y_onehot = np.zeros(IR_N_C)
     y_onehot[label] = 1.0
     target = obj.grad(w, (x_true[None, :], np.array([label])))
 
-    x_rec, obj_matched = ir_reconstruct(target, obj, w, y_onehot, iters=iters,
-                                        step=step, rng=seeds.stream(seed, "ir", "init"))
+    x_rec, obj_matched = ir_reconstruct(target, obj, w, y_onehot, iters=IR_ITERS,
+                                        step=IR_STEP, rng=seeds.stream(seed, "ir", "init"))
 
     # the attacker holds the un-mutated aggregate while the gradient came
     # from a mutated dispatch
@@ -397,8 +399,8 @@ def ir_experiment(seed: int, dim: int = 64, n_c: int = 10,
     mutated = generate_diverse_models(hist, 1, DiversityRates(0.8, 0.64),
                                       seed=seeds.child_seed(seed, "ir", "sbpu"))[0]
     target_mut = obj.grad(mutated, (x_true[None, :], np.array([label])))
-    _, obj_mismatched = ir_reconstruct(target_mut, obj, w, y_onehot, iters=iters,
-                                       step=step, rng=seeds.stream(seed, "ir", "init"))
+    _, obj_mismatched = ir_reconstruct(target_mut, obj, w, y_onehot, iters=IR_ITERS,
+                                       step=IR_STEP, rng=seeds.stream(seed, "ir", "init"))
 
     return {
         "x_true": x_true,

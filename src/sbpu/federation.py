@@ -1,10 +1,10 @@
 """Round orchestration for the simulated federation.
 
-One round: (1) generate a diverse model per client from the global history,
-(2) run E local SGD iterations on all clients in lockstep, measuring the
-client divergence after every step, (3) apply the configured defense to each
-uploaded parameter delta and aggregate by sample fraction, (4) rotate the
-history and advance the round counter.
+One round: (1) admit the clients (one rule, shared with local_train), (2) make
+a diverse model per client from the global history, (3) run E local SGD steps
+on all clients in lockstep, measuring the client divergence after each, (4)
+defend each uploaded parameter delta and aggregate by sample fraction, (5)
+rotate the history and advance the round counter.
 
 Inside a round the K dispatched models are the rows of one (K, d) float64
 array, from the mutation through the envelope reports, local SGD, defense
@@ -100,15 +100,20 @@ class RoundRecord:
 
 
 def _stack(clients: Sequence[ClientState], w: LayeredParams) -> QuadraticStack | None:
-    """The clients' quadratics stacked for _local_step; None for classifiers,
-    once each is checked to take w's layout (their flat kernels do not check)."""
-    kinds = {isinstance(c.objective, QuadraticObjective) for c in clients}
-    if len(kinds) > 1:
+    """The clients' quadratics stacked for _local_step (None for classifiers),
+    once they pass the one admission rule of run_round and local_train: at
+    least one client, one objective kind, one E, and every objective's
+    template() laid out like w (the flat kernels do not check)."""
+    if not clients:
+        raise ValueError("need at least one client")
+    if len({isinstance(c.objective, QuadraticObjective) for c in clients}) > 1:
         raise ValueError("all clients must share one objective kind")
-    if True in kinds:
-        return QuadraticStack([c.objective for c in clients])
+    if any(c.E != clients[0].E for c in clients):
+        raise ValueError("all clients must share one E")
     for c in clients:
         P.check_same_shape(c.objective.template(), w)
+    if isinstance(clients[0].objective, QuadraticObjective):
+        return QuadraticStack([c.objective for c in clients])
     return None
 
 
@@ -163,8 +168,7 @@ def _checked_vectors(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> 
     if any(s <= 0 for s in sizes):
         raise ValueError("client sizes must be positive")
     for u in updates[1:]:
-        if u.layout != updates[0].layout:
-            P.check_same_shape(updates[0], u)   # names the first differing layer
+        P.check_same_shape(updates[0], u)   # names the first differing layer
     return np.stack([u.vector for u in updates])
 
 
@@ -235,17 +239,12 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     the last iteration.  A non-finite envelope quantity (alpha given) raises
     params.NonFiniteError naming the round and the client.
     """
-    sizes = [c.n_k for c in clients]
-    E = clients[0].E
-    if any(c.E != E for c in clients):
-        raise ValueError("all clients must share one E")
     quads = _stack(clients, h.w_glb)
+    sizes, E = [c.n_k for c in clients], clients[0].E
 
     dispatched = _dispatch_matrix(h, len(clients), rates, seed)
 
-    reports = [] if alpha is None else _envelopes(
-        P.layer_sq_sums(dispatched - h.w_glb.vector, h.w_glb.layout),
-        P.sq_distance(h.w_glb, h.w_prev), alpha)
+    reports = [] if alpha is None else _envelopes(dispatched, h, alpha)
     for c, b in zip(clients, reports):
         if not all(map(math.isfinite, (b.dist_sq, b.delta_sq, b.lower, b.upper))):
             raise P.NonFiniteError(f"round {h.round}, client {c.id}: non-finite "

@@ -12,10 +12,11 @@ multiple of 4 the remaining r = f - 4*floor(f/4) slots are filled from the
 fixed cycle [-1, +1, -2, +2] before shuffling, which keeps the multiset
 deterministic and near-balanced (and covers tiny layers with f < 4).
 
-A round's K diverse models are built as the rows of one (K, d) matrix;
-generate_diverse_models wraps those rows as LayeredParams, while sbpu_mutate
-and apply_stochastic_lists keep their per-model checks.  The round engine
-and check_neighborhood_bound share one envelope kernel over squared distances.
+A round's K diverse models are the rows of one (K, d) matrix, each row's
+lists drawn by build_stochastic_list as in sbpu_mutate; generate_diverse_models
+wraps the rows as LayeredParams.  One kernel, _envelopes, audits dispatched
+rows against the history: the round engine's (K, d) matrix, or
+check_neighborhood_bound's one shape-checked row.
 """
 
 from __future__ import annotations
@@ -127,22 +128,22 @@ def apply_stochastic_lists(w_glb: LayeredParams, g_glb: LayeredParams,
     layout = w_glb.layout
     if len(lists) != len(layout):
         raise ValueError(f"need one list per layer, got {len(lists)} for {len(layout)}")
-    per_scalar = []
-    for i, (nf, fl, _) in enumerate(layout):
-        sel = np.asarray(lists[i], dtype=np.int64)
+    sels = [np.asarray(sel, dtype=np.int64).ravel() for sel in lists]
+    for i, ((nf, _, _), sel) in enumerate(zip(layout, sels)):
         if sel.size != nf:
             raise ValueError(f"layer {i}: list length {sel.size} != {nf} filters")
         if not np.all(np.isin(sel, (-1, 1, -2, 2))):
             raise ValueError(f"layer {i}: entries must come from {{-1, +1, -2, +2}}")
-        per_scalar.append(np.repeat(sel, fl))
     return P.from_vector(_branch_update(w_glb.vector, g_glb.vector, g_prev.vector, rates,
-                                        np.concatenate(per_scalar)), w_glb)
+                                        np.concatenate(sels), layout), w_glb)
 
 
 def _branch_update(w: np.ndarray, g: np.ndarray, g_prev: np.ndarray, rates: DiversityRates,
-                   sel: np.ndarray) -> np.ndarray:
+                   sel: np.ndarray, layout: tuple) -> np.ndarray:
     """w + beta1 * s * g where |s| == 1, else w + beta2 * s * g_prev, for the
-    per-scalar selectors sel (one row per model, or one model)."""
+    filter selectors sel (one row per model, or one model) repeated over each
+    filter's scalars."""
+    sel = np.repeat(sel, [fl for nf, fl, _ in layout for _ in range(nf)], axis=-1)
     one = np.abs(sel) == 1
     return w + np.where(one, rates.beta1 * sel, rates.beta2 * sel) * np.where(one, g, g_prev)
 
@@ -158,22 +159,18 @@ def _dispatch_matrix(h: GlobalHistory, K: int, rates: DiversityRates,
                      seed: int) -> np.ndarray:
     """The K diverse models as the rows of one checked (K, d) float64 matrix.
 
-    Row k shuffles each layer's multiset with client k's own (seed, "sbpu",
-    round, k) stream, in layer order as sbpu_mutate does.  The lists are
-    built here, so they skip apply_stochastic_lists' checks.
+    Row k builds each layer's list with build_stochastic_list from client k's
+    own (seed, "sbpu", round, k) stream, in layer order as sbpu_mutate does.
+    The lists are built here, so they skip apply_stochastic_lists' checks.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     layout = h.w_glb.layout
-    multisets = [stochastic_multiset(nf) for nf, _, _ in layout]
-    sel = np.empty((K, sum(nf for nf, _, _ in layout)), dtype=np.int64)
-    for k in range(K):
-        rng = seeds.stream(seed, "sbpu", h.round, k)
-        sel[k] = np.concatenate([seeds.fisher_yates(m, rng) for m in multisets])
-    sel = np.repeat(sel, np.repeat([fl for _, fl, _ in layout], [nf for nf, _, _ in layout]),
-                    axis=1)
+    rngs = (seeds.stream(seed, "sbpu", h.round, k) for k in range(K))
+    sel = np.array([np.concatenate([build_stochastic_list(nf, rng) for nf, _, _ in layout])
+                    for rng in rngs])
     w = h.w_glb.vector
-    X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel)
+    X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel, layout)
     if not np.isfinite(X).all():
         raise P.NonFiniteError("non-finite value in parameters")
     return X
@@ -189,14 +186,16 @@ def generate_diverse_models(h: GlobalHistory, K: int, rates: DiversityRates,
     return [P.from_vector(x, h.w_glb) for x in _dispatch_matrix(h, K, rates, seed)]
 
 
-def _envelopes(dist_sqs: Sequence[float], delta_sq: float, alpha: float) -> list[BoundReport]:
-    """A report per ||w_loc - w_glb||^2 in dist_sqs; delta_sq = ||w_glb - w_prev||^2."""
+def _envelopes(X: np.ndarray, h: GlobalHistory, alpha: float) -> list[BoundReport]:
+    """A report per row x of X: ||x - w_glb||^2 against delta = w_glb - w_prev."""
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
+    w, layout = h.w_glb.vector, h.w_glb.layout
+    delta_sq = P.layer_sq_sums((w - h.w_prev.vector)[None], layout)[0]
     lower = alpha * alpha * delta_sq
     upper = 4.0 * alpha * alpha * delta_sq
     reports = []
-    for dist_sq in dist_sqs:
+    for dist_sq in P.layer_sq_sums(X - w, layout):
         slack = BOUND_SLACK * max(dist_sq, upper, 1e-300)
         # an overflowed distance would make the slack infinite and always hold
         holds = math.isfinite(dist_sq) and (lower - slack) <= dist_sq <= (upper + slack)
@@ -208,5 +207,5 @@ def _envelopes(dist_sqs: Sequence[float], delta_sq: float, alpha: float) -> list
 def check_neighborhood_bound(w_loc: LayeredParams, h: GlobalHistory,
                              alpha: float) -> BoundReport:
     """Measure alpha^2*||delta||^2 <= ||w_loc - w_glb||^2 <= 4*alpha^2*||delta||^2."""
-    return _envelopes([P.sq_distance(w_loc, h.w_glb)], P.sq_distance(h.w_glb, h.w_prev),
-                      alpha)[0]
+    P.check_same_shape(w_loc, h.w_glb)
+    return _envelopes(w_loc.vector[None], h, alpha)[0]

@@ -139,7 +139,7 @@ class QuadraticStack:
         self.center = np.stack([o.center for o in objs])
         self.radius = np.array([o.radius for o in objs])
         self.sigma = np.array([o.noise_sigma for o in objs])
-        self.noisy = [k for k, o in enumerate(objs) if o.noise_sigma > 0.0]
+        self.noisy = np.flatnonzero(self.sigma > 0.0)   # an index array: fast row picks
 
     def loss(self, X: np.ndarray) -> np.ndarray:
         """Objective k's loss at row k of X (or at X itself, when 1-D)."""
@@ -160,15 +160,14 @@ class QuadraticStack:
             raise ValueError(f"w outside projection ball: distance {r[k]:g} > "
                              f"radius {self.radius[k]:g}")
         G = np.matmul(self.matrix, D[:, :, None])[:, :, 0]
-        if self.noisy:
+        if self.noisy.size:
             xi = np.stack([rngs[k].standard_normal(X.shape[1]) for k in self.noisy])
             n = _row_norms(xi)
             for i in np.flatnonzero(n == 0.0):   # probability-zero guard
                 while n[i] == 0.0:
                     xi[i] = rngs[self.noisy[i]].standard_normal(X.shape[1])
                     n[i] = np.linalg.norm(xi[i])
-            rows = slice(None) if len(self.noisy) == len(G) else self.noisy
-            G[rows] = G[rows] + (self.sigma[rows] / n)[:, None] * xi
+            G[self.noisy] = G[self.noisy] + (self.sigma[self.noisy] / n)[:, None] * xi
         return G
 
     def sgd_step(self, X: np.ndarray, eta: float,

@@ -542,3 +542,41 @@ class TestRunFederation:
         recs = run_federation(self._plan(objs, 6, 39, E=5))
         assert len(recs) == 6   # T = 6*5 SGD iterations per client
         assert [r.round for r in recs] == list(range(6))
+
+
+class TestAdmission:
+    """run_round and local_train admit clients by one rule: at least one
+    client, one objective kind, one E, and every objective's layout equal to
+    the history's."""
+
+    SCHEDULE = LrSchedule(mu=1.0, gamma=8.0)
+
+    def _round(self, h, clients):
+        return run_round(h, clients, DiversityRates(0.1, 0.05), self.SCHEDULE,
+                         DefensePolicy(), seed=70)
+
+    @pytest.mark.parametrize("good, bad", [
+        (quad(np.eye(6), np.zeros(6)), quad(np.eye(5), np.zeros(5))),
+        (QuadraticObjective(matrix=np.eye(5), center=np.zeros(5), layout=((5, 1),)),
+         quad(np.eye(5), np.zeros(5))),
+    ], ids=["dimension-5-client-dimension-6-history", "same-size-other-layout"])
+    def test_quadratic_layout_must_match_history(self, good, bad):
+        w = good.template()
+        clients = [ClientState(id=0, n_k=1, objective=good, E=2),
+                   ClientState(id=1, n_k=1, objective=bad, E=2)]
+        for admitted in (clients[1:], clients):   # the client alone, and second
+            with pytest.raises(P.ShapeMismatchError):
+                self._round(GlobalHistory.bootstrap(w), admitted)
+        with pytest.raises(P.ShapeMismatchError):
+            local_train(clients[1], w, self.SCHEDULE, 0, np.random.default_rng(71))
+
+    def test_no_clients_rejected(self):
+        q = quad(np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="at least one client"):
+            self._round(GlobalHistory.bootstrap(q.template()), [])
+
+    def test_different_E_rejected(self):
+        objs = quad_suite(2, 3, seed=72)
+        clients = [ClientState(id=k, n_k=1, objective=o, E=k + 1) for k, o in enumerate(objs)]
+        with pytest.raises(ValueError, match="one E"):
+            self._round(GlobalHistory.bootstrap(objs[0].template()), clients)
