@@ -175,10 +175,11 @@ class FederationConfig:
         clients = tuple(ClientState(id=k, n_k=n_k[k], objective=objs[k],
                                     E=self.E, batch_size=self.batch_size)
                         for k in range(self.K))
-        return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
-                       policy=_parse_defense(self.defense), rounds=self.rounds,
-                       seed=self.seed, w_init=objs[0].template(),
-                       alpha=self.alpha, tie_gradients=self.tie_gradients)
+        with _construction_errors():    # RunPlan admits the clients
+            return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
+                           policy=_parse_defense(self.defense), rounds=self.rounds,
+                           seed=self.seed, w_init=objs[0].template(),
+                           alpha=self.alpha, tie_gradients=self.tie_gradients)
 
     def build_schedule(self, objs) -> LrSchedule:
         if all(isinstance(o, QuadraticObjective) for o in objs):

@@ -1,10 +1,14 @@
 """Round orchestration for the simulated federation.
 
-One round: (1) admit the clients (one rule, shared with local_train), (2) make
-a diverse model per client from the global history, (3) run E local SGD steps
-on all clients in lockstep, measuring the client divergence after each, (4)
-defend each uploaded parameter delta and aggregate by sample fraction, (5)
-rotate the history and advance the round counter.
+Clients are admitted once per run: RunPlan holds them as a Cohort, which
+checks the one admission rule (shared with local_train) and keeps what never
+changes during a run, such as the stacked quadratics.  One round: (1) check
+the cohort's layout against the history, (2) make a diverse model per client
+from the global history, (3) run E local SGD steps on all clients in
+lockstep, measuring the client divergence after each, (4) defend each
+uploaded parameter delta and aggregate by sample fraction, (5) rotate the
+history and advance the round counter.  So a round pays only for its random
+draws and its arithmetic.
 
 Inside a round the K dispatched models are the rows of one (K, d) float64
 array, from the mutation through the envelope reports, local SGD, defense
@@ -99,26 +103,36 @@ class RoundRecord:
         return self.step_divergences[-1]
 
 
-def _stack(clients: Sequence[ClientState], w: LayeredParams) -> QuadraticStack | None:
-    """The clients' quadratics stacked for _local_step (None for classifiers),
-    once they pass the one admission rule of run_round and local_train: at
-    least one client, one objective kind, one E, and every objective's
-    template() laid out like w (the flat kernels do not check)."""
-    if not clients:
-        raise ValueError("need at least one client")
-    if len({isinstance(c.objective, QuadraticObjective) for c in clients}) > 1:
-        raise ValueError("all clients must share one objective kind")
-    if any(c.E != clients[0].E for c in clients):
-        raise ValueError("all clients must share one E")
-    for c in clients:
-        P.check_same_shape(c.objective.template(), w)
-    if isinstance(clients[0].objective, QuadraticObjective):
-        return QuadraticStack([c.objective for c in clients])
-    return None
+class Cohort(tuple):
+    """The admitted clients of a run, with what run_round needs of them that
+    costs work to build and never changes: the stacked quadratics (None for
+    classifiers) and the shared template.
+
+    Admission is the one rule of run_round and local_train: at least one
+    client, one objective kind, one E, and one template() layout (the flat
+    kernels do not check).  RunPlan admits its clients once; run_round and
+    local_train wrap a plain sequence on the spot, and Cohort(cohort) is
+    cohort itself.  The caller checks the template against the model."""
+
+    def __new__(cls, clients: Sequence[ClientState]) -> "Cohort":
+        if isinstance(clients, Cohort):
+            return clients
+        self = super().__new__(cls, clients)
+        if not self:
+            raise ValueError("need at least one client")
+        if len({isinstance(c.objective, QuadraticObjective) for c in self}) > 1:
+            raise ValueError("all clients must share one objective kind")
+        if any(c.E != self[0].E for c in self):
+            raise ValueError("all clients must share one E")
+        self.template = self[0].objective.template()
+        for c in self[1:]:
+            P.check_same_shape(c.objective.template(), self.template)
+        self.quads = (QuadraticStack([c.objective for c in self])
+                      if isinstance(self[0].objective, QuadraticObjective) else None)
+        return self
 
 
-def _local_step(clients: Sequence[ClientState], quads: QuadraticStack | None,
-                X: np.ndarray, eta: float, s: int,
+def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
                 rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, list[float]]:
     """Local iteration s of client k on row k of X: (new rows, their full losses).
 
@@ -131,6 +145,7 @@ def _local_step(clients: Sequence[ClientState], quads: QuadraticStack | None,
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
+    quads = clients.quads
     if quads is None:
         X = X.copy()
         for k, (c, rng) in enumerate(zip(clients, rngs)):
@@ -153,9 +168,10 @@ def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
                 global_step_offset: int, rng: np.random.Generator) -> LayeredParams:
     """One client's E SGD iterations from w_init with the shared step-count
     schedule; run_round takes the same steps for all clients in lockstep."""
-    quads, X = _stack([c], w_init), w_init.vector[None, :]
+    cohort, X = Cohort([c]), w_init.vector[None, :]
+    P.check_same_shape(cohort.template, w_init)
     for s in range(c.E):
-        X, _ = _local_step([c], quads, X, schedule.lr_at(global_step_offset + s), s, [rng])
+        X, _ = _local_step(cohort, X, schedule.lr_at(global_step_offset + s), s, [rng])
     return P.from_vector(X[0], w_init)
 
 
@@ -239,33 +255,33 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     the last iteration.  A non-finite envelope quantity (alpha given) raises
     params.NonFiniteError naming the round and the client.
     """
-    quads = _stack(clients, h.w_glb)
-    sizes, E = [c.n_k for c in clients], clients[0].E
+    cohort = Cohort(clients)
+    P.check_same_shape(cohort.template, h.w_glb)
+    sizes, E = [c.n_k for c in cohort], cohort[0].E
 
-    dispatched = _dispatch_matrix(h, len(clients), rates, seed)
+    dispatched = _dispatch_matrix(h, len(cohort), rates, seed)
 
     reports = [] if alpha is None else _envelopes(dispatched, h, alpha)
-    for c, b in zip(clients, reports):
+    for c, b in zip(cohort, reports):
         if not all(map(math.isfinite, (b.dist_sq, b.delta_sq, b.lower, b.upper))):
             raise P.NonFiniteError(f"round {h.round}, client {c.id}: non-finite "
                                    f"envelope quantity in {b}")
 
-    rngs = [seeds.stream(seed, "train", h.round, c.id) for c in clients]
+    rngs = [seeds.stream(seed, "train", h.round, c.id) for c in cohort]
     trained, step_divergences = dispatched, []
     for s in range(E):
-        trained, losses = _local_step(clients, quads, trained, schedule.lr_at(h.round * E + s),
-                                      s, rngs)
+        trained, losses = _local_step(cohort, trained, schedule.lr_at(h.round * E + s), s, rngs)
         step_divergences.append(_divergence(trained, sizes, h.w_glb.layout))
 
     uploads = trained   # identity defense
     if policy.tag != "none":
         uploads = dispatched + np.stack([
             _defend(delta, policy, seeds.stream(seed, "defense", h.round, c.id))
-            for c, delta in zip(clients, trained - dispatched)])
+            for c, delta in zip(cohort, trained - dispatched)])
     new_glb = P.from_vector(_weighted_mean(uploads, sizes), h.w_glb)
     total = float(sum(sizes))
-    glb_losses = ([c.objective._loss(new_glb.vector) for c in clients] if quads is None
-                  else quads.loss(new_glb.vector).tolist())
+    glb_losses = ([c.objective._loss(new_glb.vector) for c in cohort] if cohort.quads is None
+                  else cohort.quads.loss(new_glb.vector).tolist())
     global_loss = math.fsum((n / total) * loss for n, loss in zip(sizes, glb_losses))
 
     record = RoundRecord(
@@ -282,7 +298,7 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
 class RunPlan:
     """Fully resolved inputs for a deterministic multi-round run."""
 
-    clients: tuple[ClientState, ...]
+    clients: Cohort            # given as any sequence of ClientState
     rates: DiversityRates
     schedule: LrSchedule
     policy: DefensePolicy
@@ -293,8 +309,7 @@ class RunPlan:
     tie_gradients: bool = False
 
     def __post_init__(self):
-        if not self.clients:
-            raise ValueError("need at least one client")
+        object.__setattr__(self, "clients", Cohort(self.clients))   # admitted once per run
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
 

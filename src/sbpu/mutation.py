@@ -12,15 +12,19 @@ multiple of 4 the remaining r = f - 4*floor(f/4) slots are filled from the
 fixed cycle [-1, +1, -2, +2] before shuffling, which keeps the multiset
 deterministic and near-balanced (and covers tiny layers with f < 4).
 
-A round's K diverse models are the rows of one (K, d) matrix, each row's
-lists drawn by build_stochastic_list as in sbpu_mutate; generate_diverse_models
-wraps the rows as LayeredParams.  One kernel, _envelopes, audits dispatched
-rows against the history: the round engine's (K, d) matrix, or
-check_neighborhood_bound's one shape-checked row.
+A layout's selector plan, built once and cached, holds what its lists share
+(the concatenated multisets and Fisher-Yates bounds), so a model's lists for
+every layer come from one bounded-integer draw with the bits of
+build_stochastic_list layer by layer.  sbpu_mutate draws one row from it; a
+round's K diverse models are the rows of one C-contiguous (K, d) matrix drawn
+from it, which generate_diverse_models wraps as LayeredParams.  One kernel,
+_envelopes, audits dispatched rows against the history: the round engine's
+(K, d) matrix, or check_neighborhood_bound's one shape-checked row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,6 +37,7 @@ from .params import LayeredParams
 
 PAD_CYCLE = (-1, 1, -2, 2)
 BOUND_SLACK = 1e-9   # relative slack for double-precision summation noise
+_BETA1_BRANCH = np.array([False, True, False, True, False])   # |s| == 1, by s + 2
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,49 @@ def build_stochastic_list(f: int, rng: np.random.Generator) -> np.ndarray:
     return seeds.fisher_yates(stochastic_multiset(f), rng)
 
 
+@dataclass(frozen=True)
+class _SelectorPlan:
+    """The run-invariant part of a layout's selector lists: build_stochastic_list
+    for every layer in layer order, flattened.  One rng.integers call over the
+    concatenated Fisher-Yates bounds draws what the per-layer calls draw and
+    leaves the generator in the same state."""
+
+    multiset: np.ndarray    # every layer's stochastic_multiset, concatenated
+    bounds: np.ndarray      # every layer's np.arange(nf, 1, -1), concatenated
+    swaps: tuple            # per draw: the flat index it swaps (i of its layer)
+    offsets: np.ndarray     # per draw: its layer's first flat index (j is relative)
+    repeats: tuple | None   # scalars per filter, for np.repeat (None if all 1)
+
+    def draw(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """The (len(rngs), filters) selectors, row k shuffled by rngs[k]."""
+        perms = []
+        for rng in rngs:
+            perm = list(range(self.multiset.size))
+            for i, j in zip(self.swaps, (rng.integers(0, self.bounds) + self.offsets).tolist()):
+                perm[i], perm[j] = perm[j], perm[i]
+            perms.append(perm)
+        return self.multiset[np.array(perms)]
+
+
+@functools.lru_cache(maxsize=128)
+def _selector_plan(layout: tuple) -> _SelectorPlan:
+    """The layout's plan, shared by every caller: its arrays are read-only."""
+    multiset, bounds, swaps, offsets, pos = [], [], [], [], 0
+    for nf, _, _ in layout:
+        multiset += stochastic_multiset(nf)
+        bounds += range(nf, 1, -1)
+        swaps += range(pos + nf - 1, pos, -1)
+        offsets += [pos] * (nf - 1)
+        pos += nf
+    arrays = (np.array(multiset), np.array(bounds, dtype=np.int64),
+              np.array(offsets, dtype=np.int64))
+    for a in arrays:
+        a.flags.writeable = False
+    repeats = tuple(fl for nf, fl, _ in layout for _ in range(nf))
+    return _SelectorPlan(arrays[0], arrays[1], tuple(swaps), arrays[2],
+                         None if all(fl == 1 for fl in repeats) else repeats)
+
+
 def apply_stochastic_lists(w_glb: LayeredParams, g_glb: LayeredParams,
                            g_prev: LayeredParams, rates: DiversityRates,
                            lists: Sequence[Sequence[int]]) -> LayeredParams:
@@ -142,33 +190,39 @@ def _branch_update(w: np.ndarray, g: np.ndarray, g_prev: np.ndarray, rates: Dive
                    sel: np.ndarray, layout: tuple) -> np.ndarray:
     """w + beta1 * s * g where |s| == 1, else w + beta2 * s * g_prev, for the
     filter selectors sel (one row per model, or one model) repeated over each
-    filter's scalars."""
-    sel = np.repeat(sel, [fl for nf, fl, _ in layout for _ in range(nf)], axis=-1)
-    one = np.abs(sel) == 1
-    return w + np.where(one, rates.beta1 * sel, rates.beta2 * sel) * np.where(one, g, g_prev)
+    filter's scalars.  beta * s is looked up, with the bits of the product."""
+    coef = np.array([-2.0 * rates.beta2, -rates.beta1, 0.0, rates.beta1,
+                     2.0 * rates.beta2])[sel + 2]
+    one = _BETA1_BRANCH[sel + 2]
+    repeats = _selector_plan(layout).repeats
+    if repeats is not None:   # np.repeat keeps the rows C-contiguous
+        coef = np.repeat(coef, repeats, axis=-1)
+        one = np.repeat(one, repeats, axis=-1)
+    return w + coef * np.where(one, g, g_prev)
 
 
 def sbpu_mutate(w_glb: LayeredParams, g_glb: LayeredParams, g_prev: LayeredParams,
                 rates: DiversityRates, rng: np.random.Generator) -> LayeredParams:
     """One diverse model: fresh shuffled list per layer, then the branch update."""
-    lists = [build_stochastic_list(nf, rng) for nf, _, _ in w_glb.layout]
-    return apply_stochastic_lists(w_glb, g_glb, g_prev, rates, lists)
+    P.check_same_shape(w_glb, g_glb)
+    P.check_same_shape(w_glb, g_prev)
+    layout = w_glb.layout
+    return P.from_vector(_branch_update(w_glb.vector, g_glb.vector, g_prev.vector, rates,
+                                        _selector_plan(layout).draw([rng])[0], layout), w_glb)
 
 
 def _dispatch_matrix(h: GlobalHistory, K: int, rates: DiversityRates,
                      seed: int) -> np.ndarray:
-    """The K diverse models as the rows of one checked (K, d) float64 matrix.
+    """The K diverse models as the rows of one checked, C-contiguous (K, d)
+    float64 matrix.
 
-    Row k builds each layer's list with build_stochastic_list from client k's
-    own (seed, "sbpu", round, k) stream, in layer order as sbpu_mutate does.
-    The lists are built here, so they skip apply_stochastic_lists' checks.
+    Row k draws its selectors from client k's own (seed, "sbpu", round, k)
+    stream through the layout's cached plan, as sbpu_mutate does.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     layout = h.w_glb.layout
-    rngs = (seeds.stream(seed, "sbpu", h.round, k) for k in range(K))
-    sel = np.array([np.concatenate([build_stochastic_list(nf, rng) for nf, _, _ in layout])
-                    for rng in rngs])
+    sel = _selector_plan(layout).draw([seeds.stream(seed, "sbpu", h.round, k) for k in range(K)])
     w = h.w_glb.vector
     X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel, layout)
     if not np.isfinite(X).all():

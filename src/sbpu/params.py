@@ -77,7 +77,7 @@ class LayeredParams:
     """The federation-wide parameter unit: every scalar in `vector`, and
     (n_filters, filter_len, kind) per layer in `layout`."""
 
-    __slots__ = ("vector", "layout")
+    __slots__ = ("vector", "layout", "_layers")
 
     def __init__(self, layers: Iterable[Layer]):
         layers = tuple(layers)
@@ -95,7 +95,11 @@ class LayeredParams:
 
     @property
     def layers(self) -> tuple[Layer, ...]:
-        """Read-only per-layer views of the vector."""
+        """Read-only per-layer views of the vector, built on first access."""
+        try:
+            return self._layers
+        except AttributeError:
+            pass
         layers, pos = [], 0
         for nf, fl, kind in self.layout:
             layer = object.__new__(Layer)   # skip Layer's copy: the vector is checked
@@ -103,7 +107,8 @@ class LayeredParams:
             object.__setattr__(layer, "kind", kind)
             layers.append(layer)
             pos += nf * fl
-        return tuple(layers)
+        self._layers = tuple(layers)
+        return self._layers
 
     @property
     def shape(self) -> tuple[tuple[int, int], ...]:

@@ -4,6 +4,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -285,6 +286,27 @@ def test_objective_construction_errors_exit_1(tmp_path, capsys, objective):
     path, _ = write_config(tmp_path, objective=objective)
     assert main(["run-fl", "--config", str(path)]) == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_client_admission_error_exit_1(tmp_path, capsys, monkeypatch):
+    # RunPlan admits the clients; a config whose objectives it rejects (here
+    # two kinds, which no objective spec builds today) exits 1, not a traceback
+    import sbpu.config as config
+    from sbpu.objectives import ClassifierObjective
+
+    build = config.build_objectives
+
+    def two_kinds(spec, K, seed):
+        objs = build(spec, K, seed)
+        x = np.zeros((2, objs[0].dim))
+        return objs[:-1] + [ClassifierObjective(architecture=((objs[0].dim, 2, "linear"),),
+                                                data_x=x, data_y=np.array([0, 1]))]
+
+    monkeypatch.setattr(config, "build_objectives", two_kinds)
+    path, _ = write_config(tmp_path, mu=1.0)
+    assert main(["run-fl", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "one objective kind" in err
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,11 +7,11 @@ import pytest
 
 from sbpu import params as P
 from sbpu import seeds
-from sbpu.federation import (ClientState, DefensePolicy, DivergenceError, RoundRecord,
-                             RunPlan, aggregate, apply_defense, local_train,
+from sbpu.federation import (ClientState, Cohort, DefensePolicy, DivergenceError,
+                             RoundRecord, RunPlan, aggregate, apply_defense, local_train,
                              measure_divergence, run_federation, run_round)
-from sbpu.mutation import (DiversityRates, GlobalHistory, check_neighborhood_bound,
-                           generate_diverse_models, sbpu_mutate)
+from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
+                           check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
 from sbpu.objectives import ClassifierObjective, LrSchedule, QuadraticObjective, sgd_step
 
 
@@ -380,6 +381,15 @@ def small_classifiers(K, seed):
                                 data_y=rng.integers(0, 3, 20)) for _ in range(K)]
 
 
+def wide_classifiers(K, seed):
+    # a 2048-scalar weight layer: wider than numpy's 128-element pairwise-sum
+    # block, so a row summed in another memory order gets other bits
+    rng = np.random.default_rng(seed)
+    arch = ((32, 64, "relu"), (64, 10, "linear"))
+    return [ClassifierObjective(architecture=arch, data_x=rng.uniform(size=(20, 32)),
+                                data_y=rng.integers(0, 10, 20)) for _ in range(K)]
+
+
 class TestBatchedEngine:
     """run_round on shapes the benchmark leaves out, against per_client_round."""
 
@@ -390,8 +400,9 @@ class TestBatchedEngine:
         (two_layer_quadratics([0.0, 0.0, 0.0], [5.0, 0.4, 5.0], 52), DefensePolicy(), 0.3),
         (small_classifiers(3, 53), DefensePolicy(tag="dp", epsilon_per_round=20.0), 0.2),
         (small_classifiers(3, 54), DefensePolicy(tag="gc", prune_fraction=0.3), None),
+        (wide_classifiers(3, 58), DefensePolicy(tag="dp", epsilon_per_round=20.0), 0.2),
     ], ids=["quad-mixed-noise-alpha", "quad-all-noisy", "quad-noiseless-alpha",
-            "classifier-dp", "classifier-gc"])
+            "classifier-dp", "classifier-gc", "wide-classifier-dp-alpha"])
     def test_matches_per_client_oracle(self, objs, policy, alpha):
         sizes = [2, 7, 4]
         clients = [ClientState(id=k, n_k=n, objective=o, E=3, batch_size=3)
@@ -411,6 +422,17 @@ class TestBatchedEngine:
                                                     ref.w_prev.vector.tobytes(),
                                                     ref.w_prev2.vector.tobytes())
         assert len(rec.bound_reports) == (0 if alpha is None else 3)
+
+    @pytest.mark.parametrize("objs", [wide_classifiers(1, 59), two_layer_quadratics([0.0] * 3, [5.0] * 3, 60)],
+                             ids=["wide-classifier", "two-layer-quadratic"])
+    def test_dispatch_matrix_is_c_contiguous(self, objs):
+        # the envelope and divergence sums add each row in memory order
+        template = objs[0].template()
+        rng = np.random.default_rng(61)
+        h = GlobalHistory(*(P.from_vector(rng.standard_normal(template.vector.size), template)
+                            for _ in range(3)), round=2)
+        X = _dispatch_matrix(h, 4, DiversityRates(0.3, 0.2), 62)
+        assert X.shape == (4, template.vector.size) and X.flags.c_contiguous
 
     def test_center_and_outside_ball_raise_no_warning(self):
         # client 0's dispatched model sits on its center (r = 0), client 1's
@@ -537,6 +559,34 @@ class TestRunFederation:
         run_federation(self._plan(objs, 3, 37), history_out=box)
         assert len(box) == 1 and box[0].round == 3
 
+    def test_plan_admits_its_clients_once(self):
+        objs = quad_suite(3, 3, seed=40, sigma=0.2)
+        plan = self._plan(objs, 2, 41)
+        assert isinstance(plan.clients, Cohort)
+        assert dataclasses.replace(plan, seed=42).clients is plan.clients
+        assert Cohort(plan.clients) is plan.clients
+        assert plan.clients == tuple(plan.clients)
+
+    def test_cohort_and_plain_list_give_equal_records(self):
+        objs = quad_suite(3, 3, seed=43, sigma=0.2)
+        plan = self._plan(objs, 1, 44, alpha=0.1)
+        h = GlobalHistory.bootstrap(plan.w_init)
+        for _ in range(3):
+            args = (plan.rates, plan.schedule, plan.policy, plan.seed, plan.alpha)
+            h2, rec = run_round(h, plan.clients, *args)
+            h3, rec_list = run_round(h, list(plan.clients), *args)
+            assert rec == rec_list and h2.w_glb == h3.w_glb
+            h = h2
+
+    def test_plan_rejects_clients_run_round_rejects(self):
+        objs = quad_suite(2, 3, seed=45)
+        clients = tuple(ClientState(id=k, n_k=1, objective=o, E=k + 1)
+                        for k, o in enumerate(objs))
+        with pytest.raises(ValueError, match="one E"):
+            RunPlan(clients=clients, rates=DiversityRates(0.1, 0.05),
+                    schedule=LrSchedule(mu=1.0, gamma=8.0), policy=DefensePolicy(),
+                    rounds=1, seed=1, w_init=objs[0].template())
+
     def test_total_iteration_accounting(self):
         objs = quad_suite(2, 2, seed=38)
         recs = run_federation(self._plan(objs, 6, 39, E=5))
@@ -574,6 +624,27 @@ class TestAdmission:
         q = quad(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="at least one client"):
             self._round(GlobalHistory.bootstrap(q.template()), [])
+
+    @pytest.mark.parametrize("case", ["empty", "kinds", "E", "layout"])
+    def test_plain_lists_get_the_admission_errors(self, case):
+        q = quad(np.eye(5), np.zeros(5))
+        other = {"empty": None, "kinds": small_classifiers(1, 73)[0], "E": q,
+                 "layout": QuadraticObjective(matrix=np.eye(5), center=np.zeros(5),
+                                              layout=((5, 1),))}[case]
+        clients = [] if other is None else [
+            ClientState(id=0, n_k=1, objective=q, E=2),
+            ClientState(id=1, n_k=1, objective=other, E=3 if case == "E" else 2)]
+        error, match = {"empty": (ValueError, "at least one client"),
+                        "kinds": (ValueError, "one objective kind"),
+                        "E": (ValueError, "one E"),
+                        "layout": (P.ShapeMismatchError, "5 vs 1 filters")}[case]
+        for admit in (Cohort, lambda cs: self._round(GlobalHistory.bootstrap(q.template()), cs)):
+            with pytest.raises(error, match=match):
+                admit(clients)
+        if case == "layout":   # the one rule a single client can break
+            with pytest.raises(error, match=match):
+                local_train(clients[1], q.template(), self.SCHEDULE, 0,
+                            np.random.default_rng(74))
 
     def test_different_E_rejected(self):
         objs = quad_suite(2, 3, seed=72)

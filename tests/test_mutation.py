@@ -82,6 +82,24 @@ class TestMutate:
                           DiversityRates(0.0, 0.0), np.random.default_rng(3))
         assert out == w
 
+    def test_lists_and_generator_state_match_per_layer_lists(self):
+        # sbpu_mutate draws all layers' lists in one call through the layout's
+        # cached plan: same values as build_stochastic_list layer by layer, and
+        # the same generator state after, also from a buffered uint32
+        rng = np.random.default_rng(6)
+        for t in range(200):
+            w = random_params(rng, max_filters=70)
+            g, gp = pair_like(rng, w), pair_like(rng, w)
+            rates = DiversityRates(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+            a, b = seeds.stream(8, "plan", t), seeds.stream(8, "plan", t)
+            if t % 2:
+                a.integers(0, 7, dtype=np.uint32)
+                b.integers(0, 7, dtype=np.uint32)
+            got = sbpu_mutate(w, g, gp, rates, a)
+            lists = [build_stochastic_list(l.n_filters, b) for l in w.layers]
+            assert got.vector.tobytes() == apply_stochastic_lists(w, g, gp, rates, lists).vector.tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_injected_list_hand_computed(self):
         w = row_params([[1.0], [1.0], [1.0], [1.0]])
         g = row_params([[0.1], [0.2], [0.3], [0.4]])
@@ -95,6 +113,19 @@ class TestMutate:
         w = row_params([[1.0], [1.0], [1.0], [1.0]])
         with pytest.raises(ValueError):
             apply_stochastic_lists(w, w, w, DiversityRates(0.1, 0.1), [[1, -1, 0, 2]])
+
+    @pytest.mark.parametrize("lists, message", [
+        ([[1, -1], [2, 2, 2]], "layer 1: list length 3 != 2 filters"),
+        ([[1, 3], [2, 2, 2]], "layer 0: entries must"),          # layer order first
+        ([[1], [2, 0]], "layer 0: list length 1 != 2 filters"),  # then length, then entries
+        ([[1, -2], [2, -3]], "layer 1: entries must"),
+        ([[1, -2], [2, -2 ** 63]], "layer 1: entries must"),     # |s| overflows int64
+        ([[1, -2], [2, 2 ** 62]], "layer 1: entries must"),
+    ])
+    def test_list_errors_name_the_first_bad_layer(self, lists, message):
+        w = P.from_arrays([np.ones((2, 3)), np.ones((2, 1))])
+        with pytest.raises(ValueError, match=message):
+            apply_stochastic_lists(w, w, w, DiversityRates(0.1, 0.1), lists)
 
     def test_per_filter_locality(self):
         rng = np.random.default_rng(4)

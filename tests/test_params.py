@@ -35,6 +35,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             p.layers[0].filters[0, 0] = 9.0
 
+    def test_layers_built_once_as_views(self):
+        p = P.from_arrays([np.arange(6.0).reshape(3, 2), np.ones((1, 4))], ["weight", "bias"])
+        assert p.layers is p.layers
+        assert [l.kind for l in p.layers] == ["weight", "bias"]
+        assert all(np.shares_memory(l.filters, p.vector) for l in p.layers)
+
 
 class TestClone:
     def test_identity_case(self):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sbpu import seeds
 
@@ -37,3 +38,10 @@ def test_fisher_yates_copies_input():
     out = seeds.fisher_yates(items, seeds.stream(4, "fy"))
     assert sorted(out.tolist()) == list(range(10))
     np.testing.assert_array_equal(items, np.arange(10))
+
+
+
+@pytest.mark.parametrize("keys", [(1, True), (1, "train", 2.0), (1.5,), (1, None)])
+def test_stream_rejects_bool_float_and_other_keys(keys):
+    with pytest.raises(TypeError, match="ints or strings"):
+        seeds.stream(*keys)
