@@ -241,10 +241,11 @@ def ir_reconstruct(target_grad: LayeredParams, obj: ClassifierObjective,
     def objective_and_grad(x: np.ndarray):
         p = softmax(W @ x + b)
         r = p - y
-        M = np.outer(r, x) - Gw
+        M = np.multiply.outer(r, x) - Gw
         v = r - Gb
-        J = float(np.sum(M * M) + np.sum(v * v))
-        S = np.diag(p) - np.outer(p, p)      # softmax Jacobian wrt logits
+        J = float(np.add.reduce(M * M, axis=None) + np.add.reduce(v * v, axis=None))
+        # softmax Jacobian wrt logits (-outer(p, p) plus a diagonal can flip a zero's sign)
+        S = np.diag(p) - np.multiply.outer(p, p)
         dJ_dr = 2.0 * (M @ x) + 2.0 * v
         grad = 2.0 * (M.T @ r) + W.T @ (S @ dJ_dr)
         return J, grad

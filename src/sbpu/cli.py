@@ -7,9 +7,9 @@ closed-form bounds).  FederationConfig validates the file together with the
 command-line values and each command's needs; this module only dispatches.
 
 Exit codes: 0 ok, 1 configuration error, 2 runtime divergence (a non-finite
-loss, parameter value or envelope quantity), 3 bound violation in the
-guaranteed regime.  Set SBPU_LOG to a logging level name (e.g. DEBUG) for
-verbose progress output.
+loss, parameter value, divergence or envelope quantity), 3 bound violation
+in the guaranteed regime.  Set SBPU_LOG to a logging level name (e.g. DEBUG)
+for verbose progress output.
 """
 
 from __future__ import annotations

@@ -252,8 +252,8 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     iteration s + 1 runs.  Each client draws from its own ("train", round,
     client) stream, so the order changes no value, but a DivergenceError
     names the earliest diverging iteration.  The client losses are those of
-    the last iteration.  A non-finite envelope quantity (alpha given) raises
-    params.NonFiniteError naming the round and the client.
+    the last iteration.  A non-finite envelope quantity (alpha given), client
+    divergence or global loss raises params.NonFiniteError naming the round.
     """
     cohort = Cohort(clients)
     P.check_same_shape(cohort.template, h.w_glb)
@@ -272,10 +272,13 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     for s in range(E):
         trained, losses = _local_step(cohort, trained, schedule.lr_at(h.round * E + s), s, rngs)
         step_divergences.append(_divergence(trained, sizes, h.w_glb.layout))
+    for s, d in enumerate(step_divergences):   # checked after training: DivergenceError first
+        if not math.isfinite(d):
+            raise P.NonFiniteError(f"round {h.round}, local step {s}: non-finite divergence {d}")
 
     uploads = trained   # identity defense
     if policy.tag != "none":
-        uploads = dispatched + np.stack([
+        uploads = dispatched + np.array([
             _defend(delta, policy, seeds.stream(seed, "defense", h.round, c.id))
             for c, delta in zip(cohort, trained - dispatched)])
     new_glb = P.from_vector(_weighted_mean(uploads, sizes), h.w_glb)
@@ -283,6 +286,8 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     glb_losses = ([c.objective._loss(new_glb.vector) for c in cohort] if cohort.quads is None
                   else cohort.quads.loss(new_glb.vector).tolist())
     global_loss = math.fsum((n / total) * loss for n, loss in zip(sizes, glb_losses))
+    if not math.isfinite(global_loss):
+        raise P.NonFiniteError(f"round {h.round}: non-finite global loss {global_loss}")
 
     record = RoundRecord(
         round=h.round,

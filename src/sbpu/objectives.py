@@ -14,6 +14,11 @@ gradient constant G is defined on a projection ball of radius R around the
 quadratic's center: stochastic gradients there satisfy ||g|| <= L*R + sigma.
 Stochastic noise is drawn uniformly from the sphere of radius sigma, so the
 variance bound holds with equality and the norm bound holds surely.
+
+Kernel rule: the per-call kernels use np.add.reduce, np.maximum.reduce and
+np.array, not np.sum, np.max, np.mean or np.stack, whose Python-level dispatch
+outweighs the arithmetic on these shapes; the bits are the same, and
+tests/test_kernel_rule.py keeps the rule.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ import numpy as np
 
 from . import params as P
 from .params import LayeredParams
-
-ACTIVATIONS = ("sigmoid", "relu", "lrelu")
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +138,8 @@ class QuadraticStack:
     """
 
     def __init__(self, objs: Sequence[QuadraticObjective]):
-        self.matrix = np.stack([o.matrix for o in objs])
-        self.center = np.stack([o.center for o in objs])
+        self.matrix = np.array([o.matrix for o in objs])
+        self.center = np.array([o.center for o in objs])
         self.radius = np.array([o.radius for o in objs])
         self.sigma = np.array([o.noise_sigma for o in objs])
         self.noisy = np.flatnonzero(self.sigma > 0.0)   # an index array: fast row picks
@@ -161,7 +164,7 @@ class QuadraticStack:
                              f"radius {self.radius[k]:g}")
         G = np.matmul(self.matrix, D[:, :, None])[:, :, 0]
         if self.noisy.size:
-            xi = np.stack([rngs[k].standard_normal(X.shape[1]) for k in self.noisy])
+            xi = np.array([rngs[k].standard_normal(X.shape[1]) for k in self.noisy])
             n = _row_norms(xi)
             for i in np.flatnonzero(n == 0.0):   # probability-zero guard
                 while n[i] == 0.0:
@@ -249,30 +252,19 @@ def sgd_step(w: LayeredParams, g: LayeredParams, eta: float,
 # ---------------------------------------------------------------------------
 # tiny softmax classifier
 
-def _act(tag: str, z: np.ndarray) -> np.ndarray:
-    if tag == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if tag == "relu":
-        return np.maximum(z, 0.0)
-    if tag == "lrelu":
-        return np.where(z > 0.0, z, 0.01 * z)
-    raise ValueError(f"unknown activation {tag!r}")
-
-
-def _act_deriv(tag: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if tag == "sigmoid":
-        return a * (1.0 - a)
-    if tag == "relu":
-        return (z > 0.0).astype(np.float64)
-    if tag == "lrelu":
-        return np.where(z > 0.0, 1.0, 0.01)
-    raise ValueError(f"unknown activation {tag!r}")
+# hidden-layer activation tag -> (a(z), da/dz at z given a = a(z))
+_ACTS = {
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
+    "lrelu": (lambda z: np.where(z > 0.0, z, 0.01 * z), lambda z, a: np.where(z > 0.0, 1.0, 0.01)),
+}
+ACTIVATIONS = tuple(_ACTS)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -343,15 +335,15 @@ class ClassifierObjective:
         return P.from_vector(v, self._template)
 
     def _forward(self, v: np.ndarray, x: np.ndarray):
-        """(W, activation) per dense layer, W a view of the flat vector v, and
-        on the batch x each layer's input (then the logits) and pre-activation."""
-        layers, hs, zs, pos = [], [np.atleast_2d(np.asarray(x, dtype=np.float64))], [], 0
+        """(W, activation) per dense layer, W a view of the flat vector v, and on
+        the checked 2-D float64 batch x each layer's input (then logits) and pre-activation."""
+        layers, hs, zs, pos = [], [x], [], 0
         for i, o, a in self.architecture:
             W, b = v[pos:pos + o * i].reshape(o, i), v[pos + o * i:pos + o * i + o]
             pos += o * i + o
             layers.append((W, a))
             zs.append(hs[-1] @ W.T + b)
-            hs.append(zs[-1] if a == "linear" else _act(a, zs[-1]))
+            hs.append(zs[-1] if a == "linear" else _ACTS[a][0](zs[-1]))
         return layers, hs, zs
 
     def _batch(self, batch):
@@ -368,32 +360,32 @@ class ClassifierObjective:
 
     def _loss(self, v: np.ndarray, batch=None) -> float:
         x, y = self._batch(batch)
+        n = x.shape[0]
         z = self._forward(v, x)[1][-1]
-        zs = z - np.max(z, axis=1, keepdims=True)
-        logp = zs - np.log(np.sum(np.exp(zs), axis=1, keepdims=True))
-        return float(-np.mean(logp[np.arange(x.shape[0]), y]))
+        zs = z - np.maximum.reduce(z, axis=1, keepdims=True)
+        logp = zs - np.log(np.add.reduce(np.exp(zs), axis=1, keepdims=True))
+        return float(-(np.add.reduce(logp[np.arange(n), y]) / n))
 
     def _grad(self, v: np.ndarray, batch=None) -> np.ndarray:
         """Mean cross-entropy gradient at the flat vector v by backprop."""
         x, y = self._batch(batch)
         n = x.shape[0]
         layers, hs, zs = self._forward(v, x)
-        probs = softmax(zs[-1])
-        delta = probs.copy()
+        delta = softmax(zs[-1])         # fresh: the probabilities, then dL/dz
         delta[np.arange(n), y] -= 1.0
         delta /= n                      # logit gradient of the mean loss
         arrays = [None] * (2 * len(layers))
         for li in range(len(layers) - 1, -1, -1):
             arrays[2 * li] = (delta.T @ hs[li]).ravel()
-            arrays[2 * li + 1] = np.sum(delta, axis=0)
+            arrays[2 * li + 1] = np.add.reduce(delta, axis=0)
             if li > 0:
                 delta = delta @ layers[li][0]
-                delta = delta * _act_deriv(layers[li - 1][1], zs[li - 1], hs[li])
+                delta = delta * _ACTS[layers[li - 1][1]][1](zs[li - 1], hs[li])
         return np.concatenate(arrays)
 
     def logits(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
         P.check_same_shape(self._template, w)
-        return self._forward(w.vector, x)[1][-1]
+        return self._forward(w.vector, np.atleast_2d(np.asarray(x, dtype=np.float64)))[1][-1]
 
     def predict(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
         return softmax(self.logits(w, x))
@@ -405,4 +397,4 @@ class ClassifierObjective:
     def grad(self, w: LayeredParams, batch=None) -> LayeredParams:
         """Mean cross-entropy gradient by backprop (same shape as w)."""
         P.check_same_shape(self._template, w)
-        return P.from_vector(self._grad(w.vector, batch), w)
+        return P._wrap(self._grad(w.vector, batch), w.layout)   # fresh: checked, not copied

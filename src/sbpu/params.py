@@ -165,13 +165,13 @@ def add_scaled(base: LayeredParams, coef: float, delta: LayeredParams) -> Layere
 
 
 def layer_sq_sums(V: np.ndarray, layout: tuple) -> list[float]:
-    """sum(v ** 2) for each row v of V, as one np.sum per layer slice of the
-    row, then math.fsum: the summation order of sq_distance and sq_norm
-    (bounds.csv prints 17 digits).  np.sum along axis 1 adds each row in the
-    order it adds that row alone, so a row's sum does not depend on K."""
+    """sum(v ** 2) for each row v of V, as one np.add.reduce per layer slice
+    of the row, then math.fsum: the summation order of sq_distance and sq_norm
+    (bounds.csv prints 17 digits).  The reduction along axis 1 adds each row in
+    the order it adds that row alone, so a row's sum does not depend on K."""
     sq, sums, pos = V ** 2, [], 0
     for nf, fl, _ in layout:
-        sums.append(np.sum(sq[:, pos:pos + nf * fl], axis=1).tolist())
+        sums.append(np.add.reduce(sq[:, pos:pos + nf * fl], axis=1).tolist())
         pos += nf * fl
     return [math.fsum(row) for row in zip(*sums)]
 

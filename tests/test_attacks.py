@@ -270,3 +270,51 @@ class TestPsnr:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             psnr(np.zeros(3), np.zeros(4))
+
+
+class TestIrKernelBits:
+    """ir_reconstruct against its descent written with np.outer, np.sum and
+    the plain softmax, byte for byte."""
+
+    @staticmethod
+    def reference(target, w, y, iters, step, x):
+        W, b = w.layers[0].filters, w.layers[1].filters.ravel()
+        Gw, Gb = target.layers[0].filters, target.layers[1].filters.ravel()
+
+        def objective_and_grad(x):
+            z = W @ x + b
+            e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+            p = e / np.sum(e, axis=-1, keepdims=True)
+            r = p - y
+            M = np.outer(r, x) - Gw
+            v = r - Gb
+            J = float(np.sum(M * M) + np.sum(v * v))
+            S = np.diag(p) - np.outer(p, p)
+            dJ_dr = 2.0 * (M @ x) + 2.0 * v
+            return J, 2.0 * (M.T @ r) + W.T @ (S @ dJ_dr)
+
+        best_obj, _ = objective_and_grad(x)
+        best_x = x.copy()
+        for _ in range(iters):
+            J, g = objective_and_grad(x)
+            if J < best_obj:
+                best_obj, best_x = J, x.copy()
+            x = x - step * g
+        J, _ = objective_and_grad(x)
+        if J < best_obj:
+            best_obj, best_x = J, x.copy()
+        return best_x, best_obj
+
+    @pytest.mark.parametrize("dim,n_c", [(3, 2), (12, 4), (64, 10), (130, 3)])
+    def test_matches_reference(self, dim, n_c):
+        rng = np.random.default_rng([dim, n_c])
+        obj = ClassifierObjective(architecture=((dim, n_c, "linear"),))
+        w = obj.init_params(rng, scale=1.0)
+        x_true = rng.uniform(size=dim)
+        y = np.zeros(n_c); y[n_c - 1] = 1.0
+        target = obj.grad(w, (x_true[None, :], np.array([n_c - 1])))
+        x0 = rng.uniform(size=dim)
+        x, val = ir_reconstruct(target, obj, w, y, iters=200, step=0.3, x_init=x0)
+        x_ref, val_ref = self.reference(target, w, y, 200, 0.3, x0)
+        assert x.tobytes() == x_ref.tobytes()
+        assert np.float64(val).tobytes() == np.float64(val_ref).tobytes()

@@ -362,3 +362,20 @@ def test_seed_outside_unsigned_64_bit_exit_1(seed, on_command_line):
         argv = ["run-fl", "--config", str(path), "--out", str(Path(tmp) / "out")]
         code = main(argv + (["--seed", str(seed)] if on_command_line else []))
     assert code == (0 if 0 <= seed < 2 ** 64 else 1)
+
+
+def test_overflowed_divergence_exit_2(tmp_path, capsys):
+    # the parameters stay finite, but the clients' squared distances from
+    # their mean overflow: the divergence must not reach metrics.csv as inf
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(json.dumps({
+        "objective": {"kind": "classifier", "architecture": [[4, 3, "linear"]],
+                      "dataset": {"n": 12, "spread": 5000}},
+        "K": 2, "E": 3, "batch_size": 4, "rounds": 4, "mu": 1e-300, "seed": 12,
+        "out_dir": str(out)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+        assert main(["run-fl", "--config", str(path)]) == 2
+    assert "runtime divergence" in capsys.readouterr().err
+    metrics = out / "metrics.csv"
+    assert not metrics.exists() or "inf" not in metrics.read_text()

@@ -219,3 +219,119 @@ class TestClassifier:
         with pytest.raises(ValueError):
             ClassifierObjective(architecture=((2, 2, "linear"),),
                                 data_x=np.zeros((1, 2)), data_y=np.array([5]))
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the classifier kernels against their plain-numpy forms
+
+def _act_ref(tag, z):
+    if tag == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    if tag == "relu":
+        return np.maximum(z, 0.0)
+    return np.where(z > 0.0, z, 0.01 * z)
+
+
+def _act_deriv_ref(tag, z, a):
+    if tag == "sigmoid":
+        return a * (1.0 - a)
+    if tag == "relu":
+        return (z > 0.0).astype(np.float64)
+    return np.where(z > 0.0, 1.0, 0.01)
+
+
+def _softmax_ref(z):
+    z = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _forward_ref(arch, v, x):
+    layers, hs, zs, pos = [], [np.atleast_2d(np.asarray(x, dtype=np.float64))], [], 0
+    for i, o, a in arch:
+        W, b = v[pos:pos + o * i].reshape(o, i), v[pos + o * i:pos + o * i + o]
+        pos += o * i + o
+        layers.append((W, a))
+        zs.append(hs[-1] @ W.T + b)
+        hs.append(zs[-1] if a == "linear" else _act_ref(a, zs[-1]))
+    return layers, hs, zs
+
+
+def _loss_ref(arch, v, x, y):
+    z = _forward_ref(arch, v, x)[1][-1]
+    zs = z - np.max(z, axis=1, keepdims=True)
+    logp = zs - np.log(np.sum(np.exp(zs), axis=1, keepdims=True))
+    return float(-np.mean(logp[np.arange(x.shape[0]), y]))
+
+
+def _grad_ref(arch, v, x, y):
+    n = x.shape[0]
+    layers, hs, zs = _forward_ref(arch, v, x)
+    probs = _softmax_ref(zs[-1])
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    arrays = [None] * (2 * len(layers))
+    for li in range(len(layers) - 1, -1, -1):
+        arrays[2 * li] = (delta.T @ hs[li]).ravel()
+        arrays[2 * li + 1] = np.sum(delta, axis=0)
+        if li > 0:
+            delta = delta @ layers[li][0]
+            delta = delta * _act_deriv_ref(layers[li - 1][1], zs[li - 1], hs[li])
+    return np.concatenate(arrays)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# row counts on both sides of numpy's 8-wide unrolled and 128-wide pairwise blocks
+ROW_COUNTS = [1, 7, 8, 9, 24, 128, 129, 256]
+ARCHS = {
+    "linear": ((5, 4, "linear"),),
+    "sigmoid": ((5, 9, "sigmoid"), (9, 4, "linear")),
+    "relu": ((5, 9, "relu"), (9, 6, "relu"), (6, 4, "linear")),
+    "lrelu": ((5, 130, "lrelu"), (130, 4, "linear")),
+}
+
+
+class TestClassifierKernelBits:
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_loss_and_grad_match_reference(self, name, n):
+        arch = ARCHS[name]
+        rng = np.random.default_rng([n, len(name)])
+        x = rng.standard_normal((n, 5)) * 3.0
+        y = rng.integers(0, 4, size=n)
+        xb, yb = rng.uniform(size=(n, 5)), rng.integers(0, 4, size=n)
+        obj = ClassifierObjective(architecture=arch, data_x=x, data_y=y)
+        for scale in (0.1, 2.0):
+            w = obj.init_params(rng, scale=scale)
+            v = P.as_vector(w)
+            for batch, (bx, by) in ((None, (x, y)), ((xb, yb), (xb, yb))):
+                assert _bits(obj.loss(w, batch)) == _bits(_loss_ref(arch, v, bx, by))
+                g = obj.grad(w, batch)
+                assert g.layout == w.layout
+                assert _bits(g.vector) == _bits(_grad_ref(arch, v, bx, by))
+
+    @pytest.mark.parametrize("name", sorted(ARCHS))
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_logits_and_predict_match_reference(self, name, n):
+        arch = ARCHS[name]
+        rng = np.random.default_rng([n, len(name), 1])
+        obj = ClassifierObjective(architecture=arch)
+        w = obj.init_params(rng, scale=1.5)
+        x = rng.standard_normal((n, 5)) * 3.0
+        z = _forward_ref(arch, w.vector, x)[1][-1]
+        assert _bits(obj.logits(w, x)) == _bits(z)
+        assert _bits(obj.predict(w, x)) == _bits(_softmax_ref(z))
+        # a raw 1-D sample given as a list is converted and promoted to one row
+        row = x[0].tolist()
+        assert _bits(obj.logits(w, row)) == _bits(_forward_ref(arch, w.vector, row)[1][-1])
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_softmax_matches_reference(self, n):
+        rng = np.random.default_rng([n, 2])
+        for z in (rng.standard_normal((n, 10)) * 40.0, rng.standard_normal(n) * 40.0,
+                  rng.standard_normal((3, n, 4))):
+            assert _bits(softmax(z)) == _bits(_softmax_ref(z))

@@ -203,3 +203,32 @@ class TestJson:
     def test_dump_is_valid_json(self):
         p = single(0.1, 0.2)
         assert json.loads(P.dump_json(p)) == P.to_jsonable(p)
+
+
+class TestLayerSqSumsBits:
+    """layer_sq_sums against the plain np.sum form, byte for byte."""
+
+    @staticmethod
+    def reference(V, layout):
+        sq, sums, pos = V ** 2, [], 0
+        for nf, fl, _ in layout:
+            sums.append(np.sum(sq[:, pos:pos + nf * fl], axis=1).tolist())
+            pos += nf * fl
+        return [math.fsum(row) for row in zip(*sums)]
+
+    @pytest.mark.parametrize("shapes", [
+        [(1, 1), (3, 1)],
+        [(7, 1), (8, 1), (9, 1)],
+        [(64, 32), (1, 64), (10, 64), (1, 10)],
+        [(1, 128), (1, 129), (2, 128), (1, 256)],
+        [(3, 1000), (5, 7)],
+    ])
+    @pytest.mark.parametrize("K", [1, 4, 9])
+    def test_matches_reference(self, shapes, K):
+        rng = np.random.default_rng([K, len(shapes), shapes[0][1]])
+        p = P.from_arrays([np.zeros(s) for s in shapes])
+        V = rng.standard_normal((K, p.vector.size)) * rng.uniform(1e-3, 1e3, size=(K, 1))
+        got, want = P.layer_sq_sums(V, p.layout), self.reference(V, p.layout)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array([P.layer_sq_sums(row[None], p.layout)[0] for row in V]).tobytes() \
+            == np.array(want).tobytes()
