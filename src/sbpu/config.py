@@ -316,6 +316,8 @@ def _classifier(spec: dict, K: int, seed: int) -> list[ClassifierObjective]:
     if not arch:
         raise ConfigError(["classifier objective needs an 'architecture'"])
     ds = spec.get("dataset", {})
+    if not isinstance(ds, dict):
+        raise ConfigError(["dataset must be an object"])
     n = int(ds.get("n", 32))
     spread = float(ds.get("spread", 0.15))
     n_c = arch[-1][1]

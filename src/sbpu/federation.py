@@ -14,6 +14,9 @@ Inside a round the K dispatched models are the rows of one (K, d) float64
 array, from the mutation through the envelope reports, local SGD, defense
 and aggregation: quadratic clients step all rows at once (QuadraticStack),
 classifier clients row by row through the objective's flat kernels.
+Only the last local step's losses are recorded; a classifier's earlier ones
+are certified finite (ClassifierObjective._loss_certified), not evaluated,
+unless the certificate fails.
 LayeredParams appears only at the history (the new aggregate, once a
 round) and at the public functions, which wrap the kernels the engine runs.
 
@@ -93,7 +96,8 @@ class DefensePolicy:
 class RoundRecord:
     round: int
     global_loss: float
-    client_losses: tuple[float, ...]          # full loss after the last local step
+    client_losses: tuple[float, ...]          # full loss after the last local step; earlier
+                                              # steps' are certified finite, not evaluated
     step_divergences: tuple[float, ...]       # client divergence after each local step
     bound_reports: tuple[BoundReport, ...]
 
@@ -106,7 +110,8 @@ class RoundRecord:
 class Cohort(tuple):
     """The admitted clients of a run, with what run_round needs of them that
     costs work to build and never changes: the stacked quadratics (None for
-    classifiers) and the shared template.
+    classifiers), each classifier's largest |x| over its data (x_max, for
+    the loss certificate) and the shared template.
 
     Admission is the one rule of run_round and local_train: at least one
     client, one objective kind, one E, and one template() layout (the flat
@@ -129,12 +134,16 @@ class Cohort(tuple):
             P.check_same_shape(c.objective.template(), self.template)
         self.quads = (QuadraticStack([c.objective for c in self])
                       if isinstance(self[0].objective, QuadraticObjective) else None)
+        self.x_max = None if self.quads is not None else [
+            math.inf if c.objective.data_x is None
+            else float(np.maximum.reduce(np.abs(c.objective.data_x), axis=None)) for c in self]
         return self
 
 
 def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
-                rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, list[float]]:
-    """Local iteration s of client k on row k of X: (new rows, their full losses).
+                rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, list[float] | None]:
+    """Local iteration s of client k on row k of X: (new rows, their full
+    losses if s is the last iteration E - 1, else None).
 
     Rows stay flat; LayeredParams appears only at the history and the public
     functions.  Quadratic clients start from their row projected onto their
@@ -142,17 +151,20 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     once; classifier clients each step X[k] + (-eta) * g on one batch sampled
     uniformly with replacement.  The first client whose row is not finite
     raises params.NonFiniteError, or DivergenceError if only its loss is not.
+    Before the last iteration a classifier's loss is computed only where
+    _loss_certified cannot show it finite; elsewhere 0.0 stands in for it.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    quads = clients.quads
+    quads, last = clients.quads, s == clients[0].E - 1
     if quads is None:
         X = X.copy()
         for k, (c, rng) in enumerate(zip(clients, rngs)):
             obj = c.objective
             idx = rng.integers(0, obj.n_samples, size=c.batch_size)
             X[k] += (-eta) * obj._grad(X[k], (obj.data_x[idx], obj.data_y[idx]))
-        losses = np.array([c.objective._loss(x) for c, x in zip(clients, X)])
+        losses = np.array([c.objective._loss(x) if last or not c.objective._loss_certified(x, m)
+                           else 0.0 for c, x, m in zip(clients, X, clients.x_max)])
     else:
         X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
         losses = quads.loss(X)
@@ -161,7 +173,7 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
         if not np.isfinite(X[k]).all():
             raise P.NonFiniteError("non-finite value in parameters")
         raise DivergenceError(clients[k].id, s)
-    return X, losses.tolist()
+    return X, losses.tolist() if last else None
 
 
 def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,

@@ -305,6 +305,8 @@ class ClassifierObjective:
         if x is not None:
             if x.ndim != 2 or x.shape[1] != arch[0][0]:
                 raise ValueError("data_x must be (n, in_dim)")
+            if x.shape[0] == 0:
+                raise ValueError("embedded dataset must be non-empty")
             if y.size != x.shape[0] or np.any(y < 0) or np.any(y >= n_c):
                 raise ValueError("labels must be in [0, n_c)")
             x = x.copy(); x.flags.writeable = False
@@ -365,6 +367,26 @@ class ClassifierObjective:
         zs = z - np.maximum.reduce(z, axis=1, keepdims=True)
         logp = zs - np.log(np.add.reduce(np.exp(zs), axis=1, keepdims=True))
         return float(-(np.add.reduce(logp[np.arange(n), y]) / n))
+
+    def _loss_certified(self, v: np.ndarray, x_max: float) -> bool:
+        """True only if _loss(v) on the embedded data, whose largest |x| is x_max, is finite.
+
+        With ||h||_inf <= H, a dense layer has ||z||_inf <= B = max_i sum_j |W_ij| H
+        + max_i |b_i| and output ||h||_inf <= B (relu, lrelu, linear) or <= 1
+        (sigmoid).  Every layer's B < 1e300 / n keeps the logits finite and each
+        of _loss's n terms within 2B + log n_c, so their sum stays below
+        2e300 + n log n_c: a 1e8 margin to overflow, which also covers the
+        bound's own rounding.  A NaN or inf anywhere fails the comparison.
+        """
+        a, h, pos, limit = np.abs(v), x_max, 0, 1e300 / self.n_samples
+        for i, o, act in self.architecture:
+            W, b = a[pos:pos + o * i].reshape(o, i), a[pos + o * i:pos + o * i + o]
+            B = float(np.maximum.reduce(np.add.reduce(W, axis=1))) * h + float(np.maximum.reduce(b))
+            if not B < limit:
+                return False
+            pos += o * i + o
+            h = 1.0 if act == "sigmoid" else B
+        return True
 
     def _grad(self, v: np.ndarray, batch=None) -> np.ndarray:
         """Mean cross-entropy gradient at the flat vector v by backprop."""

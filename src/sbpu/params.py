@@ -87,7 +87,7 @@ class LayeredParams:
                     tuple((l.n_filters, l.filter_len, l.kind) for l in layers))
 
     def _adopt(self, vector: np.ndarray, layout: tuple) -> "LayeredParams":
-        if not np.isfinite(vector).all():
+        if not np.logical_and.reduce(np.isfinite(vector)):
             raise NonFiniteError("non-finite value in parameters")
         vector.flags.writeable = False
         self.vector, self.layout = vector, layout

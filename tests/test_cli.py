@@ -280,12 +280,21 @@ def test_diverging_classifier_exit_2(tmp_path, capsys):
         {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]},
         {"center": [0.0, 0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]},
         {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]}]},
+    {**CLASSIFIER, "dataset": "x"},
 ], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer",
-        "mixed-dimensions"])
+        "mixed-dimensions", "non-object-dataset"])
 def test_objective_construction_errors_exit_1(tmp_path, capsys, objective):
     path, _ = write_config(tmp_path, objective=objective)
     assert main(["run-fl", "--config", str(path)]) == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_empty_classifier_dataset_exit_1(tmp_path, capsys):
+    # rejected when the objectives are built, not by a crash in round 0
+    path, _ = write_config(tmp_path, objective={**CLASSIFIER, "dataset": {"n": 0}}, mu=1.0)
+    assert main(["run-fl", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "Traceback" not in err
 
 
 def test_client_admission_error_exit_1(tmp_path, capsys, monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 from sbpu import params as P
 from sbpu import seeds
 from sbpu.federation import (ClientState, Cohort, DefensePolicy, DivergenceError,
-                             RoundRecord, RunPlan, aggregate, apply_defense, local_train,
-                             measure_divergence, run_federation, run_round)
+                             RoundRecord, RunPlan, _local_step, aggregate, apply_defense,
+                             local_train, measure_divergence, run_federation, run_round)
 from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
 from sbpu.objectives import ClassifierObjective, LrSchedule, QuadraticObjective, sgd_step
@@ -507,6 +507,61 @@ class TestBatchedEngine:
     def test_classifier_row_overflow_raises_non_finite_error(self):
         with pytest.raises(P.NonFiniteError):
             self._run_huge_steps(self._calm_and_wild(1e12))
+
+    def _classifier_round(self, objs):
+        clients = [ClientState(id=k, n_k=n, objective=o, E=3, batch_size=3)
+                   for k, (o, n) in enumerate(zip(objs, [2, 7, 4]))]
+        rng, template = np.random.default_rng(63), objs[0].template()
+        h = GlobalHistory(*(P.from_vector(rng.standard_normal(template.vector.size), template)
+                            for _ in range(3)), round=2)
+        return clients, h, (DiversityRates(0.3, 0.2), LrSchedule(mu=1.0, gamma=20.0),
+                            DefensePolicy(), 64)
+
+    def test_client_losses_are_direct_last_step_losses(self):
+        clients, h, (rates, schedule, policy, seed) = self._classifier_round(
+            small_classifiers(3, 65))
+        _, rec = run_round(h, clients, rates, schedule, policy, seed)
+        want = [c.objective._loss(local_train(c, w0, schedule, h.round * c.E,
+                                              seeds.stream(seed, "train", h.round, c.id)).vector)
+                for c, w0 in zip(clients, generate_diverse_models(h, 3, rates, seed))]
+        assert np.array(rec.client_losses).tobytes() == np.array(want).tobytes()
+
+    def test_intermediate_losses_certified_not_evaluated(self, monkeypatch):
+        # E = 3: only the last step's and the global losses are computed
+        clients, h, args = self._classifier_round(small_classifiers(3, 66))
+        loss, calls = ClassifierObjective._loss, []
+
+        def counted(self, v, batch=None):
+            calls.append(batch)
+            return loss(self, v, batch)
+
+        monkeypatch.setattr(ClassifierObjective, "_loss", counted)
+        run_round(h, clients, *args)
+        assert calls == [None] * 6
+
+    def test_clients_certified_by_their_own_activations(self, monkeypatch):
+        # one layout, two activations: rows of size 1e150 bound the relu
+        # client's logits near 1e301 (evaluated) and the sigmoid's near 1e151
+        rng = np.random.default_rng(67)
+        clients = Cohort([ClientState(
+            id=k, n_k=1, E=3, batch_size=3,
+            objective=ClassifierObjective(architecture=((4, 6, act), (6, 3, "linear")),
+                                          data_x=rng.uniform(size=(20, 4)),
+                                          data_y=rng.integers(0, 3, 20)))
+            for k, act in enumerate(("relu", "sigmoid"))])
+        loss, evaluated = ClassifierObjective._loss, []
+
+        def counted(self, v, batch=None):
+            evaluated.append(self.architecture[0][2])
+            return loss(self, v, batch)
+
+        monkeypatch.setattr(ClassifierObjective, "_loss", counted)
+        X = rng.standard_normal((2, clients.template.vector.size)) * 1e150
+        with np.errstate(all="ignore"):   # the sigmoid saturates
+            _, losses = _local_step(clients, X, 1e-300, 0, [np.random.default_rng(k) for k in (0, 1)])
+            assert losses is None and evaluated == ["relu"]
+            _, losses = _local_step(clients, X, 1e-300, 2, [np.random.default_rng(k) for k in (0, 1)])
+        assert evaluated == ["relu"] * 2 + ["sigmoid"] and all(map(math.isfinite, losses))
 
     def test_mixed_objective_kinds_rejected(self):
         q = quad(np.eye(3), [0.0, 0.0, 0.0])

@@ -21,7 +21,8 @@ KERNELS = {
     "objectives.py": ["softmax", "_ACTS", "_row_norms", "_project_rows",
                       "QuadraticStack", "ClassifierObjective._forward",
                       "ClassifierObjective._batch", "ClassifierObjective._loss",
-                      "ClassifierObjective._grad", "ClassifierObjective.logits",
+                      "ClassifierObjective._grad", "ClassifierObjective._loss_certified",
+                      "ClassifierObjective.logits",
                       "ClassifierObjective.predict", "ClassifierObjective.loss",
                       "ClassifierObjective.grad"],
     "params.py": ["layer_sq_sums"],

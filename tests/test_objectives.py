@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbpu import params as P
 from sbpu.objectives import (AssumptionConstants, ClassifierObjective, LrSchedule,
@@ -215,6 +217,11 @@ class TestClassifier:
         with pytest.raises(ValueError):
             obj.loss(obj.zero_params(), (np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
+    def test_empty_embedded_dataset_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ClassifierObjective(architecture=((2, 2, "linear"),),
+                                data_x=np.zeros((0, 2)), data_y=np.zeros(0, dtype=int))
+
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             ClassifierObjective(architecture=((2, 2, "linear"),),
@@ -335,3 +342,57 @@ class TestClassifierKernelBits:
         for z in (rng.standard_normal((n, 10)) * 40.0, rng.standard_normal(n) * 40.0,
                   rng.standard_normal((3, n, 4))):
             assert _bits(softmax(z)) == _bits(_softmax_ref(z))
+
+
+# ---------------------------------------------------------------------------
+# the finite-loss certificate that stands in for intermediate losses
+
+def _net(data):
+    """A classifier with 0-2 relu/lrelu/sigmoid hidden layers and an embedded dataset."""
+    widths = data.draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+    acts = data.draw(st.lists(st.sampled_from(["relu", "lrelu", "sigmoid"]),
+                              min_size=len(widths) - 2, max_size=len(widths) - 2))
+    arch = tuple(zip(widths, widths[1:], acts + ["linear"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n = data.draw(st.integers(1, 40))
+    x = rng.standard_normal((n, widths[0])) * 10.0 ** data.draw(st.floats(-3.0, 12.0))
+    return ClassifierObjective(architecture=arch, data_x=x,
+                               data_y=rng.integers(0, widths[-1], n)), rng
+
+
+class TestLossCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_certified_rows_have_finite_logits_and_loss(self, data):
+        obj, rng = _net(data)
+        v = rng.standard_normal(obj.template().vector.size) * 10.0 ** data.draw(st.floats(-2.0, 160.0))
+        if obj._loss_certified(v, float(np.abs(obj.data_x).max())):
+            with np.errstate(all="ignore"):   # a saturated sigmoid may overflow exp
+                assert np.isfinite(obj._forward(v, obj.data_x)[1][-1]).all()
+                assert math.isfinite(obj._loss(v))
+
+    @pytest.mark.parametrize("act", ["relu", "lrelu", "sigmoid"])
+    def test_ordinary_rows_pass_and_huge_rows_fail(self, act):
+        rng = np.random.default_rng(90)
+        obj = ClassifierObjective(architecture=((32, 64, act), (64, 10, "linear")),
+                                  data_x=rng.uniform(size=(256, 32)),
+                                  data_y=rng.integers(0, 10, 256))
+        x_max = float(np.abs(obj.data_x).max())
+        v = obj.init_params(rng).vector
+        assert obj._loss_certified(v, x_max)
+        huge = v * 1e200
+        # a sigmoid's output stays within 1, so its logits stay near 1e200
+        assert obj._loss_certified(huge, x_max) == (act == "sigmoid")
+        assert not obj._loss_certified(v, math.inf)
+        assert not obj._loss_certified(np.where(np.arange(v.size) == 5, math.nan, v), x_max)
+
+    def test_logits_near_overflow_not_certified(self):
+        # finite logits +-9e307 whose difference overflows: the loss is inf
+        obj = ClassifierObjective(architecture=((1, 2, "linear"),),
+                                  data_x=np.ones((1, 1)), data_y=np.array([1]))
+        v = np.array([9e307, -9e307, 0.0, 0.0])
+        with np.errstate(all="ignore"):
+            assert np.isfinite(obj._forward(v, obj.data_x)[1][-1]).all()
+            assert not math.isfinite(obj._loss(v))
+        assert not obj._loss_certified(v, 1.0)
+        assert obj._loss_certified(v * 1e-8, 1.0)
