@@ -21,7 +21,9 @@ LayeredParams appears only at the history (the new aggregate, once a
 round) and at the public functions, which wrap the kernels the engine runs.
 
 All randomness flows through streams derived from the master seed, so
-concurrent and serial client schedules produce bit-identical results.
+concurrent and serial client schedules produce bit-identical results.  Round
+streams are keyed by (seed, tag, round, client); within a run (iter_rounds)
+run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .objectives import ClassifierObjective, LrSchedule, QuadraticObjective, Qua
 from .params import LayeredParams
 
 DP_DELTA = 1e-5  # delta used by the Gaussian-mechanism noise calibration
+ROUND_BLOCK = 64  # rounds of a run whose streams one pass derives
 
 
 class DivergenceError(RuntimeError):
@@ -117,7 +120,8 @@ class Cohort(tuple):
     client, one objective kind, one E, and one template() layout (the flat
     kernels do not check).  RunPlan admits its clients once; run_round and
     local_train wrap a plain sequence on the spot, and Cohort(cohort) is
-    cohort itself.  The caller checks the template against the model."""
+    cohort itself.  The caller checks the template against the model.
+    It also keeps the last block of round streams it derived (streams)."""
 
     def __new__(cls, clients: Sequence[ClientState]) -> "Cohort":
         if isinstance(clients, Cohort):
@@ -137,7 +141,28 @@ class Cohort(tuple):
         self.x_max = None if self.quads is not None else [
             math.inf if c.objective.data_x is None
             else float(np.maximum.reduce(np.abs(c.objective.data_x), axis=None)) for c in self]
+        self.end, self._block = None, None
         return self
+
+    def for_rounds(self, end: int) -> "Cohort":
+        """A copy for one run of the rounds below end, with its own block."""
+        run = tuple.__new__(Cohort, self)
+        run.__dict__.update(self.__dict__, end=end, _block=None)
+        return run
+
+    def streams(self, seed: int, r: int, tags: tuple) -> dict[str, list[np.random.Generator]]:
+        """Per tag, seeds.stream(seed, tag, r, key) for each client, key its
+        index for "sbpu" and its id otherwise.  Past the kept block, one
+        seeds.pcg64_words call derives rounds r to r + ROUND_BLOCK - 1, cut
+        at end (only r if end is None)."""
+        b = self._block
+        if b is None or b[:2] != (seed, tags) or not 0 <= r - b[2] < len(b[3]):
+            n = 1 if self.end is None else min(ROUND_BLOCK, max(self.end - r, 1))
+            keys = {t: range(len(self)) if t == "sbpu" else [c.id for c in self] for t in tags}
+            words = seeds.pcg64_words([seeds.child_seed(seed, t, q, k) for q in range(r, r + n)
+                                       for t in tags for k in keys[t]])
+            b = self._block = (seed, tags, r, words.reshape(n, len(tags), len(self), 4))
+        return {t: [seeds.from_words(w) for w in ws] for t, ws in zip(tags, b[3][r - b[2]])}
 
 
 def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
@@ -271,7 +296,9 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     P.check_same_shape(cohort.template, h.w_glb)
     sizes, E = [c.n_k for c in cohort], cohort[0].E
 
-    dispatched = _dispatch_matrix(h, len(cohort), rates, seed)
+    tags = ("sbpu", "train") if policy.tag == "none" else ("sbpu", "train", "defense")
+    streams = cohort.streams(seed, h.round, tags)
+    dispatched = _dispatch_matrix(h, rates, streams["sbpu"])
 
     reports = [] if alpha is None else _envelopes(dispatched, h, alpha)
     for c, b in zip(cohort, reports):
@@ -279,10 +306,10 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
             raise P.NonFiniteError(f"round {h.round}, client {c.id}: non-finite "
                                    f"envelope quantity in {b}")
 
-    rngs = [seeds.stream(seed, "train", h.round, c.id) for c in cohort]
     trained, step_divergences = dispatched, []
     for s in range(E):
-        trained, losses = _local_step(cohort, trained, schedule.lr_at(h.round * E + s), s, rngs)
+        trained, losses = _local_step(cohort, trained, schedule.lr_at(h.round * E + s), s,
+                                      streams["train"])
         step_divergences.append(_divergence(trained, sizes, h.w_glb.layout))
     for s, d in enumerate(step_divergences):   # checked after training: DivergenceError first
         if not math.isfinite(d):
@@ -291,8 +318,8 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     uploads = trained   # identity defense
     if policy.tag != "none":
         uploads = dispatched + np.array([
-            _defend(delta, policy, seeds.stream(seed, "defense", h.round, c.id))
-            for c, delta in zip(cohort, trained - dispatched)])
+            _defend(delta, policy, rng)
+            for rng, delta in zip(streams["defense"], trained - dispatched)])
     new_glb = P.from_vector(_weighted_mean(uploads, sizes), h.w_glb)
     total = float(sum(sizes))
     glb_losses = ([c.objective._loss(new_glb.vector) for c in cohort] if cohort.quads is None
@@ -336,9 +363,9 @@ def iter_rounds(plan: RunPlan) -> Iterator[tuple[GlobalHistory, RoundRecord]]:
 
     T = rounds * E SGD iterations per client in total.
     """
-    h = GlobalHistory.bootstrap(plan.w_init)
+    h, clients = GlobalHistory.bootstrap(plan.w_init), plan.clients.for_rounds(plan.rounds)
     for _ in range(plan.rounds):
-        h, rec = run_round(h, plan.clients, plan.rates, plan.schedule, plan.policy,
+        h, rec = run_round(h, clients, plan.rates, plan.schedule, plan.policy,
                            plan.seed, alpha=plan.alpha, tie_gradients=plan.tie_gradients)
         yield h, rec
 

@@ -211,18 +211,16 @@ def sbpu_mutate(w_glb: LayeredParams, g_glb: LayeredParams, g_prev: LayeredParam
                                         _selector_plan(layout).draw([rng])[0], layout), w_glb)
 
 
-def _dispatch_matrix(h: GlobalHistory, K: int, rates: DiversityRates,
-                     seed: int) -> np.ndarray:
-    """The K diverse models as the rows of one checked, C-contiguous (K, d)
-    float64 matrix.
+def _dispatch_matrix(h: GlobalHistory, rates: DiversityRates,
+                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """The K = len(rngs) diverse models as the rows of one checked,
+    C-contiguous (K, d) float64 matrix.
 
-    Row k draws its selectors from client k's own (seed, "sbpu", round, k)
-    stream through the layout's cached plan, as sbpu_mutate does.
+    Row k draws its selectors from rngs[k], client k's own (seed, "sbpu",
+    round, k) stream, through the layout's cached plan, as sbpu_mutate does.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     layout = h.w_glb.layout
-    sel = _selector_plan(layout).draw([seeds.stream(seed, "sbpu", h.round, k) for k in range(K)])
+    sel = _selector_plan(layout).draw(rngs)
     w = h.w_glb.vector
     X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel, layout)
     if not np.isfinite(X).all():
@@ -237,7 +235,10 @@ def generate_diverse_models(h: GlobalHistory, K: int, rates: DiversityRates,
     Each client consumes its own RNG stream derived from (seed, round,
     client index), so results are identical under any evaluation order.
     """
-    return [P.from_vector(x, h.w_glb) for x in _dispatch_matrix(h, K, rates, seed)]
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    rngs = [seeds.stream(seed, "sbpu", h.round, k) for k in range(K)]
+    return [P.from_vector(x, h.w_glb) for x in _dispatch_matrix(h, rates, rngs)]
 
 
 def _envelopes(X: np.ndarray, h: GlobalHistory, alpha: float) -> list[BoundReport]:

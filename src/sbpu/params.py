@@ -168,12 +168,20 @@ def layer_sq_sums(V: np.ndarray, layout: tuple) -> list[float]:
     """sum(v ** 2) for each row v of V, as one np.add.reduce per layer slice
     of the row, then math.fsum: the summation order of sq_distance and sq_norm
     (bounds.csv prints 17 digits).  The reduction along axis 1 adds each row in
-    the order it adds that row alone, so a row's sum does not depend on K."""
+    the order it adds that row alone, so a row's sum does not depend on K.
+    A row whose finite layer sums add past the float range sums to inf."""
     sq, sums, pos = V ** 2, [], 0
     for nf, fl, _ in layout:
         sums.append(np.add.reduce(sq[:, pos:pos + nf * fl], axis=1).tolist())
         pos += nf * fl
-    return [math.fsum(row) for row in zip(*sums)]
+    return [_fsum(row) for row in zip(*sums)]
+
+
+def _fsum(terms) -> float:
+    try:   # math.fsum raises where the exact total of finite terms overflows
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def sq_distance(a: LayeredParams, b: LayeredParams) -> float:

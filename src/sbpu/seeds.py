@@ -4,11 +4,20 @@ A single master seed expands into a tree of independent RNG streams.  Child
 seeds are derived by hashing the full key path with SHA-256, so a stream's
 identity depends only on its labels (e.g. master seed, round, client index)
 and never on execution order.  No global RNG state is used anywhere.
+
+stream builds one generator; pcg64_words runs numpy's SeedSequence seeding
+on an array of child seeds, and from_words builds the same generators from
+its rows.  tests/test_seeds.py checks the two paths against numpy.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 def child_seed(*keys) -> int:
@@ -30,6 +39,55 @@ def child_seed(*keys) -> int:
 def stream(*keys) -> np.random.Generator:
     """A fresh PCG64 generator seeded from the hashed key path."""
     return np.random.Generator(np.random.PCG64(child_seed(*keys)))
+
+
+def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
+    """The (xor, multiply) words of n successive hashmix calls from hash
+    constant h, as (2, n, 1) uint32: they never depend on the data."""
+    hs = list(itertools.accumulate(range(n), lambda a, _: a * mult & 0xFFFFFFFF, initial=h))
+    return np.array([hs[:-1], hs[1:]], np.uint32)[:, :, None]
+
+
+_POOL_MIX = _hash_consts(_INIT_A, _MULT_A, 16)   # 4 fill the pool, 12 mix it
+_STATE_OUT = _hash_consts(_INIT_B, _MULT_B, 8)   # 8 uint32 = 4 uint64 words
+
+
+def _hashmix(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    v = (v ^ c[0]) * c[1]
+    return v ^ (v >> np.uint32(16))
+
+
+def pcg64_words(child_seeds) -> np.ndarray:
+    """np.random.SeedSequence(s).generate_state(4, np.uint64) for each s in
+    child_seeds (unsigned 64-bit) as the rows of a C-contiguous (N, 4)
+    uint64 array: numpy's pool mixing, one array operation per step.  A
+    missing high word hashes like a zero one, so every s enters as two."""
+    s = np.asarray(child_seeds, dtype=np.uint64)
+    pool = _hashmix(np.array([s & np.uint64(0xFFFFFFFF), s >> np.uint64(32), 0 * s, 0 * s],
+                             np.uint32), _POOL_MIX[:, :4])
+    for src in range(4):   # pool[src] stays fixed while it mixes into the others
+        dst = [d for d in range(4) if d != src]
+        v = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_MIX[:, 4 + 3 * src:7 + 3 * src])
+        pool[dst] = v ^ (v >> np.uint32(16))
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_OUT).astype(np.uint64)
+    return (out[0::2] | out[1::2] << np.uint64(32)).T.copy()
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One row of pcg64_words, as the seed sequence PCG64 reads it from."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise NotImplementedError("holds only the 4 uint64 words PCG64 asks for")
+        return self.words
+
+
+def from_words(words: np.ndarray) -> np.random.Generator:
+    """stream(*keys) given the pcg64_words row of child_seed(*keys)."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 def fisher_yates(items, rng: np.random.Generator) -> np.ndarray:

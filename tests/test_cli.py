@@ -281,8 +281,9 @@ def test_diverging_classifier_exit_2(tmp_path, capsys):
         {"center": [0.0, 0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]},
         {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]}]},
     {**CLASSIFIER, "dataset": "x"},
+    {**CLASSIFIER, "dataset": {"n": 1e400}},
 ], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer",
-        "mixed-dimensions", "non-object-dataset"])
+        "mixed-dimensions", "non-object-dataset", "infinite-dataset-n"])
 def test_objective_construction_errors_exit_1(tmp_path, capsys, objective):
     path, _ = write_config(tmp_path, objective=objective)
     assert main(["run-fl", "--config", str(path)]) == 1
@@ -388,3 +389,16 @@ def test_overflowed_divergence_exit_2(tmp_path, capsys):
     assert "runtime divergence" in capsys.readouterr().err
     metrics = out / "metrics.csv"
     assert not metrics.exists() or "inf" not in metrics.read_text()
+
+
+def test_overflowed_layer_sum_exit_2(tmp_path, capsys):
+    # each layer's squared distance from the clients' mean is finite, but
+    # their sum overflows: the divergence is inf, not an OverflowError
+    path, _ = write_config(tmp_path, objective={**CLASSIFIER, "architecture": [
+        [4, 5, "sigmoid"], [5, 3, "linear"]], "dataset": {"n": 16}},
+        K=3, E=4, batch_size=4, rounds=3, mu=1e-155, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+        assert main(["run-fl", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime divergence" in err and "Traceback" not in err

@@ -7,9 +7,10 @@ import pytest
 
 from sbpu import params as P
 from sbpu import seeds
-from sbpu.federation import (ClientState, Cohort, DefensePolicy, DivergenceError,
+from sbpu.federation import (ROUND_BLOCK, ClientState, Cohort, DefensePolicy, DivergenceError,
                              RoundRecord, RunPlan, _local_step, aggregate, apply_defense,
-                             local_train, measure_divergence, run_federation, run_round)
+                             iter_rounds, local_train, measure_divergence, run_federation,
+                             run_round)
 from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
 from sbpu.objectives import ClassifierObjective, LrSchedule, QuadraticObjective, sgd_step
@@ -431,7 +432,8 @@ class TestBatchedEngine:
         rng = np.random.default_rng(61)
         h = GlobalHistory(*(P.from_vector(rng.standard_normal(template.vector.size), template)
                             for _ in range(3)), round=2)
-        X = _dispatch_matrix(h, 4, DiversityRates(0.3, 0.2), 62)
+        X = _dispatch_matrix(h, DiversityRates(0.3, 0.2),
+                             [seeds.stream(62, "sbpu", 2, k) for k in range(4)])
         assert X.shape == (4, template.vector.size) and X.flags.c_contiguous
 
     def test_center_and_outside_ball_raise_no_warning(self):
@@ -647,6 +649,64 @@ class TestRunFederation:
         recs = run_federation(self._plan(objs, 6, 39, E=5))
         assert len(recs) == 6   # T = 6*5 SGD iterations per client
         assert [r.round for r in recs] == list(range(6))
+
+
+class TestRoundStreams:
+    """Cohort.streams derives a run's round streams in blocks, with the bits
+    of seeds.stream(seed, tag, round, key): key is the client index for
+    "sbpu" and the client id for "train" and "defense"."""
+
+    TAGS = ("sbpu", "train", "defense")
+
+    def _cohort(self, ids):
+        objs = quad_suite(len(ids), 2, seed=70)
+        return Cohort([ClientState(id=i, n_k=1, objective=o, E=1) for i, o in zip(ids, objs)])
+
+    @pytest.mark.parametrize("first", [0, ROUND_BLOCK - 2])
+    def test_block_generators_equal_single_streams(self, first):
+        cohort = self._cohort([7, 3, 11]).for_rounds(ROUND_BLOCK + 2)
+        bounds = np.arange(9, 1, -1)
+        for r in range(first, ROUND_BLOCK + 2):   # across a block boundary
+            streams = cohort.streams(71, r, self.TAGS)
+            for tag in self.TAGS:
+                keys = range(3) if tag == "sbpu" else [7, 3, 11]
+                assert len(streams[tag]) == 3
+                for rng, key in zip(streams[tag], keys):
+                    ref = seeds.stream(71, tag, r, key)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+                    np.testing.assert_array_equal(rng.integers(0, bounds), ref.integers(0, bounds))
+                    np.testing.assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
+
+    def test_streams_derived_only_for_reached_rounds(self, monkeypatch):
+        hashed = []
+        child_seed = seeds.child_seed
+        monkeypatch.setattr(seeds, "child_seed", lambda *k: hashed.append(k) or child_seed(*k))
+        objs = quad_suite(2, 2, seed=72, sigma=0.2)
+        clients = [ClientState(id=k + 5, n_k=1, objective=o, E=2) for k, o in enumerate(objs)]
+        plan = RunPlan(clients=clients, rates=DiversityRates(0.1, 0.05),
+                       schedule=LrSchedule(mu=1.0, gamma=8.0), policy=DefensePolicy(),
+                       rounds=ROUND_BLOCK + 3, seed=73, w_init=objs[0].template())
+        run_federation(plan)
+        assert sorted({k[2] for k in hashed}) == list(range(ROUND_BLOCK + 3))
+        assert len(hashed) == (ROUND_BLOCK + 3) * 2 * 2   # "sbpu" and "train" per client
+        hashed.clear()
+        run_round(GlobalHistory.bootstrap(plan.w_init), clients, plan.rates, plan.schedule,
+                  plan.policy, plan.seed)
+        assert sorted(hashed) == sorted([(73, "sbpu", 0, 0), (73, "sbpu", 0, 1),
+                                         (73, "train", 0, 5), (73, "train", 0, 6)])
+
+    def test_run_equals_plain_rounds_across_blocks(self):
+        # dp draws all three tags; client ids differ from the indices
+        objs = quad_suite(3, 3, seed=74, sigma=0.2)
+        clients = [ClientState(id=9 - k, n_k=k + 1, objective=o, E=2) for k, o in enumerate(objs)]
+        policy = DefensePolicy(tag="dp", epsilon_per_round=50.0, clip=1.0)
+        plan = RunPlan(clients=clients, rates=DiversityRates(0.1, 0.05),
+                       schedule=LrSchedule(mu=1.0, gamma=8.0), policy=policy,
+                       rounds=ROUND_BLOCK + 2, seed=75, w_init=objs[0].template())
+        h = GlobalHistory.bootstrap(plan.w_init)
+        for ran, rec in iter_rounds(plan):
+            h, want = run_round(h, clients, plan.rates, plan.schedule, policy, plan.seed)
+            assert rec == want and ran.w_glb.vector.tobytes() == h.w_glb.vector.tobytes()
 
 
 class TestAdmission:

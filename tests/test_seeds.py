@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbpu import seeds
 
@@ -45,3 +47,24 @@ def test_fisher_yates_copies_input():
 def test_stream_rejects_bool_float_and_other_keys(keys):
     with pytest.raises(TypeError, match="ints or strings"):
         seeds.stream(*keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+@example([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])   # one word below 2**32, two from 2**32 on
+def test_pcg64_words_match_seed_sequence(child_seeds):
+    got = seeds.pcg64_words(child_seeds)
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(
+        got, [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in child_seeds])
+
+
+@pytest.mark.parametrize("keys", [(3, "sbpu", 0, 0), (3, "train", 64, 7), (2 ** 64 - 1, "defense", 1, 2)])
+def test_from_words_gives_the_stream_generator(keys):
+    rng = seeds.from_words(seeds.pcg64_words([seeds.child_seed(*keys)])[0])
+    ref = seeds.stream(*keys)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    bounds = np.arange(17, 1, -1)
+    np.testing.assert_array_equal(rng.integers(0, bounds), ref.integers(0, bounds))
+    np.testing.assert_array_equal(rng.standard_normal(9), ref.standard_normal(9))
+    assert rng.bit_generator.state == ref.bit_generator.state
