@@ -174,14 +174,13 @@ def layer_sq_sums(V: np.ndarray, layout: tuple) -> list[float]:
     for nf, fl, _ in layout:
         sums.append(np.add.reduce(sq[:, pos:pos + nf * fl], axis=1).tolist())
         pos += nf * fl
-    return [_fsum(row) for row in zip(*sums)]
-
-
-def _fsum(terms) -> float:
-    try:   # math.fsum raises where the exact total of finite terms overflows
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
+    out = []
+    for row in zip(*sums):
+        try:   # math.fsum raises where the exact total of finite terms overflows
+            out.append(math.fsum(row))
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
 def sq_distance(a: LayeredParams, b: LayeredParams) -> float:

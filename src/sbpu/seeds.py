@@ -11,13 +11,16 @@ its rows.  tests/test_seeds.py checks the two paths against numpy.
 """
 
 import hashlib
-import itertools
 
 import numpy as np
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# hashmix call i xors with row i and multiplies by row i + 1 (h * mult ** i):
+# 4 calls fill the pool and 12 mix it, 8 give the 4 uint64 state words
+_POOL_MIX = np.array([_INIT_A * _MULT_A ** i % 2 ** 32 for i in range(17)], np.uint32)[:, None]
+_STATE_OUT = np.array([_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)], np.uint32)[:, None]
 
 
 def child_seed(*keys) -> int:
@@ -41,19 +44,8 @@ def stream(*keys) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(child_seed(*keys)))
 
 
-def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
-    """The (xor, multiply) words of n successive hashmix calls from hash
-    constant h, as (2, n, 1) uint32: they never depend on the data."""
-    hs = list(itertools.accumulate(range(n), lambda a, _: a * mult & 0xFFFFFFFF, initial=h))
-    return np.array([hs[:-1], hs[1:]], np.uint32)[:, :, None]
-
-
-_POOL_MIX = _hash_consts(_INIT_A, _MULT_A, 16)   # 4 fill the pool, 12 mix it
-_STATE_OUT = _hash_consts(_INIT_B, _MULT_B, 8)   # 8 uint32 = 4 uint64 words
-
-
 def _hashmix(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    v = (v ^ c[0]) * c[1]
+    v = (v ^ c[:-1]) * c[1:]
     return v ^ (v >> np.uint32(16))
 
 
@@ -64,12 +56,12 @@ def pcg64_words(child_seeds) -> np.ndarray:
     missing high word hashes like a zero one, so every s enters as two."""
     s = np.asarray(child_seeds, dtype=np.uint64)
     pool = _hashmix(np.array([s & np.uint64(0xFFFFFFFF), s >> np.uint64(32), 0 * s, 0 * s],
-                             np.uint32), _POOL_MIX[:, :4])
+                             np.uint32), _POOL_MIX[:5])
     for src in range(4):   # pool[src] stays fixed while it mixes into the others
         dst = [d for d in range(4) if d != src]
-        v = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_MIX[:, 4 + 3 * src:7 + 3 * src])
+        v = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_MIX[4 + 3 * src:8 + 3 * src])
         pool[dst] = v ^ (v >> np.uint32(16))
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_OUT).astype(np.uint64)
+    out = _hashmix(pool[[0, 1, 2, 3] * 2], _STATE_OUT).astype(np.uint64)
     return (out[0::2] | out[1::2] << np.uint64(32)).T.copy()
 
 
@@ -80,8 +72,6 @@ class _Words(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise NotImplementedError("holds only the 4 uint64 words PCG64 asks for")
         return self.words
 
 
