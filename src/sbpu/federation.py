@@ -13,10 +13,11 @@ draws and its arithmetic.
 Inside a round the K dispatched models are the rows of one (K, d) float64
 array, from the mutation through the envelope reports, local SGD, defense
 and aggregation: quadratic clients step all rows at once (QuadraticStack),
-classifier clients row by row through the objective's flat kernels.
-Only the last local step's losses are recorded; a classifier's earlier ones
-are certified finite (ClassifierObjective._loss_certified), not evaluated,
-unless the certificate fails.
+classifier clients one stacked backprop per group of like clients
+(Cohort.groups), each row with the bits it gets alone.  Only the last local
+step's losses are recorded (computed row by row, like the global loss); a
+classifier's earlier ones are certified finite, a group's rows at once
+(ClassifierObjective._loss_certified), not evaluated, unless that fails.
 LayeredParams appears only at the history (the new aggregate, once a
 round) and at the public functions, which wrap the kernels the engine runs.
 
@@ -114,7 +115,10 @@ class Cohort(tuple):
     """The admitted clients of a run, with what run_round needs of them that
     costs work to build and never changes: the stacked quadratics (None for
     classifiers), each classifier's largest |x| over its data (x_max, for
-    the loss certificate) and the shared template.
+    the loss certificate), the shared template, and the classifier groups:
+    clients of one architecture, batch_size and dataset size, which one
+    stacked backprop steps, as (objective, batch_size, client indices, their
+    rows: a slice when consecutive, else an index array).
 
     Admission is the one rule of run_round and local_train: at least one
     client, one objective kind, one E, and one template() layout (the flat
@@ -138,9 +142,18 @@ class Cohort(tuple):
             P.check_same_shape(c.objective.template(), self.template)
         self.quads = (QuadraticStack([c.objective for c in self])
                       if isinstance(self[0].objective, QuadraticObjective) else None)
-        self.x_max = None if self.quads is not None else [
-            math.inf if c.objective.data_x is None
-            else float(np.maximum.reduce(np.abs(c.objective.data_x), axis=None)) for c in self]
+        self.x_max, self.groups = None, []
+        if self.quads is None:
+            self.x_max = np.array([math.inf if c.objective.data_x is None else
+                                   np.maximum.reduce(np.abs(c.objective.data_x), axis=None)
+                                   for c in self])
+            keys = {}
+            for k, c in enumerate(self):
+                keys.setdefault((c.objective.architecture, c.batch_size,
+                                 c.objective.n_samples), []).append(k)
+            for ks in keys.values():
+                at = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1 else np.array(ks)
+                self.groups.append((self[ks[0]].objective, self[ks[0]].batch_size, ks, at))
         self.end, self._block = None, None
         return self
 
@@ -174,22 +187,27 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     functions.  Quadratic clients start from their row projected onto their
     radius-R ball and take projected sphere-noise gradient steps, all rows at
     once; classifier clients each step X[k] + (-eta) * g on one batch sampled
-    uniformly with replacement.  The first client whose row is not finite
-    raises params.NonFiniteError, or DivergenceError if only its loss is not.
-    Before the last iteration a classifier's loss is computed only where
-    _loss_certified cannot show it finite; elsewhere 0.0 stands in for it.
+    uniformly with replacement, one stacked backprop per Cohort group.  The
+    first client whose row is not finite raises params.NonFiniteError, or
+    DivergenceError if only its loss is not.  Before the last iteration a
+    classifier's loss is computed only where _loss_certified cannot show it
+    finite; elsewhere 0.0 stands in for it.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     quads, last = clients.quads, s == clients[0].E - 1
     if quads is None:
-        X = X.copy()
-        for k, (c, rng) in enumerate(zip(clients, rngs)):
-            obj = c.objective
-            idx = rng.integers(0, obj.n_samples, size=c.batch_size)
-            X[k] += (-eta) * obj._grad(X[k], (obj.data_x[idx], obj.data_y[idx]))
-        losses = np.array([c.objective._loss(x) if last or not c.objective._loss_certified(x, m)
-                           else 0.0 for c, x, m in zip(clients, X, clients.x_max)])
+        new, certified = np.empty_like(X), np.zeros(len(clients), dtype=bool)
+        for obj, size, ks, at in clients.groups:
+            idx = [rngs[k].integers(0, obj.n_samples, size=size) for k in ks]
+            x = np.array([clients[k].objective.data_x[i] for k, i in zip(ks, idx)])
+            y = np.array([clients[k].objective.data_y[i] for k, i in zip(ks, idx)])
+            new[at] = X[at] + (-eta) * obj._grad(X[at], (x, y))
+            if not last:
+                certified[at] = obj._loss_certified(new[at], clients.x_max[at])
+        X = new
+        losses = np.array([0.0 if ok else c.objective._loss(x)
+                           for c, x, ok in zip(clients, X, certified)])
     else:
         X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
         losses = quads.loss(X)

@@ -317,6 +317,12 @@ class ClassifierObjective:
         object.__setattr__(self, "n_c", int(n_c))
         zeros = [np.zeros(s) for i, o, _ in arch for s in ((o, i), (1, o))]
         object.__setattr__(self, "_template", P.from_arrays(zeros, ["weight", "bias"] * len(arch)))
+        dense, pos = [], 0   # per layer: W's index, W's shape, b's index (as a row), activation
+        for i, o, a in arch:
+            dense.append(((..., slice(pos, pos + o * i)), (o, i),
+                          (..., None, slice(pos + o * i, pos + o * i + o)), a))
+            pos += o * i + o
+        object.__setattr__(self, "_dense", tuple(dense))
 
     @property
     def n_samples(self) -> int:
@@ -330,23 +336,23 @@ class ClassifierObjective:
 
     def init_params(self, rng: np.random.Generator, scale: float = 0.1) -> LayeredParams:
         """Scaled standard-normal weights (drawn layer by layer), zero biases."""
-        v, pos = self._template.vector.copy(), 0
-        for i, o, _ in self.architecture:
-            v[pos:pos + o * i] = (scale * rng.standard_normal((o, i))).ravel()
-            pos += o * i + o
+        v = self._template.vector.copy()
+        for w_at, shape, _, _ in self._dense:
+            v[w_at] = (scale * rng.standard_normal(shape)).ravel()
         return P.from_vector(v, self._template)
 
     def _forward(self, v: np.ndarray, x: np.ndarray):
-        """(W, activation) per dense layer, W a view of the flat vector v, and on
-        the checked 2-D float64 batch x each layer's input (then logits) and pre-activation."""
-        layers, hs, zs, pos = [], [x], [], 0
-        for i, o, a in self.architecture:
-            W, b = v[pos:pos + o * i].reshape(o, i), v[pos + o * i:pos + o * i + o]
-            pos += o * i + o
-            layers.append((W, a))
-            zs.append(hs[-1] @ W.T + b)
+        """W per dense layer, a view of the flat vector v, and on the checked
+        float64 batch x each layer's input (then logits) and pre-activation.
+
+        v may also hold K rows (K, d) with x a (K, b, in) batch per row: np.matmul
+        runs over the leading axis and gives each row the bits it gets alone."""
+        Ws, hs, zs, lead = [], [x], [], v.shape[:-1]
+        for w_at, shape, b_at, a in self._dense:
+            Ws.append(v[w_at].reshape(lead + shape))
+            zs.append(hs[-1] @ Ws[-1].mT + v[b_at])
             hs.append(zs[-1] if a == "linear" else _ACTS[a][0](zs[-1]))
-        return layers, hs, zs
+        return Ws, hs, zs
 
     def _batch(self, batch):
         if batch is None:
@@ -356,8 +362,10 @@ class ClassifierObjective:
         x, y = batch
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y, dtype=np.int64).ravel()
-        if x.shape[0] == 0:
+        if x.shape[-2] == 0:
             raise ValueError("empty batch")
+        if y.size * x.shape[-1] != x.size or not ((0 <= y) & (y < self.n_c)).all():
+            raise ValueError("batch needs one label in [0, n_c) per input row")
         return x, y
 
     def _loss(self, v: np.ndarray, batch=None) -> float:
@@ -368,8 +376,9 @@ class ClassifierObjective:
         logp = zs - np.log(np.add.reduce(np.exp(zs), axis=1, keepdims=True))
         return float(-(np.add.reduce(logp[np.arange(n), y]) / n))
 
-    def _loss_certified(self, v: np.ndarray, x_max: float) -> bool:
-        """True only if _loss(v) on the embedded data, whose largest |x| is x_max, is finite.
+    def _loss_certified(self, v: np.ndarray, x_max) -> np.ndarray:
+        """True only if _loss(v) on the embedded data, whose largest |x| is x_max, is finite;
+        on K rows (K, d) and K such maxima, one such bool per row.
 
         With ||h||_inf <= H, a dense layer has ||z||_inf <= B = max_i sum_j |W_ij| H
         + max_i |b_i| and output ||h||_inf <= B (relu, lrelu, linear) or <= 1
@@ -378,32 +387,33 @@ class ClassifierObjective:
         2e300 + n log n_c: a 1e8 margin to overflow, which also covers the
         bound's own rounding.  A NaN or inf anywhere fails the comparison.
         """
-        a, h, pos, limit = np.abs(v), x_max, 0, 1e300 / self.n_samples
-        for i, o, act in self.architecture:
-            W, b = a[pos:pos + o * i].reshape(o, i), a[pos + o * i:pos + o * i + o]
-            B = float(np.maximum.reduce(np.add.reduce(W, axis=1))) * h + float(np.maximum.reduce(b))
-            if not B < limit:
-                return False
-            pos += o * i + o
-            h = 1.0 if act == "sigmoid" else B
-        return True
+        a, h, ok, lead, limit = np.abs(v), x_max, True, v.shape[:-1], 1e300 / self.n_samples
+        with np.errstate(over="ignore", invalid="ignore"):   # such rows fail, silently
+            for w_at, shape, b_at, act in self._dense:
+                B = (np.maximum.reduce(np.add.reduce(a[w_at].reshape(lead + shape), axis=-1),
+                                       axis=-1) * h + np.maximum.reduce(a[b_at], axis=(-2, -1)))
+                ok = ok & (B < limit)
+                h = 1.0 if act == "sigmoid" else B
+        return ok
 
     def _grad(self, v: np.ndarray, batch=None) -> np.ndarray:
-        """Mean cross-entropy gradient at the flat vector v by backprop."""
+        """Mean cross-entropy gradient at the flat vector v by backprop; on K
+        rows (K, d) with a (K, b, in) batch, row k's gradient on batch k."""
         x, y = self._batch(batch)
-        n = x.shape[0]
-        layers, hs, zs = self._forward(v, x)
+        lead = v.shape[:-1]
+        Ws, hs, zs = self._forward(v, x)
         delta = softmax(zs[-1])         # fresh: the probabilities, then dL/dz
-        delta[np.arange(n), y] -= 1.0
-        delta /= n                      # logit gradient of the mean loss
-        arrays = [None] * (2 * len(layers))
-        for li in range(len(layers) - 1, -1, -1):
-            arrays[2 * li] = (delta.T @ hs[li]).ravel()
-            arrays[2 * li + 1] = np.add.reduce(delta, axis=0)
+        delta.reshape(-1)[np.arange(0, delta.size, self.n_c) + y] -= 1.0
+        delta /= x.shape[-2]            # logit gradient of the mean loss
+        g = np.empty(v.shape)           # written through views: each reshape splits a last axis
+        for li in range(len(Ws) - 1, -1, -1):
+            w_at, shape, b_at, _ = self._dense[li]
+            np.add.reduce(delta, axis=-2, keepdims=True, out=g[b_at])
+            np.matmul(delta.mT, hs[li], out=g[w_at].reshape(lead + shape))
             if li > 0:
-                delta = delta @ layers[li][0]
-                delta = delta * _ACTS[layers[li - 1][1]][1](zs[li - 1], hs[li])
-        return np.concatenate(arrays)
+                delta = delta @ Ws[li]
+                delta = delta * _ACTS[self.architecture[li - 1][2]][1](zs[li - 1], hs[li])
+        return g
 
     def logits(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
         P.check_same_shape(self._template, w)

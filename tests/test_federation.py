@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbpu import params as P
 from sbpu import seeds
@@ -564,6 +566,34 @@ class TestBatchedEngine:
             assert losses is None and evaluated == ["relu"]
             _, losses = _local_step(clients, X, 1e-300, 2, [np.random.default_rng(k) for k in (0, 1)])
         assert evaluated == ["relu"] * 2 + ["sigmoid"] and all(map(math.isfinite, losses))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mixed_cohort_matches_per_client_oracle(self, data):
+        # one layout, several activations, batch sizes and dataset sizes: each
+        # (architecture, batch_size, n) group steps as one stacked backprop,
+        # and an interleaved group is picked by an index array, not a slice
+        K = data.draw(st.integers(1, 6))
+        kinds = data.draw(st.lists(st.tuples(st.sampled_from(["relu", "lrelu", "sigmoid"]),
+                                             st.sampled_from([1, 3, 5]),
+                                             st.sampled_from([7, 20])),
+                                   min_size=K, max_size=K))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        clients = [ClientState(id=10 + k, n_k=k + 1, E=3, batch_size=size,
+                               objective=ClassifierObjective(
+                                   architecture=((4, 6, act), (6, 3, "linear")),
+                                   data_x=rng.uniform(size=(n, 4)), data_y=rng.integers(0, 3, n)))
+                   for k, (act, size, n) in enumerate(kinds)]
+        assert len(Cohort(clients).groups) == len(set(kinds))
+        template = clients[0].objective.template()
+        h = ref = GlobalHistory(*(P.from_vector(rng.standard_normal(template.vector.size),
+                                                template) for _ in range(3)), round=2)
+        args = (DiversityRates(0.3, 0.2), LrSchedule(mu=1.0, gamma=20.0), DefensePolicy(), 68)
+        for _ in range(2):
+            h, rec = run_round(h, clients, *args)
+            ref, want = per_client_round(ref, clients, *args, None, tie_gradients=False)
+            assert rec == want
+            assert h.w_glb.vector.tobytes() == ref.w_glb.vector.tobytes()
 
     def test_mixed_objective_kinds_rejected(self):
         q = quad(np.eye(3), [0.0, 0.0, 0.0])

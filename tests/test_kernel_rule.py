@@ -27,7 +27,7 @@ KERNELS = {
                       "ClassifierObjective.grad"],
     "params.py": ["layer_sq_sums"],
     "attacks.py": ["ir_reconstruct"],
-    "federation.py": ["_local_step", "run_round"],
+    "federation.py": ["Cohort", "_local_step", "run_round"],
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,11 @@ class TestClassifier:
         with pytest.raises(ValueError):
             ClassifierObjective(architecture=((2, 2, "linear"),),
                                 data_x=np.zeros((1, 2)), data_y=np.array([5]))
+        # a given batch too: the backprop indexes its labels in the flat logits
+        obj = ClassifierObjective(architecture=((2, 2, "linear"),))
+        for y in ([2], [-1], [0, 1]):
+            with pytest.raises(ValueError, match="one label in"):
+                obj.grad(obj.zero_params(), (np.zeros((1, 2)), np.array(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,3 +402,69 @@ class TestLossCertificate:
             assert not math.isfinite(obj._loss(v))
         assert not obj._loss_certified(v, 1.0)
         assert obj._loss_certified(v * 1e-8, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels: K rows (K, d), each with a (b, in) batch, at once
+
+def _certified_ref(obj, v, x_max):
+    """The certificate one row at a time, returning at the first failing layer."""
+    a, h, pos, limit = np.abs(v), x_max, 0, 1e300 / obj.n_samples
+    for i, o, act in obj.architecture:
+        W, b = a[pos:pos + o * i].reshape(o, i), a[pos + o * i:pos + o * i + o]
+        B = float(np.max(np.sum(W, axis=1))) * h + float(np.max(b))
+        if not B < limit:
+            return False
+        pos += o * i + o
+        h = 1.0 if act == "sigmoid" else B
+    return True
+
+
+def _same_bits(a, b) -> bool:
+    """Bit identity, except which NaN: IEEE 754 leaves open which NaN operand
+    an operation returns, and numpy's loops for arrays of different lengths
+    order the operands differently (a NaN row raises NonFiniteError anyway)."""
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()) and _bits(a[~nan]) == _bits(b[~nan])
+
+
+class TestStackedKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_per_row_bit_for_bit(self, data):
+        # 1-3 dense layers, some wider than numpy's 128-element pairwise-sum
+        # block; K 1-10; batch sizes 1-64 (1: numpy's gemv path); rows scaled
+        # up to 1e200, some with a NaN or an infinity
+        widths = data.draw(st.lists(st.one_of(st.integers(1, 12), st.just(130)),
+                                    min_size=2, max_size=4))
+        acts = data.draw(st.lists(st.sampled_from(["relu", "lrelu", "sigmoid"]),
+                                  min_size=len(widths) - 2, max_size=len(widths) - 2))
+        arch = tuple(zip(widths, widths[1:], acts + ["linear"]))
+        K, b = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 64))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n = data.draw(st.integers(1, 40))
+        obj = ClassifierObjective(architecture=arch, data_x=rng.standard_normal((n, widths[0])),
+                                  data_y=rng.integers(0, widths[-1], n))
+        d = obj.template().vector.size
+        scales = data.draw(st.lists(st.floats(-3.0, 200.0), min_size=K, max_size=K))
+        V = rng.standard_normal((K, d)) * 10.0 ** np.array(scales)[:, None]
+        for k, bad in enumerate(data.draw(st.lists(st.sampled_from([None, math.nan, math.inf,
+                                                                    -math.inf]),
+                                                   min_size=K, max_size=K))):
+            if bad is not None:
+                V[k, rng.integers(d)] = bad
+        x = rng.standard_normal((K, b, widths[0])) * 3.0
+        y = rng.integers(0, widths[-1], (K, b))
+        x_max = 10.0 ** rng.uniform(-3.0, 12.0, K)
+
+        with np.errstate(all="ignore"):
+            G = obj._grad(V, (x, y))
+            assert G.shape == (K, d)
+            for k in range(K):
+                assert _same_bits(G[k], obj._grad(V[k], (x[k], y[k])))
+                assert _same_bits(G[k], _grad_ref(arch, V[k], x[k], y[k]))
+            want = [_certified_ref(obj, V[k], x_max[k]) for k in range(K)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # an overflowing row prints no RuntimeWarning
+            got = obj._loss_certified(V, x_max)
+        assert got.tolist() == want
