@@ -9,15 +9,12 @@ command-line values and each command's needs; this module only dispatches.
 Exit codes: 0 ok, 1 configuration error, 2 runtime divergence (a non-finite
 loss, parameter value, divergence or envelope quantity), 3 bound violation
 in the guaranteed regime.  Set SBPU_LOG to a logging level name (e.g. DEBUG)
-for verbose progress output.  Before a command that runs federation rounds,
-main raises glibc's mmap and trim thresholds (tune_malloc), so a round's
-temporaries stay on the heap.
+for verbose progress output.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import logging
 import os
@@ -203,27 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
-
-
-def tune_malloc() -> None:
-    """Keep a round's temporaries (0.2 MB on a 32-64-10 classifier at K = 8) on
-    glibc's heap: by default glibc unmaps or trims them and faults them back
-    in at every local step.  Idempotent; a no-op without mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, TypeError):   # no mallopt, or no handle to the process (Windows)
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, 1 << 20)
-    mallopt(M_TRIM_THRESHOLD, 2 << 20)
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("SBPU_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
-    if args.fn is not cmd_run_attack:   # no rounds: the thresholds would only keep freed heap
-        tune_malloc()
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -18,6 +18,8 @@ classifier clients one stacked backprop per group of like clients
 step's losses are recorded (computed row by row, like the global loss); a
 classifier's earlier ones are certified finite, a group's rows at once
 (ClassifierObjective._loss_certified), not evaluated, unless that fails.
+The first classifier Cohort of a process raises glibc's mmap and trim
+thresholds (tune_malloc), so these steps' temporaries stay on the heap.
 LayeredParams appears only at the history (the new aggregate, once a
 round) and at the public functions, which wrap the kernels the engine runs.
 
@@ -29,6 +31,8 @@ run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -111,14 +115,30 @@ class RoundRecord:
         return self.step_divergences[-1]
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
+
+
+@functools.cache
+def tune_malloc() -> None:
+    """Keep a round's classifier temporaries (0.2 MB for 32-64-10 at K = 8) on
+    glibc's heap, which by default trims them and faults them back in at every
+    local step: once per process, a no-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):   # no mallopt, or no handle to the process (Windows)
+        return
+    mallopt(M_MMAP_THRESHOLD, 1 << 20)
+    mallopt(M_TRIM_THRESHOLD, 2 << 20)
+
+
 class Cohort(tuple):
     """The admitted clients of a run, with what run_round needs of them that
     costs work to build and never changes: the stacked quadratics (None for
     classifiers), each classifier's largest |x| over its data (x_max, for
     the loss certificate), the shared template, and the classifier groups:
     clients of one architecture, batch_size and dataset size, which one
-    stacked backprop steps, as (objective, batch_size, client indices, their
-    rows: a slice when consecutive, else an index array).
+    stacked backprop steps, as (objective, batch_size, client index array).
+    The first classifier Cohort of a process calls tune_malloc.
 
     Admission is the one rule of run_round and local_train: at least one
     client, one objective kind, one E, and one template() layout (the flat
@@ -144,6 +164,7 @@ class Cohort(tuple):
                       if isinstance(self[0].objective, QuadraticObjective) else None)
         self.x_max, self.groups = None, []
         if self.quads is None:
+            tune_malloc()
             self.x_max = np.array([math.inf if c.objective.data_x is None else
                                    np.maximum.reduce(np.abs(c.objective.data_x), axis=None)
                                    for c in self])
@@ -151,9 +172,8 @@ class Cohort(tuple):
             for k, c in enumerate(self):
                 keys.setdefault((c.objective.architecture, c.batch_size,
                                  c.objective.n_samples), []).append(k)
-            for ks in keys.values():
-                at = slice(ks[0], ks[-1] + 1) if ks[-1] - ks[0] == len(ks) - 1 else np.array(ks)
-                self.groups.append((self[ks[0]].objective, self[ks[0]].batch_size, ks, at))
+            self.groups = [(self[ks[0]].objective, self[ks[0]].batch_size, np.array(ks))
+                           for ks in keys.values()]
         self.end, self._block = None, None
         return self
 
@@ -198,13 +218,15 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     quads, last = clients.quads, s == clients[0].E - 1
     if quads is None:
         new, certified = np.empty_like(X), np.zeros(len(clients), dtype=bool)
-        for obj, size, ks, at in clients.groups:
+        for obj, size, ks in clients.groups:
             idx = [rngs[k].integers(0, obj.n_samples, size=size) for k in ks]
             x = np.array([clients[k].objective.data_x[i] for k, i in zip(ks, idx)])
             y = np.array([clients[k].objective.data_y[i] for k, i in zip(ks, idx)])
-            new[at] = X[at] + (-eta) * obj._grad(X[at], (x, y))
+            rows = X[ks]
+            rows += (-eta) * obj._grad(rows, (x, y))
+            new[ks] = rows
             if not last:
-                certified[at] = obj._loss_certified(new[at], clients.x_max[at])
+                certified[ks] = obj._loss_certified(rows, clients.x_max[ks])
         X = new
         losses = np.array([0.0 if ok else c.objective._loss(x)
                            for c, x, ok in zip(clients, X, certified)])

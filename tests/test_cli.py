@@ -1,11 +1,6 @@
-import ctypes
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 import tempfile
-import types
 import warnings
 from pathlib import Path
 
@@ -14,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sbpu
-from sbpu import cli
 from sbpu.cli import main
 from sbpu.config import PRESETS, ConfigError, FederationConfig
+
+# A main() call that builds a classifier cohort raises glibc's mmap and trim
+# thresholds for the rest of the test process (federation.tune_malloc); no
+# output depends on them.
 
 
 def base_config(out_dir, **overrides):
@@ -409,81 +406,3 @@ def test_overflowed_layer_sum_exit_2(tmp_path, capsys):
         assert main(["run-fl", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "runtime divergence" in err and "Traceback" not in err
-
-
-def _has_mallopt():
-    try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
-    except TypeError:   # no handle to the process (Windows)
-        return False
-
-
-# rounds 10-29 of a 30-round run: past warm-up, inside the first block of
-# round streams, no checkpoint
-STEADY_ROUND_FAULTS = """
-import resource, sys
-from sbpu import cli
-from sbpu.config import FederationConfig
-from sbpu.federation import iter_rounds
-cli.tune_malloc()
-cli.tune_malloc()
-rounds = iter_rounds(FederationConfig.from_dict({
-    "objective": {"kind": "classifier", "architecture": [[32, 64, "relu"], [64, 10, "linear"]],
-                  "dataset": {"n": 256}},
-    "K": 8, "E": 5, "batch_size": 32, "rounds": 30,
-    "defense": {"tag": "dp", "epsilon_per_round": 50.0, "clip": 1.0},
-    "alpha": 0.1, "beta1": 0.1, "beta2": 0.075, "mu": 1.0, "gamma_override": 20.0,
-    "seed": 7}).build_plan())
-for _ in range(10):
-    next(rounds)
-faults = []
-for _ in range(20):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    next(rounds)
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(max(faults))
-"""
-
-
-class TestTuneMalloc:
-    def _fake_libc(self, monkeypatch, **symbols):
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(**symbols))
-
-    def test_sets_the_same_thresholds_on_every_call(self, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        self._fake_libc(monkeypatch, mallopt=mallopt)
-        cli.tune_malloc()
-        cli.tune_malloc()
-        assert calls == [(cli.M_MMAP_THRESHOLD, 1 << 20), (cli.M_TRIM_THRESHOLD, 2 << 20)] * 2
-
-    def test_does_nothing_without_mallopt(self, monkeypatch, tmp_path):
-        self._fake_libc(monkeypatch)
-        assert cli.tune_malloc() is None
-        path, out = write_config(tmp_path, rounds=1)
-        assert main(["run-fl", "--config", str(path)]) == 0
-        assert (out / "metrics.csv").exists()
-
-    def test_set_before_round_commands_only(self, monkeypatch, tmp_path):
-        # run-attack runs no federation round; the heap the thresholds retain
-        # would only raise its peak RSS
-        calls = []
-        monkeypatch.setattr(cli, "tune_malloc", lambda: calls.append(1))
-        path, out = write_config(tmp_path, rounds=1)
-        assert main(["run-attack", "--config", str(path), "--attack", "lia"]) == 0
-        assert calls == []
-        assert main(["run-fl", "--config", str(path)]) == 0
-        assert calls == [1]
-
-    @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
-    def test_steady_classifier_rounds_fault_in_no_pages(self):
-        # glibc's default thresholds return a round's (K, d) temporaries to
-        # the kernel and fault them back in: about 600 minor faults a round
-        env = {**os.environ, "PYTHONPATH": str(Path(sbpu.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", STEADY_ROUND_FAULTS], env=env,
-                             capture_output=True, text=True, timeout=300, check=True)
-        assert int(out.stdout) < 10

@@ -1,21 +1,33 @@
+import ctypes
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbpu
+from sbpu import federation
 from sbpu import params as P
 from sbpu import seeds
 from sbpu.federation import (ROUND_BLOCK, ClientState, Cohort, DefensePolicy, DivergenceError,
                              RoundRecord, RunPlan, _local_step, aggregate, apply_defense,
                              iter_rounds, local_train, measure_divergence, run_federation,
-                             run_round)
+                             run_round, tune_malloc)
 from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
 from sbpu.objectives import ClassifierObjective, LrSchedule, QuadraticObjective, sgd_step
+
+# The first classifier Cohort built here raises glibc's mmap and trim
+# thresholds for the rest of the test process (tune_malloc); no result
+# depends on them.
 
 
 def single(*values):
@@ -796,3 +808,93 @@ class TestAdmission:
         clients = [ClientState(id=k, n_k=1, objective=o, E=k + 1) for k, o in enumerate(objs)]
         with pytest.raises(ValueError, match="one E"):
             self._round(GlobalHistory.bootstrap(objs[0].template()), clients)
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except TypeError:   # no handle to the process (Windows)
+        return False
+
+
+# rounds 10-29 of a 30-round run: past warm-up, inside the first block of
+# round streams, no checkpoint; the run's classifier Cohort calls tune_malloc
+STEADY_ROUND_FAULTS = """
+import resource
+from sbpu.config import FederationConfig
+from sbpu.federation import iter_rounds
+rounds = iter_rounds(FederationConfig.from_dict({
+    "objective": {"kind": "classifier", "architecture": [[32, 64, "relu"], [64, 10, "linear"]],
+                  "dataset": {"n": 256}},
+    "K": 8, "E": 5, "batch_size": 32, "rounds": 30,
+    "defense": {"tag": "dp", "epsilon_per_round": 50.0, "clip": 1.0},
+    "alpha": 0.1, "beta1": 0.1, "beta2": 0.075, "mu": 1.0, "gamma_override": 20.0,
+    "seed": 7}).build_plan())
+for _ in range(10):
+    next(rounds)
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    next(rounds)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults))
+"""
+
+
+class TestTuneMalloc:
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        """A fake libc whose mallopt records its calls; tune_malloc forgets
+        its one call before and after."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(federation.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        tune_malloc.cache_clear()
+        yield calls
+        tune_malloc.cache_clear()
+
+    def test_sets_the_thresholds_once_and_the_same_each_time(self, mallopt_calls):
+        once = [(federation.M_MMAP_THRESHOLD, 1 << 20), (federation.M_TRIM_THRESHOLD, 2 << 20)]
+        tune_malloc()
+        tune_malloc()
+        assert mallopt_calls == once
+        tune_malloc.__wrapped__()
+        assert mallopt_calls == once * 2
+
+    def test_first_classifier_cohort_tunes_and_quadratics_do_not(self, mallopt_calls):
+        Cohort([ClientState(id=k, n_k=1, objective=o, E=1)
+                for k, o in enumerate(quad_suite(2, 3, 80))])
+        assert mallopt_calls == []
+        for _ in range(2):
+            Cohort([ClientState(id=k, n_k=1, objective=o, E=1)
+                    for k, o in enumerate(small_classifiers(2, 81))])
+        assert len(mallopt_calls) == 2
+
+    def test_does_nothing_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(federation.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        tune_malloc.cache_clear()
+        try:
+            assert tune_malloc() is None
+            obj = small_classifiers(1, 82)[0]
+            w = local_train(ClientState(id=0, n_k=1, objective=obj, E=2), obj.template(),
+                            LrSchedule(mu=1.0, gamma=8.0), 0, np.random.default_rng(83))
+            assert np.isfinite(w.vector).all()
+        finally:
+            tune_malloc.cache_clear()
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
+    def test_steady_classifier_rounds_fault_in_no_pages(self):
+        # glibc's default thresholds return a round's (K, d) temporaries to
+        # the kernel and fault them back in: about 600 minor faults a round.
+        # A preloaded allocator or malloc tunables would decide that instead.
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("LD_PRELOAD", "GLIBC_TUNABLES") and not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(sbpu.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", STEADY_ROUND_FAULTS], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        assert int(out.stdout) < 10
