@@ -15,11 +15,11 @@ array, from the mutation through the envelope reports, local SGD, defense
 and aggregation: quadratic clients step all rows at once (QuadraticStack),
 classifier clients one stacked backprop per group of like clients
 (Cohort.groups), each row with the bits it gets alone.  Only the last local
-step's losses are recorded (computed row by row, like the global loss); a
-classifier's earlier ones are certified finite, a group's rows at once
-(ClassifierObjective._loss_certified), not evaluated, unless that fails.
-The first classifier Cohort of a process raises glibc's mmap and trim
-thresholds (tune_malloc), so these steps' temporaries stay on the heap.
+step's losses are recorded, like the global loss one stacked forward per
+group over its data; a classifier's earlier ones are certified finite
+(ClassifierObjective._loss_certified), evaluated only where that fails.
+A classifier Cohort sizes glibc's mmap and trim thresholds (tune_malloc) so
+that a round's temporaries stay on the heap.
 LayeredParams appears only at the history (the new aggregate, once a
 round) and at the public functions, which wrap the kernels the engine runs.
 
@@ -104,8 +104,8 @@ class DefensePolicy:
 class RoundRecord:
     round: int
     global_loss: float
-    client_losses: tuple[float, ...]          # full loss after the last local step; earlier
-                                              # steps' are certified finite, not evaluated
+    client_losses: tuple[float, ...]          # full loss after the last local step, a group's
+                                              # at once; earlier steps' certified finite
     step_divergences: tuple[float, ...]       # client divergence after each local step
     bound_reports: tuple[BoundReport, ...]
 
@@ -119,16 +119,20 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
 
 
 @functools.cache
-def tune_malloc() -> None:
-    """Keep a round's classifier temporaries (0.2 MB for 32-64-10 at K = 8) on
-    glibc's heap, which by default trims them and faults them back in at every
-    local step: once per process, a no-op without mallopt."""
+def tune_malloc(largest: int = 0) -> None:
+    """Keep a round's classifier temporaries, the largest `largest` bytes (1 MiB
+    for 32-64-10 at K = 8, n = 256), on glibc's heap, which by default trims
+    them and faults them back in at every step: mmap threshold max(1 MiB,
+    2 * largest) up to glibc's cap (32 MiB on 64-bit), trim threshold twice
+    that.  Once per size and process, a no-op without mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, TypeError):   # no mallopt, or no handle to the process (Windows)
         return
-    mallopt(M_MMAP_THRESHOLD, 1 << 20)
-    mallopt(M_TRIM_THRESHOLD, 2 << 20)
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mmap = min(max(1 << 20, 2 * largest), ctypes.sizeof(ctypes.c_long) << 22)
+    mallopt(M_MMAP_THRESHOLD, mmap)
+    mallopt(M_TRIM_THRESHOLD, 2 * mmap)
 
 
 class Cohort(tuple):
@@ -137,14 +141,17 @@ class Cohort(tuple):
     classifiers), each classifier's largest |x| over its data (x_max, for
     the loss certificate), the shared template, and the classifier groups:
     clients of one architecture, batch_size and dataset size, which one
-    stacked backprop steps, as (objective, batch_size, client index array).
-    The first classifier Cohort of a process calls tune_malloc.
+    stacked backprop steps and one stacked forward evaluates, as (objective,
+    batch_size, client index array, their data stacked (K, n, in) and
+    (K, n)).  A classifier Cohort passes its largest stacked activations,
+    K * n * widest layer floats, to tune_malloc.
 
     Admission is the one rule of run_round and local_train: at least one
-    client, one objective kind, one E, and one template() layout (the flat
-    kernels do not check).  RunPlan admits its clients once; run_round and
-    local_train wrap a plain sequence on the spot, and Cohort(cohort) is
-    cohort itself.  The caller checks the template against the model.
+    client, one objective kind, one E, one template() layout (the flat
+    kernels do not check), and a dataset in each classifier.  RunPlan admits
+    its clients once; run_round and local_train wrap a plain sequence on the
+    spot, and Cohort(cohort) is cohort itself.  The caller checks the
+    template against the model.
     It also keeps the last block of round streams it derived (streams)."""
 
     def __new__(cls, clients: Sequence[ClientState]) -> "Cohort":
@@ -164,16 +171,22 @@ class Cohort(tuple):
                       if isinstance(self[0].objective, QuadraticObjective) else None)
         self.x_max, self.groups = None, []
         if self.quads is None:
-            tune_malloc()
-            self.x_max = np.array([math.inf if c.objective.data_x is None else
-                                   np.maximum.reduce(np.abs(c.objective.data_x), axis=None)
+            for c in self:
+                if c.objective.data_x is None:
+                    raise ValueError(f"client {c.id}: classifier without an embedded dataset")
+            self.x_max = np.array([np.maximum.reduce(np.abs(c.objective.data_x), axis=None)
                                    for c in self])
             keys = {}
             for k, c in enumerate(self):
                 keys.setdefault((c.objective.architecture, c.batch_size,
                                  c.objective.n_samples), []).append(k)
-            self.groups = [(self[ks[0]].objective, self[ks[0]].batch_size, np.array(ks))
+            self.groups = [(self[ks[0]].objective, self[ks[0]].batch_size, np.array(ks),
+                            (np.array([self[k].objective.data_x for k in ks]),
+                             np.array([self[k].objective.data_y for k in ks])))
                            for ks in keys.values()]
+            tune_malloc(max(8 * len(ks) * obj.n_samples
+                            * max(max(i, o) for i, o, _ in obj.architecture)
+                            for obj, _, ks, _ in self.groups))
         self.end, self._block = None, None
         return self
 
@@ -209,27 +222,26 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     once; classifier clients each step X[k] + (-eta) * g on one batch sampled
     uniformly with replacement, one stacked backprop per Cohort group.  The
     first client whose row is not finite raises params.NonFiniteError, or
-    DivergenceError if only its loss is not.  Before the last iteration a
-    classifier's loss is computed only where _loss_certified cannot show it
-    finite; elsewhere 0.0 stands in for it.
+    DivergenceError if only its loss is not.  A group's losses are one
+    stacked _loss call over its data: at the last iteration all its rows,
+    before it only the rows _loss_certified cannot show finite; elsewhere
+    0.0 stands in for the loss.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     quads, last = clients.quads, s == clients[0].E - 1
     if quads is None:
-        new, certified = np.empty_like(X), np.zeros(len(clients), dtype=bool)
-        for obj, size, ks in clients.groups:
-            idx = [rngs[k].integers(0, obj.n_samples, size=size) for k in ks]
-            x = np.array([clients[k].objective.data_x[i] for k, i in zip(ks, idx)])
-            y = np.array([clients[k].objective.data_y[i] for k, i in zip(ks, idx)])
+        new, losses = np.empty_like(X), np.zeros(len(clients))
+        for obj, size, ks, (DX, DY) in clients.groups:
+            at = (np.arange(len(ks))[:, None],
+                  np.array([rngs[k].integers(0, obj.n_samples, size=size) for k in ks]))
             rows = X[ks]
-            rows += (-eta) * obj._grad(rows, (x, y))
+            rows += (-eta) * obj._grad(rows, (DX[at], DY[at]))
             new[ks] = rows
-            if not last:
-                certified[ks] = obj._loss_certified(rows, clients.x_max[ks])
+            due = slice(None) if last else ~obj._loss_certified(rows, clients.x_max[ks])
+            if last or due.any():
+                losses[ks[due]] = obj._loss(rows[due], (DX[due], DY[due]))
         X = new
-        losses = np.array([0.0 if ok else c.objective._loss(x)
-                           for c, x, ok in zip(clients, X, certified)])
     else:
         X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
         losses = quads.loss(X)
@@ -362,9 +374,10 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
             for rng, delta in zip(streams["defense"], trained - dispatched)])
     new_glb = P.from_vector(_weighted_mean(uploads, sizes), h.w_glb)
     total = float(sum(sizes))
-    glb_losses = ([c.objective._loss(new_glb.vector) for c in cohort] if cohort.quads is None
-                  else cohort.quads.loss(new_glb.vector).tolist())
-    global_loss = math.fsum((n / total) * loss for n, loss in zip(sizes, glb_losses))
+    glb_losses = np.empty(len(cohort)) if cohort.quads is None else cohort.quads.loss(new_glb.vector)
+    for obj, _, ks, data in cohort.groups:   # classifiers: the aggregate over each group's data
+        glb_losses[ks] = obj._loss(new_glb.vector, data)
+    global_loss = math.fsum((n / total) * loss for n, loss in zip(sizes, glb_losses.tolist()))
     if not math.isfinite(global_loss):
         raise P.NonFiniteError(f"round {h.round}: non-finite global loss {global_loss}")
 

@@ -252,11 +252,15 @@ def sgd_step(w: LayeredParams, g: LayeredParams, eta: float,
 # ---------------------------------------------------------------------------
 # tiny softmax classifier
 
-# hidden-layer activation tag -> (a(z), da/dz at z given a = a(z))
+# hidden-layer activation tag -> (a(z) into out, fresh if out is None; da/dz at z given a = a(z))
 _ACTS = {
-    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda z, a: a * (1.0 - a)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
-    "lrelu": (lambda z: np.where(z > 0.0, z, 0.01 * z), lambda z, a: np.where(z > 0.0, 1.0, 0.01)),
+    "sigmoid": (lambda z, out=None: np.divide(1.0, np.add(np.exp(np.negative(z, out=out), out=out),
+                                                          1.0, out=out), out=out),
+                lambda z, a: a * (1.0 - a)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
+             lambda z, a: (z > 0.0).astype(np.float64)),
+    "lrelu": (lambda z, out=None: np.multiply(z, np.where(z > 0.0, 1.0, 0.01), out=out),
+              lambda z, a: np.where(z > 0.0, 1.0, 0.01)),
 }
 ACTIVATIONS = tuple(_ACTS)
 
@@ -368,13 +372,21 @@ class ClassifierObjective:
             raise ValueError("batch needs one label in [0, n_c) per input row")
         return x, y
 
-    def _loss(self, v: np.ndarray, batch=None) -> float:
-        x, y = self._batch(batch)
-        n = x.shape[0]
-        z = self._forward(v, x)[1][-1]
-        zs = z - np.maximum.reduce(z, axis=1, keepdims=True)
-        logp = zs - np.log(np.add.reduce(np.exp(zs), axis=1, keepdims=True))
-        return float(-(np.add.reduce(logp[np.arange(n), y]) / n))
+    def _loss(self, v: np.ndarray, batch=None) -> float | np.ndarray:
+        """Mean cross-entropy at the flat vector v: a float.  On K rows (K, d), or
+        v broadcast, with a (K, n, in) batch, one loss per row with the bits that
+        row gets alone.  Each layer's matmul output takes bias and activation in place."""
+        h, y = self._batch(batch)
+        for w_at, shape, b_at, a in self._dense:
+            h = np.matmul(h, v[w_at].reshape(v.shape[:-1] + shape).mT)
+            h += v[b_at]
+            if a != "linear":
+                _ACTS[a][0](h, h)
+        h -= np.maximum.reduce(h, axis=-1, keepdims=True)
+        logp = h.reshape(-1)[np.arange(0, h.size, self.n_c) + y].reshape(h.shape[:-1])
+        logp -= np.log(np.add.reduce(np.exp(h), axis=-1))
+        loss = -(np.add.reduce(logp, axis=-1) / logp.shape[-1])
+        return float(loss) if loss.ndim == 0 else loss
 
     def _loss_certified(self, v: np.ndarray, x_max) -> np.ndarray:
         """True only if _loss(v) on the embedded data, whose largest |x| is x_max, is finite;

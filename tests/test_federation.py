@@ -543,17 +543,19 @@ class TestBatchedEngine:
         assert np.array(rec.client_losses).tobytes() == np.array(want).tobytes()
 
     def test_intermediate_losses_certified_not_evaluated(self, monkeypatch):
-        # E = 3: only the last step's and the global losses are computed
+        # E = 3: only the last step's and the global losses are computed, 2K
+        # rows in all, each group's in one stacked call over its whole data
         clients, h, args = self._classifier_round(small_classifiers(3, 66))
-        loss, calls = ClassifierObjective._loss, []
+        loss, rows = ClassifierObjective._loss, []
 
         def counted(self, v, batch=None):
-            calls.append(batch)
+            assert batch[0].shape[-2] == self.n_samples
+            rows.append(batch[0].shape[0])
             return loss(self, v, batch)
 
         monkeypatch.setattr(ClassifierObjective, "_loss", counted)
         run_round(h, clients, *args)
-        assert calls == [None] * 6
+        assert rows == [3, 3]
 
     def test_clients_certified_by_their_own_activations(self, monkeypatch):
         # one layout, two activations: rows of size 1e150 bound the relu
@@ -606,6 +608,11 @@ class TestBatchedEngine:
             ref, want = per_client_round(ref, clients, *args, None, tie_gradients=False)
             assert rec == want
             assert h.w_glb.vector.tobytes() == ref.w_glb.vector.tobytes()
+            # the global loss's terms: the aggregate broadcast over each group's data
+            assert np.float64(rec.global_loss).tobytes() == np.float64(want.global_loss).tobytes()
+            for obj, _, ks, data in Cohort(clients).groups:
+                per_client = [clients[k].objective.loss(h.w_glb) for k in ks]
+                assert obj._loss(h.w_glb.vector, data).tobytes() == np.array(per_client).tobytes()
 
     def test_mixed_objective_kinds_rejected(self):
         q = quad(np.eye(3), [0.0, 0.0, 0.0])
@@ -803,6 +810,19 @@ class TestAdmission:
                 local_train(clients[1], q.template(), self.SCHEDULE, 0,
                             np.random.default_rng(74))
 
+    def test_classifier_without_dataset_rejected(self):
+        rng, arch = np.random.default_rng(75), ((4, 3, "linear"),)
+        good = ClassifierObjective(arch, data_x=rng.uniform(size=(6, 4)),
+                                   data_y=rng.integers(0, 3, 6))
+        clients = [ClientState(id=0, n_k=1, objective=good, E=2),
+                   ClientState(id=7, n_k=1, objective=ClassifierObjective(arch), E=2)]
+        match = "client 7: classifier without an embedded dataset"
+        for admit in (Cohort, lambda cs: self._round(GlobalHistory.bootstrap(good.template()), cs)):
+            with pytest.raises(ValueError, match=match):
+                admit(clients)
+        with pytest.raises(ValueError, match=match):
+            local_train(clients[1], good.template(), self.SCHEDULE, 0, np.random.default_rng(76))
+
     def test_different_E_rejected(self):
         objs = quad_suite(2, 3, seed=72)
         clients = [ClientState(id=k, n_k=1, objective=o, E=k + 1) for k, o in enumerate(objs)]
@@ -817,16 +837,18 @@ def _has_mallopt():
         return False
 
 
-# rounds 10-29 of a 30-round run: past warm-up, inside the first block of
-# round streams, no checkpoint; the run's classifier Cohort calls tune_malloc
+# rounds 10-29 of a 30-round run of K clients with n samples each (argv):
+# past warm-up, inside the first block of round streams, no checkpoint; the
+# run's classifier Cohort calls tune_malloc
 STEADY_ROUND_FAULTS = """
-import resource
+import resource, sys
 from sbpu.config import FederationConfig
 from sbpu.federation import iter_rounds
+K, n = map(int, sys.argv[1:])
 rounds = iter_rounds(FederationConfig.from_dict({
     "objective": {"kind": "classifier", "architecture": [[32, 64, "relu"], [64, 10, "linear"]],
-                  "dataset": {"n": 256}},
-    "K": 8, "E": 5, "batch_size": 32, "rounds": 30,
+                  "dataset": {"n": n}},
+    "K": K, "E": 5, "batch_size": 32, "rounds": 30,
     "defense": {"tag": "dp", "epsilon_per_round": 50.0, "clip": 1.0},
     "alpha": 0.1, "beta1": 0.1, "beta2": 0.075, "mu": 1.0, "gamma_override": 20.0,
     "seed": 7}).build_plan())
@@ -859,12 +881,23 @@ class TestTuneMalloc:
         tune_malloc.cache_clear()
 
     def test_sets_the_thresholds_once_and_the_same_each_time(self, mallopt_calls):
-        once = [(federation.M_MMAP_THRESHOLD, 1 << 20), (federation.M_TRIM_THRESHOLD, 2 << 20)]
-        tune_malloc()
-        tune_malloc()
-        assert mallopt_calls == once
-        tune_malloc.__wrapped__()
-        assert mallopt_calls == once * 2
+        # mmap threshold max(1 MiB, twice the cohort's largest stacked
+        # activations), up to glibc's cap; trim threshold twice that
+        def rule(mmap):
+            return [(federation.M_MMAP_THRESHOLD, mmap), (federation.M_TRIM_THRESHOLD, 2 * mmap)]
+
+        rng, MiB = np.random.default_rng(84), 1 << 20
+        Cohort([ClientState(id=k, n_k=1, E=1, objective=ClassifierObjective(
+            ((32, 64, "relu"), (64, 10, "linear")), data_x=rng.uniform(size=(256, 32)),
+            data_y=rng.integers(0, 10, 256))) for k in range(8)])   # clf-dp: (8, 256, 64)
+        assert mallopt_calls == rule(2 * MiB)
+        tune_malloc(MiB)
+        assert mallopt_calls == rule(2 * MiB)
+        tune_malloc.__wrapped__(MiB)
+        assert mallopt_calls == rule(2 * MiB) * 2
+        tune_malloc(1000)
+        tune_malloc(1 << 40)
+        assert mallopt_calls[4:] == rule(MiB) + rule(ctypes.sizeof(ctypes.c_long) << 22)
 
     def test_first_classifier_cohort_tunes_and_quadratics_do_not(self, mallopt_calls):
         Cohort([ClientState(id=k, n_k=1, objective=o, E=1)
@@ -887,14 +920,24 @@ class TestTuneMalloc:
         finally:
             tune_malloc.cache_clear()
 
-    @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
-    def test_steady_classifier_rounds_fault_in_no_pages(self):
-        # glibc's default thresholds return a round's (K, d) temporaries to
-        # the kernel and fault them back in: about 600 minor faults a round.
-        # A preloaded allocator or malloc tunables would decide that instead.
+    @staticmethod
+    def _steady_round_faults(K, n):
+        # A preloaded allocator or malloc tunables would decide the count instead.
         env = {k: v for k, v in os.environ.items()
                if k not in ("LD_PRELOAD", "GLIBC_TUNABLES") and not k.startswith("MALLOC_")}
         env["PYTHONPATH"] = str(Path(sbpu.__file__).parents[1])
-        out = subprocess.run([sys.executable, "-c", STEADY_ROUND_FAULTS], env=env,
-                             capture_output=True, text=True, timeout=300, check=True)
-        assert int(out.stdout) < 10
+        out = subprocess.run([sys.executable, "-c", STEADY_ROUND_FAULTS, str(K), str(n)],
+                             env=env, capture_output=True, text=True, timeout=300, check=True)
+        return int(out.stdout)
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
+    def test_steady_classifier_rounds_fault_in_no_pages(self):
+        # glibc's default thresholds return a round's (K, d) temporaries to
+        # the kernel and fault them back in: about 600 minor faults a round
+        assert self._steady_round_faults(8, 256) < 10
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
+    def test_steady_rounds_of_a_larger_cohort_fault_in_no_pages(self):
+        # (16, 512, 64) stacked activations, 4 MiB: thresholds fixed at
+        # 1 MiB / 2 MiB would map and unmap them at every full-data loss
+        assert self._steady_round_faults(16, 512) < 10

@@ -468,3 +468,22 @@ class TestStackedKernels:
             warnings.simplefilter("error")   # an overflowing row prints no RuntimeWarning
             got = obj._loss_certified(V, x_max)
         assert got.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(act=st.sampled_from(["relu", "lrelu", "sigmoid"]), K=st.integers(1, 8),
+           n=st.sampled_from([7, 256]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_full_data_losses_match_per_row_bit_for_bit(self, act, K, n, seed):
+        # a round's full-data losses: K rows over their own (n, in) data, and
+        # one row broadcast over all of it; n = 256 is wider than numpy's
+        # 128-element pairwise-sum block
+        rng = np.random.default_rng(seed)
+        obj = ClassifierObjective(architecture=((32, 64, act), (64, 10, "linear")))
+        V = (rng.standard_normal((K, obj.template().vector.size))
+             * 10.0 ** rng.uniform(-2.0, 1.0, (K, 1)))
+        DX, DY = rng.uniform(size=(K, n, 32)), rng.integers(0, 10, (K, n))
+        rows, broadcast = obj._loss(V, (DX, DY)), obj._loss(V[0], (DX, DY))
+        assert rows.shape == broadcast.shape == (K,)
+        for k in range(K):
+            alone = obj._loss(V[k], (DX[k], DY[k]))
+            assert type(alone) is float and _bits(rows[k]) == _bits(alone)
+            assert _bits(broadcast[k]) == _bits(obj._loss(V[0], (DX[k], DY[k])))
