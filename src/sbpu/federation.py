@@ -16,9 +16,11 @@ and aggregation: quadratic clients step all rows at once (QuadraticStack),
 classifier clients one stacked backprop per group of like clients
 (Cohort.groups), each row with the bits it gets alone.  Only the last local
 step's losses are recorded, like the global loss one stacked forward per
-group over its data; a classifier's earlier ones are certified finite
-(ClassifierObjective._loss_certified), evaluated only where that fails.
-A classifier Cohort sizes glibc's mmap and trim thresholds (tune_malloc) so
+group over its data; earlier ones are certified finite, a classifier's per
+row (ClassifierObjective._loss_certified) and evaluated where that fails, a
+quadratic cohort's once per run (Cohort.certified).  Under the identity
+defense the aggregate is the last step's mean, computed for the divergence.
+A classifier Cohort raises glibc's mmap and trim thresholds (tune_malloc) so
 that a round's temporaries stay on the heap.
 LayeredParams appears only at the history (the new aggregate, once a
 round) and at the public functions, which wrap the kernels the engine runs.
@@ -32,7 +34,6 @@ run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -116,30 +117,37 @@ class RoundRecord:
 
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
+_MALLOC = {"mmap": 0}   # the process's mmap threshold as tune_malloc last set it
 
 
-@functools.cache
 def tune_malloc(largest: int = 0) -> None:
     """Keep a round's classifier temporaries, the largest `largest` bytes (1 MiB
     for 32-64-10 at K = 8, n = 256), on glibc's heap, which by default trims
     them and faults them back in at every step: mmap threshold max(1 MiB,
     2 * largest) up to glibc's cap (32 MiB on 64-bit), trim threshold twice
-    that.  Once per size and process, a no-op without mallopt."""
+    that.  The thresholds only rise, so a smaller cohort later in the process
+    (local_train builds one per call) keeps a larger one's; a no-op without
+    mallopt."""
+    mmap = min(max(1 << 20, 2 * largest), ctypes.sizeof(ctypes.c_long) << 22)
+    if mmap <= _MALLOC["mmap"]:
+        return
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, TypeError):   # no mallopt, or no handle to the process (Windows)
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mmap = min(max(1 << 20, 2 * largest), ctypes.sizeof(ctypes.c_long) << 22)
     mallopt(M_MMAP_THRESHOLD, mmap)
     mallopt(M_TRIM_THRESHOLD, 2 * mmap)
+    _MALLOC["mmap"] = mmap
 
 
 class Cohort(tuple):
     """The admitted clients of a run, with what run_round needs of them that
     costs work to build and never changes: the stacked quadratics (None for
-    classifiers), each classifier's largest |x| over its data (x_max, for
-    the loss certificate), the shared template, and the classifier groups:
+    classifiers) with their loss certificate (certified: 0.5 * lambda_max *
+    R^2 < 1e300 for each, so every loss in the balls is finite, rounding
+    included), each classifier's largest |x| over its data (x_max, for its
+    certificate), the shared template, and the classifier groups:
     clients of one architecture, batch_size and dataset size, which one
     stacked backprop steps and one stacked forward evaluates, as (objective,
     batch_size, client index array, their data stacked (K, n, in) and
@@ -170,7 +178,12 @@ class Cohort(tuple):
         self.quads = (QuadraticStack([c.objective for c in self])
                       if isinstance(self[0].objective, QuadraticObjective) else None)
         self.x_max, self.groups = None, []
-        if self.quads is None:
+        if self.quads is not None:   # 0.5 * L * R^2 bounds a loss in the ball
+            L = np.linalg.eigvalsh(self.quads.matrix)[:, -1]
+            with np.errstate(over="ignore"):   # an overflowing bound fails, silently
+                self.certified = bool(np.maximum.reduce(
+                    0.5 * L * (self.quads.radius * (1.0 + 1e-12)) ** 2) < 1e300)
+        else:
             for c in self:
                 if c.objective.data_x is None:
                     raise ValueError(f"client {c.id}: classifier without an embedded dataset")
@@ -224,8 +237,9 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     first client whose row is not finite raises params.NonFiniteError, or
     DivergenceError if only its loss is not.  A group's losses are one
     stacked _loss call over its data: at the last iteration all its rows,
-    before it only the rows _loss_certified cannot show finite; elsewhere
-    0.0 stands in for the loss.
+    before it only the rows _loss_certified cannot show finite.  Quadratic
+    losses before the last iteration are computed only for a cohort that is
+    not certified.  Elsewhere 0.0 stands in for the loss.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
@@ -244,7 +258,7 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
         X = new
     else:
         X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
-        losses = quads.loss(X)
+        losses = quads.loss(X) if last or not clients.certified else np.zeros(len(clients))
     if not (np.isfinite(X).all() and np.isfinite(losses).all()):
         k = int(np.argmin(np.isfinite(X).all(axis=1) & np.isfinite(losses)))
         if not np.isfinite(X[k]).all():
@@ -288,11 +302,11 @@ def _weighted_mean(X: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return acc
 
 
-def _divergence(X: np.ndarray, sizes: Sequence[int], layout: tuple) -> float:
-    """sum_k p_k * ||wbar - X[k]||^2 with wbar the sample-weighted mean of the rows."""
-    total = float(sum(sizes))
+def _divergence(X: np.ndarray, sizes: Sequence[int], layout: tuple) -> tuple[float, np.ndarray]:
+    """(sum_k p_k * ||wbar - X[k]||^2, wbar) with wbar the sample-weighted mean of the rows."""
+    total, mean = float(sum(sizes)), _weighted_mean(X, sizes)
     return math.fsum((n / total) * sq for n, sq in
-                     zip(sizes, P.layer_sq_sums(_weighted_mean(X, sizes) - X, layout)))
+                     zip(sizes, P.layer_sq_sums(mean - X, layout))), mean
 
 
 def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> LayeredParams:
@@ -304,7 +318,7 @@ def measure_divergence(client_weights: Sequence[LayeredParams],
                        sizes: Sequence[int]) -> float:
     """sum_k p_k * ||wbar - w_k||^2 with wbar the sample-weighted average."""
     return _divergence(_checked_vectors(client_weights, sizes), sizes,
-                       client_weights[0].layout)
+                       client_weights[0].layout)[0]
 
 
 def _defend(v: np.ndarray, policy: DefensePolicy, rng: np.random.Generator) -> np.ndarray:
@@ -362,17 +376,17 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     for s in range(E):
         trained, losses = _local_step(cohort, trained, schedule.lr_at(h.round * E + s), s,
                                       streams["train"])
-        step_divergences.append(_divergence(trained, sizes, h.w_glb.layout))
+        d, mean = _divergence(trained, sizes, h.w_glb.layout)
+        step_divergences.append(d)
     for s, d in enumerate(step_divergences):   # checked after training: DivergenceError first
         if not math.isfinite(d):
             raise P.NonFiniteError(f"round {h.round}, local step {s}: non-finite divergence {d}")
 
-    uploads = trained   # identity defense
-    if policy.tag != "none":
-        uploads = dispatched + np.array([
+    if policy.tag != "none":   # the identity defense aggregates the last step's mean
+        mean = _weighted_mean(dispatched + np.array([
             _defend(delta, policy, rng)
-            for rng, delta in zip(streams["defense"], trained - dispatched)])
-    new_glb = P.from_vector(_weighted_mean(uploads, sizes), h.w_glb)
+            for rng, delta in zip(streams["defense"], trained - dispatched)]), sizes)
+    new_glb = P.from_vector(mean, h.w_glb)
     total = float(sum(sizes))
     glb_losses = np.empty(len(cohort)) if cohort.quads is None else cohort.quads.loss(new_glb.vector)
     for obj, _, ks, data in cohort.groups:   # classifiers: the aggregate over each group's data

@@ -102,7 +102,11 @@ class QuadraticObjective:
 
         Requires w inside the projection ball; callers project first.
         """
-        return self.params_from_vector(self._stack.stochastic_grad(P.as_vector(w)[None], [rng])[0])
+        v = P.as_vector(w)
+        r = float(np.linalg.norm(v - self.center))
+        if r > self.radius * (1.0 + 1e-12):
+            raise ValueError(f"w outside projection ball: distance {r:g} > radius {self.radius:g}")
+        return self.params_from_vector(self._stack.stochastic_grad(v[None], [rng])[0])
 
     def project(self, w: LayeredParams) -> LayeredParams:
         """Euclidean projection onto the ball of radius R around the center."""
@@ -133,8 +137,10 @@ class QuadraticStack:
     (K, d) array belongs to objective k.
 
     A QuadraticObjective runs its loss, projection and stochastic gradient
-    through a one-row stack.  The stacked forms (np.matmul for A @ x and
-    x @ A, np.vecdot, _row_norms) give each row the bits it gets alone.
+    through a one-row stack, and checks its ball there: the stack's
+    stochastic gradient trusts its rows to lie in their balls, as sgd_step's
+    projected rows do.  The stacked forms (np.matmul for A @ x and x @ A,
+    np.vecdot, _row_norms) give each row the bits it gets alone.
     """
 
     def __init__(self, objs: Sequence[QuadraticObjective]):
@@ -142,7 +148,9 @@ class QuadraticStack:
         self.center = np.array([o.center for o in objs])
         self.radius = np.array([o.radius for o in objs])
         self.sigma = np.array([o.noise_sigma for o in objs])
-        self.noisy = np.flatnonzero(self.sigma > 0.0)   # an index array: fast row picks
+        rows = np.flatnonzero(self.sigma > 0.0)
+        self.rows = rows.tolist()   # the noisy rows, as a slice when all are: no fancy index
+        self.noisy = slice(None) if rows.size == len(objs) else rows
 
     def loss(self, X: np.ndarray) -> np.ndarray:
         """Objective k's loss at row k of X (or at X itself, when 1-D)."""
@@ -154,29 +162,28 @@ class QuadraticStack:
 
     def stochastic_grad(self, X: np.ndarray,
                         rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Row k: objective k's gradient plus sphere noise drawn from rngs[k]."""
+        """Row k: objective k's gradient plus sphere noise drawn from rngs[k],
+        for rows inside their balls (unchecked)."""
         D = X - self.center
-        r = _row_norms(D)
-        outside = r > self.radius * (1.0 + 1e-12)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise ValueError(f"w outside projection ball: distance {r[k]:g} > "
-                             f"radius {self.radius[k]:g}")
         G = np.matmul(self.matrix, D[:, :, None])[:, :, 0]
-        if self.noisy.size:
-            xi = np.array([rngs[k].standard_normal(X.shape[1]) for k in self.noisy])
+        if self.rows:
+            xi = np.empty((len(self.rows), X.shape[1]))
+            for i, k in enumerate(self.rows):
+                rngs[k].standard_normal(out=xi[i])
             n = _row_norms(xi)
             for i in np.flatnonzero(n == 0.0):   # probability-zero guard
                 while n[i] == 0.0:
-                    xi[i] = rngs[self.noisy[i]].standard_normal(X.shape[1])
+                    rngs[self.rows[i]].standard_normal(out=xi[i])
                     n[i] = np.linalg.norm(xi[i])
-            G[self.noisy] = G[self.noisy] + (self.sigma[self.noisy] / n)[:, None] * xi
+            G[self.noisy] += (self.sigma[self.noisy] / n)[:, None] * xi
         return G
 
     def sgd_step(self, X: np.ndarray, eta: float,
                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """One projected stochastic gradient step per row (sgd_step with the ball)
-        at an eta > 0 the caller has checked."""
+        """One projected stochastic gradient step per row (sgd_step with the
+        ball) at an eta > 0 the caller has checked, from rows inside their
+        balls: the result's rows are, up to rounding, which is what lets the
+        stack skip the ball check and a Cohort certify their losses finite."""
         return self.project(X + (-eta) * self.stochastic_grad(X, rngs))
 
 

@@ -8,9 +8,9 @@ from sbpu.convergence import (ConvergenceConfig, divergence_bound,
                               final_decade_slope, measure_divergence, optimum_of,
                               run_convergence_experiment, sbpu_variance_term,
                               theorem1_bound, write_report_csv, write_report_json)
-from sbpu.federation import ClientState, DefensePolicy, RunPlan
+from sbpu.federation import ClientState, DefensePolicy, RunPlan, iter_rounds
 from sbpu.mutation import DiversityRates
-from sbpu.objectives import AssumptionConstants, LrSchedule, QuadraticObjective
+from sbpu.objectives import AssumptionConstants, LrSchedule, QuadraticObjective, constants_for
 
 
 def quad(A, c, sigma=0.0, radius=10.0):
@@ -186,6 +186,22 @@ class TestExperiment:
         cfg = ConvergenceConfig(plan=tiny_plan(sigma=0.2), alpha=0.05, n_seeds=2)
         rep = run_convergence_experiment(cfg)
         assert all(g >= -1e-12 for _, g, _ in rep.series)
+
+    def test_measured_divergence_within_bound_every_step(self):
+        # a compliant round (alpha = beta1 = 0.1, tied lagged gradients,
+        # E = 2): each local step's measured client divergence stays within
+        # divergence_bound at that step's learning rate
+        alpha, E = 0.1, 2
+        plan = tiny_plan(sigma=0.3, E=E, rounds=80, rates=DiversityRates(alpha, 0.075))
+        objs = [c.objective for c in plan.clients]
+        G = constants_for(objs, E, max(o.radius for o in objs)).G
+        steps = 0
+        for _, rec in iter_rounds(plan):
+            for s, d in enumerate(rec.step_divergences):
+                t = rec.round * E + s
+                assert 0.0 < d <= divergence_bound(alpha, plan.schedule.lr_at(t), E, G), t
+                steps += 1
+        assert steps == 80 * E
 
     def test_quadratics_required(self):
         from sbpu.objectives import ClassifierObjective

@@ -23,7 +23,8 @@ from sbpu.federation import (ROUND_BLOCK, ClientState, Cohort, DefensePolicy, Di
                              run_round, tune_malloc)
 from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
-from sbpu.objectives import ClassifierObjective, LrSchedule, QuadraticObjective, sgd_step
+from sbpu.objectives import (ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack,
+                             sgd_step)
 
 # The first classifier Cohort built here raises glibc's mmap and trim
 # thresholds for the rest of the test process (tune_malloc); no result
@@ -581,6 +582,47 @@ class TestBatchedEngine:
             _, losses = _local_step(clients, X, 1e-300, 2, [np.random.default_rng(k) for k in (0, 1)])
         assert evaluated == ["relu"] * 2 + ["sigmoid"] and all(map(math.isfinite, losses))
 
+    @staticmethod
+    def _stack_losses(monkeypatch, cohort):
+        """The row counts of the cohort's QuadraticStack.loss calls, as they come."""
+        loss, rows = QuadraticStack.loss, []
+
+        def counted(self, X):
+            if self is cohort.quads:
+                rows.append(len(X) if X.ndim == 2 else None)
+            return loss(self, X)
+
+        monkeypatch.setattr(QuadraticStack, "loss", counted)
+        return rows
+
+    def test_quadratic_losses_at_the_last_step_and_the_aggregate(self, monkeypatch):
+        # certified: each round computes the last step's K losses and the
+        # aggregate's, never an earlier step's
+        objs = two_layer_quadratics([0.2, 0.3, 0.1], [0.4, 5.0, 0.6], 68)
+        plan = RunPlan(clients=[ClientState(id=k, n_k=k + 1, objective=o, E=3)
+                                for k, o in enumerate(objs)],
+                       rates=DiversityRates(0.1, 0.05), schedule=LrSchedule(mu=1.0, gamma=8.0),
+                       policy=DefensePolicy(), rounds=4, seed=69, w_init=objs[0].template())
+        assert plan.clients.certified
+        rows = self._stack_losses(monkeypatch, plan.clients)
+        assert len(list(iter_rounds(plan))) == 4
+        assert rows == [3, None] * 4
+
+    def test_uncertified_cohort_evaluates_every_step(self, monkeypatch):
+        # radius 1e160: 0.5 * L * R^2 overflows, so no loss in the ball is
+        # known finite and each of the E steps computes its K losses
+        objs = [quad(o.matrix, o.center, sigma=0.2, radius=r)
+                for o, r in zip(quad_suite(2, 3, seed=70), (1e160, 1.0))]
+        clients = Cohort([ClientState(id=k, n_k=1, objective=o, E=3) for k, o in enumerate(objs)])
+        assert not clients.certified
+        h = GlobalHistory.bootstrap(objs[1].params_from_vector(objs[1].center))
+        args = (DiversityRates(0.1, 0.05), LrSchedule(mu=1.0, gamma=8.0), DefensePolicy(), 71)
+        rows = self._stack_losses(monkeypatch, clients)
+        h2, rec = run_round(h, clients, *args)
+        assert rows == [2, 2, 2, None]
+        ref, want = per_client_round(h, clients, *args, None, False)
+        assert rec == want and h2.w_glb == ref.w_glb
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_mixed_cohort_matches_per_client_oracle(self, data):
@@ -839,12 +881,16 @@ def _has_mallopt():
 
 # rounds 10-29 of a 30-round run of K clients with n samples each (argv):
 # past warm-up, inside the first block of round streams, no checkpoint; the
-# run's classifier Cohort calls tune_malloc
+# run's classifier Cohort calls tune_malloc.  With a third argument 1, one
+# local_train of a 4-3 classifier, whose Cohort is far smaller, runs after
+# round 10.
 STEADY_ROUND_FAULTS = """
 import resource, sys
+import numpy as np
 from sbpu.config import FederationConfig
-from sbpu.federation import iter_rounds
-K, n = map(int, sys.argv[1:])
+from sbpu.federation import ClientState, iter_rounds, local_train
+from sbpu.objectives import ClassifierObjective, LrSchedule
+K, n, small = map(int, sys.argv[1:])
 rounds = iter_rounds(FederationConfig.from_dict({
     "objective": {"kind": "classifier", "architecture": [[32, 64, "relu"], [64, 10, "linear"]],
                   "dataset": {"n": n}},
@@ -854,6 +900,12 @@ rounds = iter_rounds(FederationConfig.from_dict({
     "seed": 7}).build_plan())
 for _ in range(10):
     next(rounds)
+if small:
+    rng = np.random.default_rng(0)
+    obj = ClassifierObjective(((4, 3, "linear"),), data_x=rng.uniform(size=(8, 4)),
+                              data_y=rng.integers(0, 3, 8))
+    local_train(ClientState(id=0, n_k=8, objective=obj, E=2), obj.template(),
+                LrSchedule(mu=1.0, gamma=8.0), 0, rng)
 faults = []
 for _ in range(20):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -866,8 +918,8 @@ print(max(faults))
 class TestTuneMalloc:
     @pytest.fixture
     def mallopt_calls(self, monkeypatch):
-        """A fake libc whose mallopt records its calls; tune_malloc forgets
-        its one call before and after."""
+        """A fake libc whose mallopt records its calls; tune_malloc starts
+        from no threshold set, and the process's record comes back after."""
         calls = []
 
         def mallopt(param, value):
@@ -876,9 +928,8 @@ class TestTuneMalloc:
 
         monkeypatch.setattr(federation.ctypes, "CDLL",
                             lambda name: types.SimpleNamespace(mallopt=mallopt))
-        tune_malloc.cache_clear()
-        yield calls
-        tune_malloc.cache_clear()
+        monkeypatch.setitem(federation._MALLOC, "mmap", 0)
+        return calls
 
     def test_sets_the_thresholds_once_and_the_same_each_time(self, mallopt_calls):
         # mmap threshold max(1 MiB, twice the cohort's largest stacked
@@ -893,11 +944,11 @@ class TestTuneMalloc:
         assert mallopt_calls == rule(2 * MiB)
         tune_malloc(MiB)
         assert mallopt_calls == rule(2 * MiB)
-        tune_malloc.__wrapped__(MiB)
-        assert mallopt_calls == rule(2 * MiB) * 2
-        tune_malloc(1000)
+        tune_malloc(1000)   # a smaller size never lowers them
+        assert mallopt_calls == rule(2 * MiB)
         tune_malloc(1 << 40)
-        assert mallopt_calls[4:] == rule(MiB) + rule(ctypes.sizeof(ctypes.c_long) << 22)
+        tune_malloc(1 << 40)
+        assert mallopt_calls[2:] == rule(ctypes.sizeof(ctypes.c_long) << 22)
 
     def test_first_classifier_cohort_tunes_and_quadratics_do_not(self, mallopt_calls):
         Cohort([ClientState(id=k, n_k=1, objective=o, E=1)
@@ -910,23 +961,22 @@ class TestTuneMalloc:
 
     def test_does_nothing_without_mallopt(self, monkeypatch):
         monkeypatch.setattr(federation.ctypes, "CDLL", lambda name: types.SimpleNamespace())
-        tune_malloc.cache_clear()
-        try:
-            assert tune_malloc() is None
-            obj = small_classifiers(1, 82)[0]
-            w = local_train(ClientState(id=0, n_k=1, objective=obj, E=2), obj.template(),
-                            LrSchedule(mu=1.0, gamma=8.0), 0, np.random.default_rng(83))
-            assert np.isfinite(w.vector).all()
-        finally:
-            tune_malloc.cache_clear()
+        monkeypatch.setitem(federation._MALLOC, "mmap", 0)
+        assert tune_malloc() is None
+        assert federation._MALLOC["mmap"] == 0
+        obj = small_classifiers(1, 82)[0]
+        w = local_train(ClientState(id=0, n_k=1, objective=obj, E=2), obj.template(),
+                        LrSchedule(mu=1.0, gamma=8.0), 0, np.random.default_rng(83))
+        assert np.isfinite(w.vector).all()
 
     @staticmethod
-    def _steady_round_faults(K, n):
+    def _steady_round_faults(K, n, small=0):
         # A preloaded allocator or malloc tunables would decide the count instead.
         env = {k: v for k, v in os.environ.items()
                if k not in ("LD_PRELOAD", "GLIBC_TUNABLES") and not k.startswith("MALLOC_")}
         env["PYTHONPATH"] = str(Path(sbpu.__file__).parents[1])
-        out = subprocess.run([sys.executable, "-c", STEADY_ROUND_FAULTS, str(K), str(n)],
+        out = subprocess.run([sys.executable, "-c", STEADY_ROUND_FAULTS, str(K), str(n),
+                              str(small)],
                              env=env, capture_output=True, text=True, timeout=300, check=True)
         return int(out.stdout)
 
@@ -941,3 +991,9 @@ class TestTuneMalloc:
         # (16, 512, 64) stacked activations, 4 MiB: thresholds fixed at
         # 1 MiB / 2 MiB would map and unmap them at every full-data loss
         assert self._steady_round_faults(16, 512) < 10
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
+    def test_a_smaller_cohort_later_keeps_the_larger_thresholds(self):
+        # a 4-3 classifier's local_train builds a Cohort that would set
+        # 1 MiB / 2 MiB again: about 400 minor faults a round after it
+        assert self._steady_round_faults(16, 512, small=1) < 10
