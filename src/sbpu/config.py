@@ -235,7 +235,7 @@ def _construction_errors():
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError, IndexError, OverflowError) as e:
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError, MemoryError) as e:
         raise ConfigError([f"objective: {e}"]) from e
 
 

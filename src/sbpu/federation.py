@@ -20,8 +20,8 @@ group over its data; earlier ones are certified finite, a classifier's per
 row (ClassifierObjective._loss_certified) and evaluated where that fails, a
 quadratic cohort's once per run (Cohort.certified).  Under the identity
 defense the aggregate is the last step's mean, computed for the divergence.
-A classifier Cohort raises glibc's mmap and trim thresholds (tune_malloc) so
-that a round's temporaries stay on the heap.
+The first classifier Cohort sets glibc's mmap and trim thresholds to its cap
+(tune_malloc), so that a round's temporaries stay on the heap.
 LayeredParams appears only at the history (the new aggregate, once a
 round) and at the public functions, which wrap the kernels the engine runs.
 
@@ -34,6 +34,7 @@ run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -117,20 +118,16 @@ class RoundRecord:
 
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
-_MALLOC = {"mmap": 0}   # the process's mmap threshold as tune_malloc last set it
 
 
-def tune_malloc(largest: int = 0) -> None:
-    """Keep a round's classifier temporaries, the largest `largest` bytes (1 MiB
-    for 32-64-10 at K = 8, n = 256), on glibc's heap, which by default trims
-    them and faults them back in at every step: mmap threshold max(1 MiB,
-    2 * largest) up to glibc's cap (32 MiB on 64-bit), trim threshold twice
-    that.  The thresholds only rise, so a smaller cohort later in the process
-    (local_train builds one per call) keeps a larger one's; a no-op without
-    mallopt."""
-    mmap = min(max(1 << 20, 2 * largest), ctypes.sizeof(ctypes.c_long) << 22)
-    if mmap <= _MALLOC["mmap"]:
-        return
+@functools.cache
+def tune_malloc() -> None:
+    """Keep a round's classifier temporaries on glibc's heap, which by default
+    trims them and faults them back in at every step: mmap threshold at
+    glibc's cap (32 MiB on 64-bit), trim threshold twice that, once per
+    process.  The process then keeps up to 64 MiB of freed heap instead of
+    returning it to the OS; a no-op without mallopt."""
+    mmap = ctypes.sizeof(ctypes.c_long) << 22
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, TypeError):   # no mallopt, or no handle to the process (Windows)
@@ -138,7 +135,6 @@ def tune_malloc(largest: int = 0) -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt(M_MMAP_THRESHOLD, mmap)
     mallopt(M_TRIM_THRESHOLD, 2 * mmap)
-    _MALLOC["mmap"] = mmap
 
 
 class Cohort(tuple):
@@ -151,8 +147,8 @@ class Cohort(tuple):
     clients of one architecture, batch_size and dataset size, which one
     stacked backprop steps and one stacked forward evaluates, as (objective,
     batch_size, client index array, their data stacked (K, n, in) and
-    (K, n)).  A classifier Cohort passes its largest stacked activations,
-    K * n * widest layer floats, to tune_malloc.
+    (K, n)).  A classifier Cohort calls tune_malloc, which acts once per
+    process.
 
     Admission is the one rule of run_round and local_train: at least one
     client, one objective kind, one E, one template() layout (the flat
@@ -197,9 +193,7 @@ class Cohort(tuple):
                             (np.array([self[k].objective.data_x for k in ks]),
                              np.array([self[k].objective.data_y for k in ks])))
                            for ks in keys.values()]
-            tune_malloc(max(8 * len(ks) * obj.n_samples
-                            * max(max(i, o) for i, o, _ in obj.architecture)
-                            for obj, _, ks, _ in self.groups))
+            tune_malloc()
         self.end, self._block = None, None
         return self
 
@@ -437,16 +431,6 @@ def iter_rounds(plan: RunPlan) -> Iterator[tuple[GlobalHistory, RoundRecord]]:
         yield h, rec
 
 
-def run_federation(plan: RunPlan, history_out: list | None = None) -> list[RoundRecord]:
-    """Run all rounds and return their records.
-
-    history_out, when given, receives the final GlobalHistory (the bootstrap
-    history if rounds == 0).
-    """
-    h = GlobalHistory.bootstrap(plan.w_init)
-    records = []
-    for h, rec in iter_rounds(plan):
-        records.append(rec)
-    if history_out is not None:
-        history_out[:] = [h]
-    return records
+def run_federation(plan: RunPlan) -> list[RoundRecord]:
+    """Run all rounds and return their records."""
+    return [rec for _, rec in iter_rounds(plan)]

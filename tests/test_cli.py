@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from sbpu.cli import main
 from sbpu.config import PRESETS, ConfigError, FederationConfig
 
-# A main() call that builds a classifier cohort raises glibc's mmap and trim
-# thresholds for the rest of the test process (federation.tune_malloc); no
-# output depends on them.
+# A main() call that builds a classifier cohort sets glibc's mmap and trim
+# thresholds to its cap for the rest of the test process
+# (federation.tune_malloc); no output depends on them.
 
 
 def base_config(out_dir, **overrides):
@@ -246,6 +246,27 @@ def test_convergence_inputs_exit_1(tmp_path, capsys, argv, overrides):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,overrides,calls", [
+    (["run-fl"], {"objective": CLASSIFIER, "mu": 1.0, "rounds": 3}, 3),
+    (["convergence", "--seeds", "2"], {"rounds": 3}, 3 * 2),
+], ids=["run-fl-classifier", "convergence-quadratic"])
+def test_every_round_runs_through_the_module_run_round(tmp_path, monkeypatch, argv, overrides,
+                                                      calls):
+    # the benchmark times its unit by wrapping sbpu.federation.run_round
+    # (bench/hooks.py); a round that bypasses the module attribute goes untimed
+    from sbpu import federation
+    counted, run_round = [], federation.run_round
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "run_round", counting)
+    path, _ = write_config(tmp_path, **overrides)
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+    assert len(counted) == calls
+
+
 @pytest.mark.parametrize("command,alpha", [("run-fl", -0.1), ("convergence", 0.6),
                                            ("convergence", -0.1)])
 def test_alpha_out_of_domain_exit_1(tmp_path, command, alpha):
@@ -286,8 +307,11 @@ def test_diverging_classifier_exit_2(tmp_path, capsys):
         {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]}]},
     {**CLASSIFIER, "dataset": "x"},
     {**CLASSIFIER, "dataset": {"n": 1e400}},
+    # numpy refuses a 71 PiB matrix, past the 47-bit address space, before
+    # touching a page, whatever the overcommit setting
+    {"kind": "quadratic_random", "dim": 100_000_000},
 ], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer",
-        "mixed-dimensions", "non-object-dataset", "infinite-dataset-n"])
+        "mixed-dimensions", "non-object-dataset", "infinite-dataset-n", "unallocatable-dim"])
 def test_objective_construction_errors_exit_1(tmp_path, capsys, objective):
     path, _ = write_config(tmp_path, objective=objective)
     assert main(["run-fl", "--config", str(path)]) == 1

@@ -26,9 +26,9 @@ from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
 from sbpu.objectives import (ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack,
                              sgd_step)
 
-# The first classifier Cohort built here raises glibc's mmap and trim
-# thresholds for the rest of the test process (tune_malloc); no result
-# depends on them.
+# The first classifier Cohort built here sets glibc's mmap and trim
+# thresholds to its cap for the rest of the test process (tune_malloc); no
+# result depends on them.
 
 
 def single(*values):
@@ -701,12 +701,6 @@ class TestRunFederation:
         recs = run_federation(plan)
         assert recs[-1].global_loss <= recs[0].global_loss / 10.0
 
-    def test_history_out_receives_final_state(self):
-        objs = quad_suite(2, 2, seed=36)
-        box = []
-        run_federation(self._plan(objs, 3, 37), history_out=box)
-        assert len(box) == 1 and box[0].round == 3
-
     def test_plan_admits_its_clients_once(self):
         objs = quad_suite(3, 3, seed=40, sigma=0.2)
         plan = self._plan(objs, 2, 41)
@@ -916,10 +910,16 @@ print(max(faults))
 
 
 class TestTuneMalloc:
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        """tune_malloc acts as in a new process, and again at the next Cohort after."""
+        tune_malloc.cache_clear()
+        yield
+        tune_malloc.cache_clear()
+
     @pytest.fixture
     def mallopt_calls(self, monkeypatch):
-        """A fake libc whose mallopt records its calls; tune_malloc starts
-        from no threshold set, and the process's record comes back after."""
+        """A fake libc whose mallopt records its calls."""
         calls = []
 
         def mallopt(param, value):
@@ -928,27 +928,21 @@ class TestTuneMalloc:
 
         monkeypatch.setattr(federation.ctypes, "CDLL",
                             lambda name: types.SimpleNamespace(mallopt=mallopt))
-        monkeypatch.setitem(federation._MALLOC, "mmap", 0)
         return calls
 
     def test_sets_the_thresholds_once_and_the_same_each_time(self, mallopt_calls):
-        # mmap threshold max(1 MiB, twice the cohort's largest stacked
-        # activations), up to glibc's cap; trim threshold twice that
-        def rule(mmap):
-            return [(federation.M_MMAP_THRESHOLD, mmap), (federation.M_TRIM_THRESHOLD, 2 * mmap)]
-
-        rng, MiB = np.random.default_rng(84), 1 << 20
+        # mmap threshold at glibc's cap, trim threshold twice that, whatever
+        # cohorts the process builds
+        cap = ctypes.sizeof(ctypes.c_long) << 22
+        rng = np.random.default_rng(84)
         Cohort([ClientState(id=k, n_k=1, E=1, objective=ClassifierObjective(
             ((32, 64, "relu"), (64, 10, "linear")), data_x=rng.uniform(size=(256, 32)),
             data_y=rng.integers(0, 10, 256))) for k in range(8)])   # clf-dp: (8, 256, 64)
-        assert mallopt_calls == rule(2 * MiB)
-        tune_malloc(MiB)
-        assert mallopt_calls == rule(2 * MiB)
-        tune_malloc(1000)   # a smaller size never lowers them
-        assert mallopt_calls == rule(2 * MiB)
-        tune_malloc(1 << 40)
-        tune_malloc(1 << 40)
-        assert mallopt_calls[2:] == rule(ctypes.sizeof(ctypes.c_long) << 22)
+        Cohort([ClientState(id=k, n_k=1, objective=o, E=1)
+                for k, o in enumerate(small_classifiers(2, 85))])
+        tune_malloc()
+        assert mallopt_calls == [(federation.M_MMAP_THRESHOLD, cap),
+                                 (federation.M_TRIM_THRESHOLD, 2 * cap)]
 
     def test_first_classifier_cohort_tunes_and_quadratics_do_not(self, mallopt_calls):
         Cohort([ClientState(id=k, n_k=1, objective=o, E=1)
@@ -961,9 +955,7 @@ class TestTuneMalloc:
 
     def test_does_nothing_without_mallopt(self, monkeypatch):
         monkeypatch.setattr(federation.ctypes, "CDLL", lambda name: types.SimpleNamespace())
-        monkeypatch.setitem(federation._MALLOC, "mmap", 0)
         assert tune_malloc() is None
-        assert federation._MALLOC["mmap"] == 0
         obj = small_classifiers(1, 82)[0]
         w = local_train(ClientState(id=0, n_k=1, objective=obj, E=2), obj.template(),
                         LrSchedule(mu=1.0, gamma=8.0), 0, np.random.default_rng(83))
