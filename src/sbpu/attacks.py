@@ -299,6 +299,8 @@ class BlobDataset:
     @classmethod
     def make(cls, n_c: int, dim: int, rng: np.random.Generator,
              spread: float = 0.15) -> "BlobDataset":
+        if not 0.0 <= spread < math.inf:
+            raise ValueError("spread must be finite and >= 0")
         return cls(centers=rng.uniform(0.2, 0.8, size=(n_c, dim)), spread=spread)
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

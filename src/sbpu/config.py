@@ -2,8 +2,9 @@
 
 A config file resolves to a RunPlan: client objectives, diversity rates,
 learning-rate schedule, defense policy, rounds, and the master seed.  Every
-field is first checked against its annotated type; the range checks then
-run on well-typed fields.  Each stage reports all its failures together.
+field, and every field of the defense object (DefensePolicy's), is first
+checked against its annotated type; the range checks then run on well-typed
+fields.  Each stage reports all its failures together.
 Overrides (command-line values, a command's needs) are checked with the file,
 and errors raised while building objects from a checked config are mapped too.
 
@@ -60,6 +61,30 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.violations))
 
 
+def _checked(cls, d: dict, prefix: str = "") -> tuple[Any, list[str]]:
+    """(the dataclass cls built from d's entries that name its fields, floats as float;
+    a violation per unknown key).  Values that their field's annotation, e.g. "float |
+    None", refuses, or a ValueError from cls itself, raise a ConfigError that lists
+    them after the unknown keys."""
+    types = {f.name: f.type for f in fields(cls)}
+    values, wrong = {}, []
+    for k, v in d.items():
+        if k in types:
+            kind, _, optional = types[k].partition(" | ")
+            accepts, want = _TYPES[kind]
+            if not (accepts(v) or optional and v is None):
+                wrong.append(f"{prefix}{k} must be {want}{' or null' if optional else ''}, "
+                             f"got {v!r}")
+            values[k] = float(v) if kind == "float" and accepts(v) else v
+    unknown = [f"{prefix}unknown key {k!r}" for k in d if k not in types]
+    if wrong:
+        raise ConfigError(unknown + wrong)
+    try:
+        return cls(**values), unknown
+    except ValueError as e:   # e.g. DefensePolicy's range checks
+        raise ConfigError(unknown + [f"{prefix}{e}"]) from e
+
+
 @dataclass
 class FederationConfig:
     """Raw, JSON-mirroring experiment description."""
@@ -89,20 +114,7 @@ class FederationConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FederationConfig":
-        known = {f.name for f in fields(cls)}
-        errs = [f"unknown key {k!r}" for k in d if k not in known]
-        cfg = cls(**{k: v for k, v in d.items() if k in known})
-        wrong = []
-        for f in fields(cls):   # the annotation is the field's type, e.g. "float | None"
-            kind, _, optional = f.type.partition(" | ")
-            accepts, want = _TYPES[kind]
-            v = getattr(cfg, f.name)
-            if not (accepts(v) or optional and v is None):
-                wrong.append(f"{f.name} must be {want}{' or null' if optional else ''}, got {v!r}")
-            elif kind == "float" and v is not None:
-                setattr(cfg, f.name, float(v))
-        if wrong:
-            raise ConfigError(errs + wrong)
+        cfg, errs = _checked(cls, d)
 
         if cfg.preset is not None:
             if cfg.preset not in PRESETS:
@@ -110,7 +122,7 @@ class FederationConfig:
             elif cfg.beta is None and cfg.beta1 is None:
                 cfg.beta = PRESETS[cfg.preset]
         for name, lo in (("K", 1), ("rounds", 0), ("E", 1), ("batch_size", 1), ("n_seeds", 1),
-                         ("beta", 0), ("beta1", 0), ("beta2", 0)):
+                         ("checkpoint_every", 0), ("beta", 0), ("beta1", 0), ("beta2", 0)):
             if getattr(cfg, name) is not None and getattr(cfg, name) < lo:
                 errs.append(f"{name} must be >= {lo}")
         for name in ("alpha", "mu", "gamma_override"):
@@ -133,9 +145,9 @@ class FederationConfig:
         if "kind" not in cfg.objective:
             errs.append("objective spec must be an object with a 'kind'")
         try:
-            _parse_defense(cfg.defense)
-        except (ValueError, TypeError) as e:
-            errs.append(f"defense: {e}")
+            errs += _checked(DefensePolicy, cfg.defense, "defense: ")[1]
+        except ConfigError as e:
+            errs += e.violations
         if errs:
             raise ConfigError(errs)
         return cfg
@@ -164,20 +176,17 @@ class FederationConfig:
             return DiversityRates(self.beta1, b2)
         return DiversityRates.from_beta(self.beta)
 
-    def resolved_n_k(self) -> list[int]:
-        return list(self.n_k) if self.n_k is not None else [1] * self.K
-
     def build_plan(self) -> RunPlan:
         with _construction_errors():
             objs = build_objectives(self.objective, self.K, self.seed)
             schedule = self.build_schedule(objs)
-        n_k = self.resolved_n_k()
+        n_k = self.n_k or [1] * self.K
         clients = tuple(ClientState(id=k, n_k=n_k[k], objective=objs[k],
                                     E=self.E, batch_size=self.batch_size)
                         for k in range(self.K))
         with _construction_errors():    # RunPlan admits the clients
             return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
-                           policy=_parse_defense(self.defense), rounds=self.rounds,
+                           policy=_checked(DefensePolicy, self.defense)[0], rounds=self.rounds,
                            seed=self.seed, w_init=objs[0].template(),
                            alpha=self.alpha, tie_gradients=self.tie_gradients)
 
@@ -237,18 +246,6 @@ def _construction_errors():
         raise
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, MemoryError) as e:
         raise ConfigError([f"objective: {e}"]) from e
-
-
-def _parse_defense(d: dict) -> DefensePolicy:
-    tag = d.get("tag", "none")
-    if tag == "dp":
-        return DefensePolicy(tag="dp", epsilon_per_round=float(d.get("epsilon_per_round", 0.0)),
-                             clip=float(d.get("clip", 1.0)))
-    if tag == "gc":
-        return DefensePolicy(tag="gc", prune_fraction=float(d.get("prune_fraction", 0.0)))
-    if tag == "none":
-        return DefensePolicy()
-    raise ValueError(f"unknown defense tag {tag!r}")
 
 
 def build_objectives(spec: dict, K: int, seed: int) -> list:

@@ -13,15 +13,14 @@ draws and its arithmetic.
 Inside a round the K dispatched models are the rows of one (K, d) float64
 array, from the mutation through the envelope reports, local SGD, defense
 and aggregation: quadratic clients step all rows at once (QuadraticStack),
-classifier clients one stacked backprop per group of like clients
-(Cohort.groups), each row with the bits it gets alone.  Only the last local
-step's losses are recorded, like the global loss one stacked forward per
-group over its data; earlier ones are certified finite, a classifier's per
-row (ClassifierObjective._loss_certified) and evaluated where that fails, a
-quadratic cohort's once per run (Cohort.certified).  Under the identity
-defense the aggregate is the last step's mean, computed for the divergence.
-The first classifier Cohort sets glibc's mmap and trim thresholds to its cap
-(tune_malloc), so that a round's temporaries stay on the heap.
+classifier clients one stacked backprop per run of like clients, a slice
+of the rows (Cohort.groups), each row with the bits it gets alone.  Only
+the last local step's losses are recorded, like the global loss one stacked
+forward per group over its data; earlier ones are certified finite, a
+classifier's per row (ClassifierObjective._loss_certified) and evaluated
+where that fails, a quadratic cohort's once per run (Cohort.certified).
+Under the identity defense the aggregate is the last step's mean, computed
+for the divergence.  The first classifier Cohort calls tune_malloc.
 LayeredParams appears only at the history (the new aggregate, once a
 round) and at the public functions, which wrap the kernels the engine runs.
 
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -122,11 +122,12 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
 
 @functools.cache
 def tune_malloc() -> None:
-    """Keep a round's classifier temporaries on glibc's heap, which by default
-    trims them and faults them back in at every step: mmap threshold at
-    glibc's cap (32 MiB on 64-bit), trim threshold twice that, once per
-    process.  The process then keeps up to 64 MiB of freed heap instead of
-    returning it to the OS; a no-op without mallopt."""
+    """Keep a round's classifier temporaries on glibc's heap: mmap threshold at glibc's
+    cap (32 MiB on 64-bit), trim threshold twice that, once per process, which then
+    keeps up to 64 MiB of freed heap; a no-op without mallopt.  It matters only with
+    more than one BLAS thread: at two (2-vCPU host), a K = 8, n = 256 cohort's steady
+    rounds fault in up to about 395 pages without it, and ran 0-10 % slower in two
+    measurements.  At one thread glibc's own thresholds keep them fault-free."""
     mmap = ctypes.sizeof(ctypes.c_long) << 22
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -138,17 +139,16 @@ def tune_malloc() -> None:
 
 
 class Cohort(tuple):
-    """The admitted clients of a run, with what run_round needs of them that
-    costs work to build and never changes: the stacked quadratics (None for
-    classifiers) with their loss certificate (certified: 0.5 * lambda_max *
-    R^2 < 1e300 for each, so every loss in the balls is finite, rounding
-    included), each classifier's largest |x| over its data (x_max, for its
-    certificate), the shared template, and the classifier groups:
-    clients of one architecture, batch_size and dataset size, which one
-    stacked backprop steps and one stacked forward evaluates, as (objective,
-    batch_size, client index array, their data stacked (K, n, in) and
-    (K, n)).  A classifier Cohort calls tune_malloc, which acts once per
-    process.
+    """The admitted clients of a run, with what run_round needs of them that costs
+    work to build and never changes: the stacked quadratics (None for classifiers)
+    with their loss certificate (certified: 0.5 * lambda_max * R^2 < 1e300 for each,
+    so every loss in the balls is finite, rounding included), the shared template,
+    and the classifier groups: runs of consecutive clients of one architecture,
+    batch_size and dataset size, which one stacked backprop steps and one stacked
+    forward evaluates, as (objective, batch_size, the run's rows as a slice, their
+    data stacked (k, n, in) and (k, n), each one's largest |x| for its loss
+    certificate).  A config's clients form one run; an interleaved cohort (A, B, A)
+    steps as three groups.
 
     Admission is the one rule of run_round and local_train: at least one
     client, one objective kind, one E, one template() layout (the flat
@@ -173,7 +173,7 @@ class Cohort(tuple):
             P.check_same_shape(c.objective.template(), self.template)
         self.quads = (QuadraticStack([c.objective for c in self])
                       if isinstance(self[0].objective, QuadraticObjective) else None)
-        self.x_max, self.groups = None, []
+        self.groups = []
         if self.quads is not None:   # 0.5 * L * R^2 bounds a loss in the ball
             L = np.linalg.eigvalsh(self.quads.matrix)[:, -1]
             with np.errstate(over="ignore"):   # an overflowing bound fails, silently
@@ -183,16 +183,15 @@ class Cohort(tuple):
             for c in self:
                 if c.objective.data_x is None:
                     raise ValueError(f"client {c.id}: classifier without an embedded dataset")
-            self.x_max = np.array([np.maximum.reduce(np.abs(c.objective.data_x), axis=None)
-                                   for c in self])
-            keys = {}
-            for k, c in enumerate(self):
-                keys.setdefault((c.objective.architecture, c.batch_size,
-                                 c.objective.n_samples), []).append(k)
-            self.groups = [(self[ks[0]].objective, self[ks[0]].batch_size, np.array(ks),
-                            (np.array([self[k].objective.data_x for k in ks]),
-                             np.array([self[k].objective.data_y for k in ks])))
-                           for ks in keys.values()]
+            k = 0
+            for (_, size, _), like in itertools.groupby(self, lambda c: (
+                    c.objective.architecture, c.batch_size, c.objective.n_samples)):
+                objs = [c.objective for c in like]
+                DX = np.array([o.data_x for o in objs])
+                self.groups.append((objs[0], size, slice(k, k + len(objs)),
+                                    (DX, np.array([o.data_y for o in objs])),
+                                    np.maximum.reduce(np.abs(DX), axis=(1, 2))))
+                k += len(objs)
             tune_malloc()
         self.end, self._block = None, None
         return self
@@ -227,28 +226,27 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     functions.  Quadratic clients start from their row projected onto their
     radius-R ball and take projected sphere-noise gradient steps, all rows at
     once; classifier clients each step X[k] + (-eta) * g on one batch sampled
-    uniformly with replacement, one stacked backprop per Cohort group.  The
-    first client whose row is not finite raises params.NonFiniteError, or
-    DivergenceError if only its loss is not.  A group's losses are one
-    stacked _loss call over its data: at the last iteration all its rows,
-    before it only the rows _loss_certified cannot show finite.  Quadratic
-    losses before the last iteration are computed only for a cohort that is
-    not certified.  Elsewhere 0.0 stands in for the loss.
+    uniformly with replacement, one stacked backprop per Cohort group on a
+    slice of the rows, with no copy.  The first client whose row is not
+    finite raises params.NonFiniteError, or DivergenceError if only its loss
+    is not.  A group's losses are one stacked _loss call over its data: at
+    the last iteration all its rows, before it only the rows _loss_certified
+    cannot show finite.  Quadratic losses before the last iteration are
+    computed only for a cohort that is not certified.  Elsewhere 0.0 stands
+    in for the loss.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     quads, last = clients.quads, s == clients[0].E - 1
     if quads is None:
         new, losses = np.empty_like(X), np.zeros(len(clients))
-        for obj, size, ks, (DX, DY) in clients.groups:
-            at = (np.arange(len(ks))[:, None],
-                  np.array([rngs[k].integers(0, obj.n_samples, size=size) for k in ks]))
-            rows = X[ks]
-            rows += (-eta) * obj._grad(rows, (DX[at], DY[at]))
-            new[ks] = rows
-            due = slice(None) if last else ~obj._loss_certified(rows, clients.x_max[ks])
+        for obj, size, ks, (DX, DY), x_max in clients.groups:
+            at = (np.arange(len(DX))[:, None],
+                  np.array([rng.integers(0, obj.n_samples, size=size) for rng in rngs[ks]]))
+            rows = np.add(X[ks], (-eta) * obj._grad(X[ks], (DX[at], DY[at])), out=new[ks])
+            due = slice(None) if last else ~obj._loss_certified(rows, x_max)
             if last or due.any():
-                losses[ks[due]] = obj._loss(rows[due], (DX[due], DY[due]))
+                losses[ks][due] = obj._loss(rows[due], (DX[due], DY[due]))
         X = new
     else:
         X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
@@ -383,7 +381,7 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     new_glb = P.from_vector(mean, h.w_glb)
     total = float(sum(sizes))
     glb_losses = np.empty(len(cohort)) if cohort.quads is None else cohort.quads.loss(new_glb.vector)
-    for obj, _, ks, data in cohort.groups:   # classifiers: the aggregate over each group's data
+    for obj, _, ks, data, _ in cohort.groups:   # classifiers: the aggregate over each group's data
         glb_losses[ks] = obj._loss(new_glb.vector, data)
     global_loss = math.fsum((n / total) * loss for n, loss in zip(sizes, glb_losses.tolist()))
     if not math.isfinite(global_loss):

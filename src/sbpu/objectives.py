@@ -55,10 +55,12 @@ class QuadraticObjective:
         eigs = np.linalg.eigvalsh(a)
         if eigs[0] <= 0.0:
             raise ValueError(f"matrix must be positive definite (min eigenvalue {eigs[0]:g})")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be > 0")
+        if not np.isfinite(c).all():
+            raise ValueError("center must be finite")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError("radius must be finite and > 0")
         layout = ((1, c.size),) if self.layout is None else self.layout
         layout = tuple((int(nf), int(w)) for nf, w in layout)
         if sum(nf * w for nf, w in layout) != c.size:

@@ -296,26 +296,35 @@ def test_diverging_classifier_exit_2(tmp_path, capsys):
     assert "runtime divergence" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("objective", [
-    {"kind": "quadratic_random", "dim": 8, "eig_range": [-1, 2]},
-    {"kind": "quadratic_random", "dim": 0},
-    {"kind": "quadratic", "clients": [{"center": [0.0, 0.0]}] * 3},
-    {"kind": "classifier", "architecture": [[2, 3, "relu"], [3, 2, "relu"]]},
-    {"kind": "quadratic", "clients": [
+@pytest.mark.parametrize("objective,field", [
+    ({"kind": "quadratic_random", "dim": 8, "eig_range": [-1, 2]}, None),
+    ({"kind": "quadratic_random", "dim": 0}, None),
+    ({"kind": "quadratic", "clients": [{"center": [0.0, 0.0]}] * 3}, None),
+    ({"kind": "classifier", "architecture": [[2, 3, "relu"], [3, 2, "relu"]]}, None),
+    ({"kind": "quadratic", "clients": [
         {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]},
         {"center": [0.0, 0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]},
-        {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]}]},
-    {**CLASSIFIER, "dataset": "x"},
-    {**CLASSIFIER, "dataset": {"n": 1e400}},
+        {"center": [0.0, 0.0], "matrix": [1.0, 0.0, 0.0, 1.0]}]}, None),
+    ({**CLASSIFIER, "dataset": "x"}, None),
+    ({**CLASSIFIER, "dataset": {"n": 1e400}}, None),
     # numpy refuses a 71 PiB matrix, past the 47-bit address space, before
     # touching a page, whatever the overcommit setting
-    {"kind": "quadratic_random", "dim": 100_000_000},
+    ({"kind": "quadratic_random", "dim": 100_000_000}, None),
+    # 1e400 parses as inf: a bad config, not a runtime divergence or NaN bounds
+    ({**base_config("")["objective"], "radius": 1e400}, "radius"),
+    ({**base_config("")["objective"], "sigma": 1e400}, "noise_sigma"),
+    ({"kind": "quadratic", "clients": [{"center": [1e400], "matrix": [1.0]}] * 3}, "center"),
+    ({**base_config("")["objective"], "center_spread": 1e400}, "center"),
+    ({**CLASSIFIER, "dataset": {"spread": 1e400}}, "spread"),
 ], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer",
-        "mixed-dimensions", "non-object-dataset", "infinite-dataset-n", "unallocatable-dim"])
-def test_objective_construction_errors_exit_1(tmp_path, capsys, objective):
+        "mixed-dimensions", "non-object-dataset", "infinite-dataset-n", "unallocatable-dim",
+        "infinite-radius", "infinite-sigma", "infinite-center", "infinite-center-spread",
+        "infinite-dataset-spread"])
+def test_objective_construction_errors_exit_1(tmp_path, capsys, objective, field):
     path, _ = write_config(tmp_path, objective=objective)
     assert main(["run-fl", "--config", str(path)]) == 1
-    assert "invalid configuration" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and (field is None or f"objective: {field}" in err)
 
 
 def test_empty_classifier_dataset_exit_1(tmp_path, capsys):
@@ -353,6 +362,10 @@ def test_client_admission_error_exit_1(tmp_path, capsys, monkeypatch):
     {"alpha": "0.1"}, {"mu": 0.0}, {"gamma_override": -1.0}, {"tie_gradients": 1},
     {"check_bounds": "yes"}, {"out_dir": 3}, {"preset": ["mnist"]}, {"attack": "lia"},
     {"defense": {"tag": "dp", "epsilon_per_round": float("nan")}},
+    {"checkpoint_every": -3},
+    {"defense": {"tag": "dp", "epsilon_per_round": 1.0, "clipp": 5}},
+    {"defense": {"tag": "gc", "prune_fraction": "0.5"}},
+    {"defense": {"tag": "dp", "epsilon_per_round": True}},
 ], ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()))
 def test_mistyped_fields_exit_1(tmp_path, capsys, overrides):
     path = tmp_path / "c.json"
@@ -417,6 +430,22 @@ def test_overflowed_divergence_exit_2(tmp_path, capsys):
     assert "runtime divergence" in capsys.readouterr().err
     metrics = out / "metrics.csv"
     assert not metrics.exists() or "inf" not in metrics.read_text()
+
+
+def test_overflowed_global_loss_exit_2(tmp_path, capsys):
+    # each client lands on its center, +-1e154, and the aggregate at 0 has
+    # loss 0.5 * 10 * 1e308 = 5e308 on each: the global loss overflows
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(json.dumps({
+        "objective": {"kind": "quadratic", "radius": 1e300, "clients": [
+            {"center": [1e154], "matrix": [10.0]}, {"center": [-1e154], "matrix": [10.0]}]},
+        "K": 2, "E": 1, "rounds": 1, "mu": 10.0, "gamma_override": 2.0, "seed": 3,
+        "out_dir": str(out)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+        assert main(["run-fl", "--config", str(path)]) == 2
+    assert "round 0: non-finite global loss inf" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_overflowed_layer_sum_exit_2(tmp_path, capsys):

@@ -1,0 +1,87 @@
+"""Pinned output bytes: small configs through cli.main against tests/golden.json.
+
+Each case runs one command and hashes every file it writes except
+manifest.json, which embeds the output path.  The engine's bits rest on
+numpy's kernels, so the digests hold for the numpy version they were
+recorded with, and on any other the test skips.  Record only from a commit
+whose outputs are known to be right:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sbpu.cli import main
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+QUAD = {"kind": "quadratic_random", "dim": 6, "eig_range": [1.0, 3.0], "center_spread": 0.5,
+        "radius": 3.0, "sigma": 0.2, "layout": [[3, 2]]}
+RATES = {"alpha": 0.1, "beta1": 0.1, "beta2": 0.08}
+
+
+def _clf(act: str, **kw) -> dict:
+    return {"objective": {"kind": "classifier", "architecture": [[4, 8, act], [8, 3, "linear"]],
+                          "dataset": {"n": 24}},
+            "K": 3, "E": 2, "batch_size": 4, "rounds": 3, "mu": 1.0, **kw}
+
+
+# case -> (command and flags, config)
+CASES = {
+    "verify-bounds-tied": (["verify-bounds"], {
+        "objective": QUAD, "K": 3, "E": 2, "rounds": 4, "tie_gradients": True, **RATES}),
+    "run-fl-untied-checkpoints": (["run-fl"], {
+        "objective": QUAD, "K": 3, "E": 2, "rounds": 4, "checkpoint_every": 2, **RATES}),
+    "run-fl-E1-sigma0": (["run-fl"], {
+        "objective": {**QUAD, "sigma": 0.0}, "K": 2, "E": 1, "rounds": 3, **RATES}),
+    "run-fl-uncertified": (["run-fl"], {   # 0.5 * L * R^2 overflows: no loss certificate
+        "objective": {**QUAD, "radius": 1e160}, "K": 3, "E": 3, "rounds": 3, **RATES}),
+    "run-fl-clf-relu-dp": (["run-fl"], _clf("relu", alpha=0.1, beta1=0.1, beta2=0.05, defense={
+        "tag": "dp", "epsilon_per_round": 50.0, "clip": 2.0})),
+    "run-fl-clf-sigmoid-gc": (["run-fl"], _clf("sigmoid", beta=0.05, defense={
+        "tag": "gc", "prune_fraction": 0.3})),
+    "run-fl-clf-lrelu-checkpoints": (["run-fl"], _clf("lrelu", beta=0.05, checkpoint_every=1)),
+    "convergence-2-seeds": (["convergence", "--seeds", "2"], {
+        "objective": QUAD, "K": 3, "E": 2, "rounds": 5, "tie_gradients": True, **RATES}),
+}
+
+
+def digests(case: str, tmp: Path) -> dict[str, str]:
+    """SHA-256 of each file the case writes, manifest.json aside."""
+    argv, cfg = CASES[case]
+    path, out = tmp / f"{case}.json", tmp / case
+    path.write_text(json.dumps({**cfg, "seed": 7, "out_dir": str(out)}))
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+
+
+def _golden() -> dict:
+    golden = json.loads(GOLDEN.read_text())
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"digests recorded with numpy {golden['numpy']}, running numpy "
+                    f"{np.__version__}")
+    return golden["cases"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_output_bytes_match_golden(case, tmp_path):
+    assert digests(case, tmp_path) == _golden()[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = {case: digests(case, Path(tmp)) for case in CASES}
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "cases": cases},
+                                 indent=1, sort_keys=True) + "\n")
