@@ -2,9 +2,11 @@
 
 A config file resolves to a RunPlan: client objectives, diversity rates,
 learning-rate schedule, defense policy, rounds, and the master seed.  Every
-field, and every field of the defense object (DefensePolicy's), is first
-checked against its annotated type; the range checks then run on well-typed
-fields.  Each stage reports all its failures together.
+config object goes through the one check, _checked, against the annotated
+parameters of what it builds: the top level, defense and attack objects
+(FederationConfig, DefensePolicy, _attack), the objective spec (its kind's
+builder), an explicit quadratic's clients and a classifier's dataset.  Range
+checks then run on well-typed values; each stage reports all its failures.
 Overrides (command-line values, a command's needs) are checked with the file,
 and errors raised while building objects from a checked config are mapped too.
 
@@ -15,16 +17,20 @@ to synthetic objectives.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any
+from functools import partial
+from types import UnionType
+from typing import Any, get_args, get_origin
 
 import numpy as np
 
 from . import seeds
+from .attacks import BlobDataset
 from .convergence import ConvergenceConfig
 from .federation import ClientState, DefensePolicy, RunPlan
 from .mutation import DiversityRates
@@ -35,22 +41,20 @@ PRESETS = {"mnist": 0.025, "fmnist": 0.25, "cifar10": 0.15, "svhn": 1.1}
 ATTACK_TAGS = ("lia", "mia", "ir")
 
 VERSION = "0.1.0"
+_WRONG = object()   # what _conform returns for a value its annotation refuses
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# field annotation -> (accepts a value, what the value must be)
-_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda v: math.isfinite(v) if isinstance(v, float)
-              else _is_int(v) and abs(v) <= sys.float_info.max, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "dict": (lambda v: isinstance(v, dict), "an object"),
-    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-}
+def _conform(t, v):
+    """v as the annotation t (float | list[float], say) takes it, ints as floats, or _WRONG."""
+    if get_origin(t) is UnionType:
+        return next((w for w in map(partial(_conform, v=v), get_args(t)) if w is not _WRONG),
+                    _WRONG)
+    if get_origin(t) is list:
+        out = [_conform(get_args(t)[0], x) for x in v] if isinstance(v, list) else [_WRONG]
+        return _WRONG if _WRONG in out else out
+    if t is float and type(v) is int and abs(v) <= sys.float_info.max:
+        return float(v)
+    return v if type(v) is t and (t is not float or math.isfinite(v)) else _WRONG
 
 
 class ConfigError(ValueError):
@@ -61,28 +65,31 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.violations))
 
 
-def _checked(cls, d: dict, prefix: str = "") -> tuple[Any, list[str]]:
-    """(the dataclass cls built from d's entries that name its fields, floats as float;
-    a violation per unknown key).  Values that their field's annotation, e.g. "float |
-    None", refuses, or a ValueError from cls itself, raise a ConfigError that lists
-    them after the unknown keys."""
-    types = {f.name: f.type for f in fields(cls)}
-    values, wrong = {}, []
-    for k, v in d.items():
-        if k in types:
-            kind, _, optional = types[k].partition(" | ")
-            accepts, want = _TYPES[kind]
-            if not (accepts(v) or optional and v is None):
-                wrong.append(f"{prefix}{k} must be {want}{' or null' if optional else ''}, "
-                             f"got {v!r}")
-            values[k] = float(v) if kind == "float" and accepts(v) else v
-    unknown = [f"{prefix}unknown key {k!r}" for k in d if k not in types]
-    if wrong:
+def _checked(fn, d: dict, prefix: str = "", errs: list[str] | None = None) -> Any:
+    """fn(**d) once each key of the config object d names a parameter of fn (anything
+    inspect.signature reads) whose annotation takes its value, and none without a default is
+    missing; else, or on fn's ValueError, a ConfigError names each violation after prefix.
+    Given errs, unknown keys go there instead, and fn still runs."""
+    params = inspect.signature(fn, eval_str=True).parameters
+    values = {k: _conform(params[k].annotation, v) for k, v in d.items() if k in params}
+    unknown = [f"{prefix}unknown key {k!r}" for k in d if k not in params]
+    wrong = [f"{prefix}missing key {k!r}" for k, p in params.items()
+             if p.default is p.empty and k not in d]
+    wrong += [f"{prefix}{k} must be {inspect.formatannotation(params[k].annotation)}, "
+              f"got {d[k]!r}" for k, v in values.items() if v is _WRONG]
+    if errs is not None:
+        errs += unknown
+    if wrong or unknown and errs is None:
         raise ConfigError(unknown + wrong)
     try:
-        return cls(**values), unknown
-    except ValueError as e:   # e.g. DefensePolicy's range checks
-        raise ConfigError(unknown + [f"{prefix}{e}"]) from e
+        return fn(**values)
+    except ValueError as e:   # e.g. DefensePolicy's range checks, or a nested _checked's
+        raise ConfigError(unknown + [prefix + v for v in getattr(e, "violations", [str(e)])]) from e
+
+
+def _attack(tag: str | None = None) -> str | None:
+    """The attack object: run-attack runs its tag when --attack names none."""
+    return tag
 
 
 @dataclass
@@ -114,13 +121,13 @@ class FederationConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FederationConfig":
-        cfg, errs = _checked(cls, d)
+        errs = []
+        cfg = _checked(cls, d, errs=errs)
 
-        if cfg.preset is not None:
-            if cfg.preset not in PRESETS:
-                errs.append(f"unknown preset {cfg.preset!r}; valid: {sorted(PRESETS)}")
-            elif cfg.beta is None and cfg.beta1 is None:
-                cfg.beta = PRESETS[cfg.preset]
+        if cfg.preset is not None and cfg.preset not in PRESETS:
+            errs.append(f"unknown preset {cfg.preset!r}; valid: {sorted(PRESETS)}")
+        if cfg.beta is None and cfg.beta1 is None:
+            cfg.beta = PRESETS.get(cfg.preset, 0.0)
         for name, lo in (("K", 1), ("rounds", 0), ("E", 1), ("batch_size", 1), ("n_seeds", 1),
                          ("checkpoint_every", 0), ("beta", 0), ("beta1", 0), ("beta2", 0)):
             if getattr(cfg, name) is not None and getattr(cfg, name) < lo:
@@ -132,22 +139,22 @@ class FederationConfig:
             errs.append(f"seed must be an unsigned 64-bit integer, in [0, 2**64); got {cfg.seed}")
         if cfg.n_k is not None and (len(cfg.n_k) != cfg.K or any(n < 1 for n in cfg.n_k)):
             errs.append("n_k must list one positive sample count per client")
-        if cfg.beta is None and cfg.beta1 is None:
-            cfg.beta = 0.0
-        if cfg.beta1 is not None and cfg.beta2 is None:
-            try:
-                cfg.beta1 ** 2      # the default beta2
-            except OverflowError:
-                errs.append("beta1 ** 2, the default beta2, overflows; set beta2")
+        try:
+            cfg.rates()
+        except (ValueError, OverflowError) as e:   # e.g. beta ** 2, the default beta2, is inf
+            if not any(b is not None and b < 0 for b in (cfg.beta, cfg.beta1, cfg.beta2)):
+                errs.append(f"beta = {cfg.beta}, beta1 = {cfg.beta1}, beta2 = {cfg.beta2}: {e}")
         if cfg.check_bounds and not (cfg.alpha is not None and 0.0 < cfg.alpha < 0.5):
             errs.append(f"bound checks need 0 < alpha < 1/2 (1 - 4*alpha^2 must stay "
                         f"positive); got alpha = {cfg.alpha}")
         if "kind" not in cfg.objective:
             errs.append("objective spec must be an object with a 'kind'")
-        try:
-            errs += _checked(DefensePolicy, cfg.defense, "defense: ")[1]
-        except ConfigError as e:
-            errs += e.violations
+        for schema, obj, prefix in ((DefensePolicy, cfg.defense, "defense: "),
+                                    (_attack, cfg.attack, "attack: ")):
+            try:
+                _checked(schema, obj, prefix)
+            except ConfigError as e:
+                errs += e.violations
         if errs:
             raise ConfigError(errs)
         return cfg
@@ -186,20 +193,20 @@ class FederationConfig:
                         for k in range(self.K))
         with _construction_errors():    # RunPlan admits the clients
             return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
-                           policy=_checked(DefensePolicy, self.defense)[0], rounds=self.rounds,
+                           policy=_checked(DefensePolicy, self.defense), rounds=self.rounds,
                            seed=self.seed, w_init=objs[0].template(),
                            alpha=self.alpha, tie_gradients=self.tie_gradients)
 
     def build_schedule(self, objs) -> LrSchedule:
         if all(isinstance(o, QuadraticObjective) for o in objs):
             c = constants_for(objs, self.E, max(o.radius for o in objs))
-            mu = self.mu if self.mu is not None else c.mu
-            gamma = self.gamma_override if self.gamma_override is not None else c.gamma
+            mu, gamma = c.mu, c.gamma
+        elif self.mu is None:
+            raise ConfigError(["classifier runs need an explicit 'mu'"])
         else:
-            if self.mu is None:
-                raise ConfigError(["classifier runs need an explicit 'mu'"])
-            mu = self.mu
-            gamma = self.gamma_override if self.gamma_override is not None else max(8.0, self.E)
+            mu, gamma = self.mu, max(8.0, self.E)
+        mu = mu if self.mu is None else self.mu
+        gamma = gamma if self.gamma_override is None else self.gamma_override
         schedule = LrSchedule(mu=mu, gamma=gamma)
         # eta_t falls with t: positive and finite at the first and last step is at every step
         if not (mu * gamma > 0.0 and schedule.lr_at(0) < math.inf
@@ -209,8 +216,8 @@ class FederationConfig:
         return schedule
 
     def attack_tag(self, given: str | None = None) -> str:
-        """The attack run-attack runs: the given tag, else the config's."""
-        tag = given or self.attack.get("tag")
+        """The attack run-attack runs: the given tag, else the attack object's."""
+        tag = given or _checked(_attack, self.attack)
         if tag not in ATTACK_TAGS:
             raise ConfigError([f"unknown attack tag {tag!r}; valid tags: "
                                f"{{{', '.join(ATTACK_TAGS)}}}"])
@@ -242,86 +249,69 @@ def _construction_errors():
     """Report an error raised while building objects from a checked config as a ConfigError."""
     try:
         yield
-    except ConfigError:
-        raise
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, MemoryError) as e:
-        raise ConfigError([f"objective: {e}"]) from e
+        raise ConfigError(getattr(e, "violations", [f"objective: {e}"])) from e
 
 
 def build_objectives(spec: dict, K: int, seed: int) -> list:
-    kind = spec.get("kind")
-    if kind == "quadratic":
-        return _quadratic_explicit(spec, K)
-    if kind == "quadratic_random":
-        return _quadratic_random(spec, K, seed)
-    if kind == "classifier":
-        return _classifier(spec, K, seed)
-    raise ConfigError([f"unknown objective kind {kind!r}"])
+    """The K client objectives of an objective spec: its kind names the builder, whose
+    keyword parameters are the spec's other keys."""
+    builders = {"quadratic": _quadratic, "quadratic_random": _quadratic_random,
+                "classifier": _classifier}
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in builders:
+        raise ConfigError([f"unknown objective kind {kind!r}"])
+    return _checked(partial(builders[kind], K, seed),
+                    {k: v for k, v in spec.items() if k != "kind"}, "objective: ")
 
 
-def _quadratic_explicit(spec: dict, K: int) -> list[QuadraticObjective]:
-    clients = spec.get("clients")
-    if not isinstance(clients, list) or len(clients) != K:
-        raise ConfigError([f"quadratic objective needs a 'clients' list of length {K}"])
-    radius = float(spec.get("radius", 1.0))
-    out = []
-    for k, c in enumerate(clients):
-        center = np.asarray(c["center"], dtype=np.float64).ravel()
-        d = center.size
-        matrix = np.asarray(c["matrix"], dtype=np.float64).reshape(d, d)  # row-major
-        out.append(QuadraticObjective(matrix=matrix, center=center,
-                                      noise_sigma=float(c.get("sigma", 0.0)),
-                                      radius=radius,
-                                      layout=spec.get("layout")))
-    return out
+def _quadratic(K: int, seed: int, *, clients: list[dict], radius: float = 1.0,
+               layout: list[list[int]] | None = None) -> list[QuadraticObjective]:
+    def client(*, center: list[float], matrix: list[float] | list[list[float]],
+               sigma: float = 0.0) -> QuadraticObjective:
+        """0.5 (w - center)^T A (w - center) with noise sigma; A is d x d, row-major if flat."""
+        return QuadraticObjective(matrix=np.reshape(matrix, (len(center),) * 2), center=center,
+                                  noise_sigma=sigma, radius=radius, layout=layout)
+
+    if len(clients) != K:
+        raise ValueError(f"clients must list {K} entries, one per client")
+    return [_checked(client, c, f"clients[{k}]: ") for k, c in enumerate(clients)]
 
 
-def _quadratic_random(spec: dict, K: int, seed: int) -> list[QuadraticObjective]:
+def _quadratic_random(K: int, seed: int, *, dim: int = 4, eig_range: list[float] = (1.0, 1.0),
+                      center_spread: float = 0.0, radius: float = 1.0,
+                      sigma: float | list[float] = 0.0, shared_matrix: bool = False,
+                      layout: list[list[int]] | None = None) -> list[QuadraticObjective]:
     """A random strongly convex suite: eigenvalues in eig_range, centers in
     a ball of center_spread around the origin, common radius."""
-    dim = int(spec.get("dim", 4))
-    lo, hi = spec.get("eig_range", [1.0, 1.0])
-    spread = float(spec.get("center_spread", 0.0))
-    radius = float(spec.get("radius", 1.0))
-    sigma = spec.get("sigma", 0.0)
-    sigmas = [float(sigma)] * K if np.isscalar(sigma) else [float(s) for s in sigma]
+    sigmas = [sigma] * K if isinstance(sigma, float) else sigma
+    if len(eig_range) != 2:
+        raise ValueError("eig_range must be [low, high]")
     if len(sigmas) != K:
-        raise ConfigError(["sigma list must have one entry per client"])
-    shared = bool(spec.get("shared_matrix", False))
-    layout = spec.get("layout")
+        raise ValueError("sigma list must have one entry per client")
     out = []
     for k in range(K):
-        if k == 0 or not shared:   # a shared matrix is client 0's
+        if k == 0 or not shared_matrix:   # a shared matrix is client 0's
             rng = seeds.stream(seed, "objective", k)
             q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-            eigs = rng.uniform(float(lo), float(hi), size=dim)
-            A = q @ np.diag(eigs) @ q.T
+            A = q @ np.diag(rng.uniform(*eig_range, size=dim)) @ q.T
             A = 0.5 * (A + A.T)
         c_rng = seeds.stream(seed, "center", k)
         direction = c_rng.standard_normal(dim)
-        direction /= np.linalg.norm(direction)
-        center = spread * float(c_rng.uniform(0.0, 1.0)) * direction
+        center = center_spread * c_rng.uniform(0.0, 1.0) * (direction / np.linalg.norm(direction))
         out.append(QuadraticObjective(matrix=A, center=center, noise_sigma=sigmas[k],
                                       radius=radius, layout=layout))
     return out
 
 
-def _classifier(spec: dict, K: int, seed: int) -> list[ClassifierObjective]:
-    from .attacks import BlobDataset
+def _classifier(K: int, seed: int, *, architecture: list[list[int | str]],
+                dataset: dict = {}) -> list[ClassifierObjective]:
+    arch = ClassifierObjective(architecture=architecture).architecture
+    return [ClassifierObjective(architecture=arch, data_x=x, data_y=y)
+            for x, y in _checked(partial(_dataset, K, seed, arch), dataset, "dataset: ")]
 
-    arch = tuple((int(i), int(o), str(a)) for i, o, a in spec.get("architecture", ()))
-    if not arch:
-        raise ConfigError(["classifier objective needs an 'architecture'"])
-    ds = spec.get("dataset", {})
-    if not isinstance(ds, dict):
-        raise ConfigError(["dataset must be an object"])
-    n = int(ds.get("n", 32))
-    spread = float(ds.get("spread", 0.15))
-    n_c = arch[-1][1]
-    dim = arch[0][0]
-    blobs = BlobDataset.make(n_c, dim, seeds.stream(seed, "blobs"), spread=spread)
-    out = []
-    for k in range(K):
-        x, y = blobs.sample(n, seeds.stream(seed, "dataset", k))
-        out.append(ClassifierObjective(architecture=arch, data_x=x, data_y=y))
-    return out
+
+def _dataset(K: int, seed: int, arch, *, n: int = 32, spread: float = 0.15) -> list:
+    """K samples of n labeled points each from one set of Gaussian blobs of this spread."""
+    blobs = BlobDataset.make(arch[-1][1], arch[0][0], seeds.stream(seed, "blobs"), spread=spread)
+    return [blobs.sample(n, seeds.stream(seed, "dataset", k)) for k in range(K)]

@@ -48,8 +48,8 @@ class DiversityRates:
     beta2: float
 
     def __post_init__(self):
-        if self.beta1 < 0.0 or self.beta2 < 0.0:
-            raise ValueError("diversity rates must be >= 0")
+        if not (0.0 <= self.beta1 < math.inf and 0.0 <= self.beta2 < math.inf):
+            raise ValueError(f"diversity rates must be finite and >= 0: {self}")
 
     @classmethod
     def from_beta(cls, beta: float) -> "DiversityRates":

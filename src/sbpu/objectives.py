@@ -23,6 +23,7 @@ tests/test_kernel_rule.py keeps the rule.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -30,6 +31,14 @@ import numpy as np
 
 from . import params as P
 from .params import LayeredParams
+
+
+def _widths(what: str, layer: int, *widths) -> tuple[int, ...]:
+    """A layer's widths as ints; integral values (numpy ints too) only."""
+    try:
+        return tuple(map(operator.index, widths))
+    except TypeError:
+        raise ValueError(f"{what} layer {layer}: widths must be integers, got {widths}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +71,7 @@ class QuadraticObjective:
         if not 0.0 < self.radius < np.inf:
             raise ValueError("radius must be finite and > 0")
         layout = ((1, c.size),) if self.layout is None else self.layout
-        layout = tuple((int(nf), int(w)) for nf, w in layout)
+        layout = tuple(_widths("layout", n, nf, w) for n, (nf, w) in enumerate(layout))
         if sum(nf * w for nf, w in layout) != c.size:
             raise ValueError(f"layout {layout} does not cover dimension {c.size}")
         a = a.copy(); a.flags.writeable = False
@@ -297,7 +306,8 @@ class ClassifierObjective:
     n_c: int = field(default=None)
 
     def __post_init__(self):
-        arch = tuple((int(i), int(o), str(a)) for i, o, a in self.architecture)
+        arch = tuple((*_widths("architecture", n, i, o), str(a))
+                     for n, (i, o, a) in enumerate(self.architecture))
         if not arch:
             raise ValueError("architecture must be non-empty")
         if arch[-1][2] != "linear":

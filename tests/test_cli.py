@@ -312,14 +312,29 @@ def test_diverging_classifier_exit_2(tmp_path, capsys):
     ({"kind": "quadratic_random", "dim": 100_000_000}, None),
     # 1e400 parses as inf: a bad config, not a runtime divergence or NaN bounds
     ({**base_config("")["objective"], "radius": 1e400}, "radius"),
-    ({**base_config("")["objective"], "sigma": 1e400}, "noise_sigma"),
-    ({"kind": "quadratic", "clients": [{"center": [1e400], "matrix": [1.0]}] * 3}, "center"),
+    ({**base_config("")["objective"], "sigma": 1e400}, "sigma"),
+    ({"kind": "quadratic", "clients": [{"center": [1e400], "matrix": [1.0]}] * 3},
+     "clients[0]: center"),
     ({**base_config("")["objective"], "center_spread": 1e400}, "center"),
-    ({**CLASSIFIER, "dataset": {"spread": 1e400}}, "spread"),
+    ({**CLASSIFIER, "dataset": {"spread": 1e400}}, "dataset: spread"),
+    # each of these once ran something other than what it says
+    ({**base_config("")["objective"], "center_sprad": 0.5}, "unknown key 'center_sprad'"),
+    ({**base_config("")["objective"], "shared_matrix": "false"}, "shared_matrix"),
+    ({**base_config("")["objective"], "dim": 3.9}, "dim"),
+    ({**base_config("")["objective"], "dim": "3"}, "dim"),
+    ({**base_config("")["objective"], "dim": True}, "dim"),
+    ({**CLASSIFIER, "dataset": {"n": 8.7}}, "dataset: n"),
+    ({**CLASSIFIER, "architecture": [[4.7, 3, "linear"]]}, "architecture"),
+    ({**base_config("")["objective"], "layout": [[3, 1.5]]}, "layout"),
+    ({**base_config("")["objective"], "sigma": "0.1"}, "sigma"),
+    ({"kind": "quadratic", "clients": [{"center": [0.0], "matrix": [1.0], "sigmaa": 3}] * 3},
+     "clients[0]: unknown key 'sigmaa'"),
 ], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer",
         "mixed-dimensions", "non-object-dataset", "infinite-dataset-n", "unallocatable-dim",
         "infinite-radius", "infinite-sigma", "infinite-center", "infinite-center-spread",
-        "infinite-dataset-spread"])
+        "infinite-dataset-spread", "misspelt-center-spread", "string-shared-matrix",
+        "fractional-dim", "string-dim", "boolean-dim", "fractional-dataset-n",
+        "fractional-architecture", "fractional-layout", "string-sigma", "misspelt-client-sigma"])
 def test_objective_construction_errors_exit_1(tmp_path, capsys, objective, field):
     path, _ = write_config(tmp_path, objective=objective)
     assert main(["run-fl", "--config", str(path)]) == 1
@@ -366,12 +381,30 @@ def test_client_admission_error_exit_1(tmp_path, capsys, monkeypatch):
     {"defense": {"tag": "dp", "epsilon_per_round": 1.0, "clipp": 5}},
     {"defense": {"tag": "gc", "prune_fraction": "0.5"}},
     {"defense": {"tag": "dp", "epsilon_per_round": True}},
+    {"beta": 1e200, "beta1": None, "beta2": None},   # beta ** 2, the default beta2, is inf
+    {"attack": {"tag": "lia", "bs": 5}},
 ], ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()))
 def test_mistyped_fields_exit_1(tmp_path, capsys, overrides):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({**base_config(tmp_path / "out"), **overrides}))
     assert main(["run-fl", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,overrides,named", [
+    (["run-fl"], {"beta": 1e200, "beta1": None, "beta2": None}, "beta = 1e+200"),
+    (["run-fl"], {"attack": {"tag": "lia", "bs": 5}}, "attack: unknown key 'bs'"),
+    (["run-attack"], {"attack": {"tag": "lia", "bs": 5}}, "attack: unknown key 'bs'"),
+    (["run-attack", "--attack", "lia"], {"attack": {"tag": "lia", "bs": 5}},
+     "attack: unknown key 'bs'"),
+    (["run-attack", "--attack", "lia"], {"attack": {"tag": 3}}, "attack: tag must be"),
+], ids=["overflowing-beta", "attack-run-fl", "attack-run-attack", "attack-given-tag",
+        "attack-numeric-tag"])
+def test_violation_names_its_key_exit_1(tmp_path, capsys, argv, overrides, named):
+    path, _ = write_config(tmp_path, **overrides)
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and named in err
 
 
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(),
@@ -396,6 +429,53 @@ def test_config_fuzz_keeps_exit_code_contract(command, overrides):
             warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
             code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
     assert code in (0, 1, 2, 3)
+
+
+OBJECTIVE_KEYS = {
+    "quadratic": ["clients", "radius", "layout"],
+    "quadratic_random": ["dim", "eig_range", "center_spread", "radius", "sigma",
+                         "shared_matrix", "layout"],
+    "classifier": ["architecture", "dataset"],
+}
+OBJECTIVES = {
+    "quadratic": {"kind": "quadratic", "clients": [{"center": [0.5], "matrix": [2.0]}] * 2},
+    "quadratic_random": {"kind": "quadratic_random", "dim": 3, "radius": 2.0, "sigma": 0.1},
+    "classifier": {"kind": "classifier", "architecture": [[3, 2, "linear"]],
+                   "dataset": {"n": 4}},
+}
+OBJECTS = st.dictionaries(st.sampled_from(["n", "spread", "center", "matrix", "sigma", "x"]),
+                          st.one_of(SCALARS, st.lists(SCALARS, max_size=3)), max_size=3)
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
+                   st.lists(st.lists(SCALARS, max_size=3), max_size=2),
+                   OBJECTS, st.lists(OBJECTS, min_size=2, max_size=2))
+
+
+def _fuzz_run(argv, cfg) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+            return main([argv[0], "--config", str(path), *argv[1:], "--out", str(Path(tmp) / "o")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(OBJECTIVE_KEYS)))
+def test_objective_fuzz_keeps_exit_code_contract(data, kind):
+    keys = OBJECTIVE_KEYS[kind] + ["bogus"]
+    spec = {**OBJECTIVES[kind], **data.draw(st.dictionaries(st.sampled_from(keys), VALUES,
+                                                            max_size=3))}
+    cfg = {"objective": spec, "K": 2, "E": 1, "batch_size": 2, "rounds": 1, "mu": 1.0,
+           "alpha": 0.1, "beta1": 0.1, "beta2": 0.05, "seed": 1}
+    assert _fuzz_run(["run-fl"], cfg) in (0, 1, 2, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(attack=st.one_of(SCALARS, st.dictionaries(st.sampled_from(["tag", "bogus"]), SCALARS,
+                                                 max_size=2)))
+def test_attack_fuzz_keeps_exit_code_contract(attack):
+    cfg = {"objective": {"kind": "quadratic_random"}, "attack": attack, "seed": 1}
+    assert _fuzz_run(["run-attack", "--attack", "lia"], cfg) in (0, 1)
 
 
 @settings(max_examples=60, deadline=None)

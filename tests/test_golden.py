@@ -29,9 +29,15 @@ QUAD = {"kind": "quadratic_random", "dim": 6, "eig_range": [1.0, 3.0], "center_s
 RATES = {"alpha": 0.1, "beta1": 0.1, "beta2": 0.08}
 
 
-def _clf(act: str, **kw) -> dict:
+EXPLICIT = {"kind": "quadratic", "radius": 2.0, "layout": [[2, 1]], "clients": [
+    {"center": [0.5, -0.2], "matrix": [2.0, 0.3, 0.3, 1.0], "sigma": 0.1},
+    {"center": [-1, 0], "matrix": [2, 0, 0, 3]},
+    {"center": [0.0, 0.3], "matrix": [1.0, -0.2, -0.2, 1.2], "sigma": 0.3}]}
+
+
+def _clf(act: str, dataset: dict | None = None, **kw) -> dict:
     return {"objective": {"kind": "classifier", "architecture": [[4, 8, act], [8, 3, "linear"]],
-                          "dataset": {"n": 24}},
+                          "dataset": dataset or {"n": 24}},
             "K": 3, "E": 2, "batch_size": 4, "rounds": 3, "mu": 1.0, **kw}
 
 
@@ -52,6 +58,13 @@ CASES = {
     "run-fl-clf-lrelu-checkpoints": (["run-fl"], _clf("lrelu", beta=0.05, checkpoint_every=1)),
     "convergence-2-seeds": (["convergence", "--seeds", "2"], {
         "objective": QUAD, "K": 3, "E": 2, "rounds": 5, "tie_gradients": True, **RATES}),
+    "run-fl-explicit-quadratic": (["run-fl"], {
+        "objective": EXPLICIT, "K": 3, "E": 2, "rounds": 4, **RATES}),
+    "run-fl-shared-matrix-sigma-list": (["run-fl"], {
+        "objective": {**QUAD, "shared_matrix": True, "sigma": [0.1, 0, 0.3]},
+        "K": 3, "E": 2, "rounds": 4, **RATES}),
+    "run-fl-clf-spread": (["run-fl"], _clf("relu", {"n": 20, "spread": 0.4}, beta=0.05)),
+    "run-attack-lia": (["run-attack", "--attack", "lia"], {"objective": QUAD}),
 }
 
 

@@ -35,6 +35,19 @@ class TestDiversityRates:
             DiversityRates(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("beta1,beta2", [(math.inf, 0.0), (0.1, math.inf), (math.nan, 0.0),
+                                         (0.1, math.nan), (0.1, -0.1)])
+def test_diversity_rates_must_be_finite_and_nonnegative(beta1, beta2):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        DiversityRates(beta1, beta2)
+
+
+def test_overflowing_square_rejected():
+    # beta ** 2 = inf: a config error, not a run that diverges
+    with pytest.raises(ValueError, match="beta2=inf"):
+        DiversityRates.from_beta(1e200)
+
+
 class TestStochasticList:
     def test_f8_balanced(self):
         assert Counter(stochastic_multiset(8)) == {-1: 2, 1: 2, -2: 2, 2: 2}

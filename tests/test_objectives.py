@@ -65,6 +65,21 @@ class TestQuadratic:
             quad(np.diag([1.0, -1.0]), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("layout", [((3, 1.5),), ((2, 1), (1.0, 1)), ((np.float64(3), 1),),
+                                    (("3", 1),)])
+def test_non_integral_layout_rejected(layout):
+    # int() would truncate 1.5 to 1 and run another model than the one asked for
+    with pytest.raises(ValueError, match=f"layout layer {len(layout) - 1}"):
+        QuadraticObjective(matrix=np.eye(3), center=np.zeros(3), layout=layout)
+
+
+def test_numpy_int_widths_accepted():
+    o = QuadraticObjective(matrix=np.eye(3), center=np.zeros(3), layout=((np.int64(3), 1),))
+    assert o.layout == ((3, 1),) and type(o.layout[0][0]) is int
+    c = ClassifierObjective(architecture=((np.int32(4), np.int64(3), "linear"),))
+    assert c.architecture == ((4, 3, "linear"),) and type(c.architecture[0][0]) is int
+
+
 class TestStochasticGrad:
     def test_sigma_zero_equals_grad(self):
         o = quad(np.diag([1.0, 4.0]), [0.0, 0.0], sigma=0.0)
@@ -212,6 +227,13 @@ class TestClassifier:
             ClassifierObjective(architecture=((3, 4, "relu"), (5, 2, "linear")))
         with pytest.raises(ValueError):
             ClassifierObjective(architecture=((3, 4, "tanh"), (4, 2, "linear")))
+
+    @pytest.mark.parametrize("architecture", [((4.7, 3, "linear"),),
+                                              ((4, 6, "relu"), (6.0, 3, "linear")),
+                                              ((4, 6, "relu"), (6, None, "linear"))])
+    def test_non_integral_widths_rejected(self, architecture):
+        with pytest.raises(ValueError, match=f"architecture layer {len(architecture) - 1}"):
+            ClassifierObjective(architecture=architecture)
 
     def test_empty_batch_rejected(self):
         obj = ClassifierObjective(architecture=((2, 2, "linear"),))
