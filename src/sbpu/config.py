@@ -65,11 +65,11 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.violations))
 
 
-def _checked(fn, d: dict, prefix: str = "", errs: list[str] | None = None) -> Any:
+def _checked(fn, d: dict, prefix: str = "", errs: list[str] | None = None, build=True) -> Any:
     """fn(**d) once each key of the config object d names a parameter of fn (anything
     inspect.signature reads) whose annotation takes its value, and none without a default is
     missing; else, or on fn's ValueError, a ConfigError names each violation after prefix.
-    Given errs, unknown keys go there instead, and fn still runs."""
+    Given errs, unknown keys go there instead, and fn still runs.  build False only checks."""
     params = inspect.signature(fn, eval_str=True).parameters
     values = {k: _conform(params[k].annotation, v) for k, v in d.items() if k in params}
     unknown = [f"{prefix}unknown key {k!r}" for k in d if k not in params]
@@ -81,10 +81,20 @@ def _checked(fn, d: dict, prefix: str = "", errs: list[str] | None = None) -> An
         errs += unknown
     if wrong or unknown and errs is None:
         raise ConfigError(unknown + wrong)
+    if not build:
+        return None
     try:
         return fn(**values)
     except ValueError as e:   # e.g. DefensePolicy's range checks, or a nested _checked's
         raise ConfigError(unknown + [prefix + v for v in getattr(e, "violations", [str(e)])]) from e
+
+
+def _gathered(errs: list[str], fn, *args, **kwargs) -> Any:
+    """fn(*args, **kwargs), or None once the violations of its ConfigError join errs."""
+    try:
+        return fn(*args, **kwargs)
+    except ConfigError as e:
+        errs += e.violations
 
 
 def _attack(tag: str | None = None) -> str | None:
@@ -147,14 +157,12 @@ class FederationConfig:
         if cfg.check_bounds and not (cfg.alpha is not None and 0.0 < cfg.alpha < 0.5):
             errs.append(f"bound checks need 0 < alpha < 1/2 (1 - 4*alpha^2 must stay "
                         f"positive); got alpha = {cfg.alpha}")
-        if "kind" not in cfg.objective:
-            errs.append("objective spec must be an object with a 'kind'")
+        # the objective spec against its builder's signature; build_plan builds it
+        _gathered(errs, lambda: _checked(*_builder(cfg.objective, cfg.K, cfg.seed),
+                                         "objective: ", build=False))
         for schema, obj, prefix in ((DefensePolicy, cfg.defense, "defense: "),
                                     (_attack, cfg.attack, "attack: ")):
-            try:
-                _checked(schema, obj, prefix)
-            except ConfigError as e:
-                errs += e.violations
+            _gathered(errs, _checked, schema, obj, prefix)
         if errs:
             raise ConfigError(errs)
         return cfg
@@ -256,13 +264,17 @@ def _construction_errors():
 def build_objectives(spec: dict, K: int, seed: int) -> list:
     """The K client objectives of an objective spec: its kind names the builder, whose
     keyword parameters are the spec's other keys."""
+    return _checked(*_builder(spec, K, seed), "objective: ")
+
+
+def _builder(spec: dict, K: int, seed: int) -> tuple:
+    """(the builder of the spec's kind for K clients and seed, the spec's other keys)."""
     builders = {"quadratic": _quadratic, "quadratic_random": _quadratic_random,
                 "classifier": _classifier}
-    kind = spec["kind"]
+    kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in builders:
-        raise ConfigError([f"unknown objective kind {kind!r}"])
-    return _checked(partial(builders[kind], K, seed),
-                    {k: v for k, v in spec.items() if k != "kind"}, "objective: ")
+        raise ConfigError([f"objective: kind must be one of {sorted(builders)}, got {kind!r}"])
+    return partial(builders[kind], K, seed), {k: v for k, v in spec.items() if k != "kind"}
 
 
 def _quadratic(K: int, seed: int, *, clients: list[dict], radius: float = 1.0,
@@ -275,7 +287,11 @@ def _quadratic(K: int, seed: int, *, clients: list[dict], radius: float = 1.0,
 
     if len(clients) != K:
         raise ValueError(f"clients must list {K} entries, one per client")
-    return [_checked(client, c, f"clients[{k}]: ") for k, c in enumerate(clients)]
+    errs = []   # every entry's violations, not just the first's
+    objs = [_gathered(errs, _checked, client, c, f"clients[{k}]: ") for k, c in enumerate(clients)]
+    if errs:
+        raise ConfigError(errs)
+    return objs
 
 
 def _quadratic_random(K: int, seed: int, *, dim: int = 4, eig_range: list[float] = (1.0, 1.0),

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import params as P
 from . import seeds
-from .mutation import BoundReport, DiversityRates, GlobalHistory, _dispatch_matrix, _envelopes
+from .mutation import (BoundReport, DiversityRates, GlobalHistory, _dispatch_matrix, _envelopes,
+                       _selector_plan)
 from .objectives import ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack
 from .params import LayeredParams
 
@@ -202,19 +203,22 @@ class Cohort(tuple):
         run.__dict__.update(self.__dict__, end=end, _block=None)
         return run
 
-    def streams(self, seed: int, r: int, tags: tuple) -> dict[str, list[np.random.Generator]]:
+    def streams(self, seed: int, r: int, tags: tuple) -> dict[str, list | np.ndarray]:
         """Per tag, seeds.stream(seed, tag, r, key) for each client, key its
-        index for "sbpu" and its id otherwise.  Past the kept block, one
-        seeds.pcg64_words call derives rounds r to r + ROUND_BLOCK - 1, cut
-        at end (only r if end is None)."""
+        index for "sbpu" (which tags hold) and its id otherwise, but for "sbpu"
+        the selector rows they draw.  Past the kept block, one seeds.pcg64_words
+        call derives rounds r to r + ROUND_BLOCK - 1, cut at end (only r if end
+        is None), and one _SelectorPlan.rows call draws their selector rows."""
         b = self._block
         if b is None or b[:2] != (seed, tags) or not 0 <= r - b[2] < len(b[3]):
             n = 1 if self.end is None else min(ROUND_BLOCK, max(self.end - r, 1))
             keys = {t: range(len(self)) if t == "sbpu" else [c.id for c in self] for t in tags}
             words = seeds.pcg64_words([seeds.child_seed(seed, t, q, k) for q in range(r, r + n)
-                                       for t in tags for k in keys[t]])
-            b = self._block = (seed, tags, r, words.reshape(n, len(tags), len(self), 4))
-        return {t: [seeds.from_words(w) for w in ws] for t, ws in zip(tags, b[3][r - b[2]])}
+                                       for t in tags for k in keys[t]]).reshape(n, len(tags), -1, 4)
+            sel = _selector_plan(self.template.layout).rows(words[:, tags.index("sbpu")].reshape(-1, 4))
+            b = self._block = (seed, tags, r, words, sel.reshape(n, len(self), -1))
+        return {t: b[4][r - b[2]] if t == "sbpu" else [seeds.from_words(w) for w in ws]
+                for t, ws in zip(tags, b[3][r - b[2]])}
 
 
 def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,

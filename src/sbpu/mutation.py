@@ -15,11 +15,13 @@ deterministic and near-balanced (and covers tiny layers with f < 4).
 A layout's selector plan, built once and cached, holds what its lists share
 (the concatenated multisets and Fisher-Yates bounds), so a model's lists for
 every layer come from one bounded-integer draw with the bits of
-build_stochastic_list layer by layer.  sbpu_mutate draws one row from it; a
-round's K diverse models are the rows of one C-contiguous (K, d) matrix drawn
-from it, which generate_diverse_models wraps as LayeredParams.  One kernel,
-_envelopes, audits dispatched rows against the history: the round engine's
-(K, d) matrix, or check_neighborhood_bound's one shape-checked row.
+build_stochastic_list layer by layer.  sbpu_mutate and generate_diverse_models
+draw from generators; the round engine draws a block's rows from its seed
+words with no generator (rows()).  A round's K diverse models are the rows of
+one C-contiguous (K, d) matrix, which generate_diverse_models wraps as
+LayeredParams.  One kernel, _envelopes, audits dispatched rows against the
+history: the round engine's (K, d) matrix, or check_neighborhood_bound's one
+shape-checked row.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .params import LayeredParams
 PAD_CYCLE = (-1, 1, -2, 2)
 BOUND_SLACK = 1e-9   # relative slack for double-precision summation noise
 _BETA1_BRANCH = np.array([False, True, False, True, False])   # |s| == 1, by s + 2
+_CHUNK = 4096   # draws per row chunk in _SelectorPlan.rows: its temporaries stay near 64 KiB
 
 
 @dataclass(frozen=True)
@@ -132,20 +135,42 @@ class _SelectorPlan:
     leaves the generator in the same state."""
 
     multiset: np.ndarray    # every layer's stochastic_multiset, concatenated
-    bounds: np.ndarray      # every layer's np.arange(nf, 1, -1), concatenated
     swaps: tuple            # per draw: the flat index it swaps (i of its layer)
-    offsets: np.ndarray     # per draw: its layer's first flat index (j is relative)
+    columns: np.ndarray     # (3, draws, 1): bounds (each layer's np.arange(nf, 1, -1)),
+                            # swaps and offsets (a layer's first flat index; j is relative)
     repeats: tuple | None   # scalars per filter, for np.repeat (None if all 1)
 
     def draw(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """The (len(rngs), filters) selectors, row k shuffled by rngs[k]."""
+        bounds, _, offsets = self.columns[:, :, 0]
         perms = []
         for rng in rngs:
             perm = list(range(self.multiset.size))
-            for i, j in zip(self.swaps, (rng.integers(0, self.bounds) + self.offsets).tolist()):
+            for i, j in zip(self.swaps, (rng.integers(0, bounds) + offsets).tolist()):
                 perm[i], perm[j] = perm[j], perm[i]
             perms.append(perm)
         return self.multiset[np.array(perms)]
+
+    def rows(self, words: np.ndarray) -> np.ndarray:
+        """draw([seeds.from_words(w) for w in words]) without generators: numpy draws j < b
+        as (u * b) >> 32, u the next 32-bit half of a raw output, low half first (Lemire), so
+        a chunk of rows makes each swap in all its rows at once.  A row where some
+        (u * b) mod 2^32 < b, which numpy may reject, is drawn through its generator."""
+        n, f = self.columns.shape[1], self.multiset.size
+        out = self.multiset.astype(np.int8)[None].repeat(len(words), axis=0)   # a block stays small
+        flat, (b, i, o) = out.reshape(-1), self.columns
+        b = b.view(np.uint64)   # pcg64_raw's dtype: a loop new to the process costs RSS
+        size = max(_CHUNK // max(n, 1), 1)
+        for c in range(0, len(words) if n else 0, size):
+            w = words[c:c + size]
+            m = seeds.pcg64_raw(w, (n + 1) // 2).astype("<u8", copy=False).view("<u4").T[:n] * b
+            base = np.arange(c * f, (c + len(w)) * f, f)   # each row's first flat index
+            at = (base + i, base + o + (m >> 32).view(np.int64))   # (draws, rows) swap pairs
+            for x, y in zip(np.concatenate(at, axis=1), np.concatenate(at[::-1], axis=1)):
+                flat[x] = flat[y]
+            for k in np.flatnonzero(((m & 0xFFFFFFFF) < b).any(axis=0)):
+                out[c + k] = self.draw([seeds.from_words(w[k])])[0]
+        return out
 
 
 @functools.lru_cache(maxsize=128)
@@ -158,12 +183,12 @@ def _selector_plan(layout: tuple) -> _SelectorPlan:
         swaps += range(pos + nf - 1, pos, -1)
         offsets += [pos] * (nf - 1)
         pos += nf
-    arrays = (np.array(multiset), np.array(bounds, dtype=np.int64),
-              np.array(offsets, dtype=np.int64))
+    arrays = (np.array(multiset),
+              np.array([bounds, swaps, offsets], dtype=np.int64)[:, :, None])
     for a in arrays:
         a.flags.writeable = False
     repeats = tuple(fl for nf, fl, _ in layout for _ in range(nf))
-    return _SelectorPlan(arrays[0], arrays[1], tuple(swaps), arrays[2],
+    return _SelectorPlan(arrays[0], tuple(swaps), arrays[1],
                          None if all(fl == 1 for fl in repeats) else repeats)
 
 
@@ -211,18 +236,12 @@ def sbpu_mutate(w_glb: LayeredParams, g_glb: LayeredParams, g_prev: LayeredParam
                                         _selector_plan(layout).draw([rng])[0], layout), w_glb)
 
 
-def _dispatch_matrix(h: GlobalHistory, rates: DiversityRates,
-                     rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """The K = len(rngs) diverse models as the rows of one checked,
-    C-contiguous (K, d) float64 matrix.
-
-    Row k draws its selectors from rngs[k], client k's own (seed, "sbpu",
-    round, k) stream, through the layout's cached plan, as sbpu_mutate does.
-    """
-    layout = h.w_glb.layout
-    sel = _selector_plan(layout).draw(rngs)
+def _dispatch_matrix(h: GlobalHistory, rates: DiversityRates, sel: np.ndarray) -> np.ndarray:
+    """The K diverse models as the rows of one checked, C-contiguous (K, d) float64
+    matrix, row k's filter selectors sel[k]: client k's draw from its own (seed,
+    "sbpu", round, k) stream through the layout's cached plan (_SelectorPlan)."""
     w = h.w_glb.vector
-    X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel, layout)
+    X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel, h.w_glb.layout)
     if not np.isfinite(X).all():
         raise P.NonFiniteError("non-finite value in parameters")
     return X
@@ -238,7 +257,8 @@ def generate_diverse_models(h: GlobalHistory, K: int, rates: DiversityRates,
     if K < 1:
         raise ValueError("K must be >= 1")
     rngs = [seeds.stream(seed, "sbpu", h.round, k) for k in range(K)]
-    return [P.from_vector(x, h.w_glb) for x in _dispatch_matrix(h, rates, rngs)]
+    sel = _selector_plan(h.w_glb.layout).draw(rngs)
+    return [P.from_vector(x, h.w_glb) for x in _dispatch_matrix(h, rates, sel)]
 
 
 def _envelopes(X: np.ndarray, h: GlobalHistory, alpha: float) -> list[BoundReport]:

@@ -7,10 +7,13 @@ and never on execution order.  No global RNG state is used anywhere.
 
 stream builds one generator; pcg64_words runs numpy's SeedSequence seeding
 on an array of child seeds, and from_words builds the same generators from
-its rows.  tests/test_seeds.py checks the two paths against numpy.
+its rows, and pcg64_raw their first outputs without building them.
+tests/test_seeds.py checks all three against numpy.
 """
 
+import functools
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -21,6 +24,9 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # 4 calls fill the pool and 12 mix it, 8 give the 4 uint64 state words
 _POOL_MIX = np.array([_INIT_A * _MULT_A ** i % 2 ** 32 for i in range(17)], np.uint32)[:, None]
 _STATE_OUT = np.array([_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)], np.uint32)[:, None]
+# numpy's PCG64 multiplier (pcg64.h), and uint64 masks and shifts
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LO32, _32, _58, _63, _64 = (np.uint64(v) for v in (0xFFFFFFFF, 32, 58, 63, 64))
 
 
 def child_seed(*keys) -> int:
@@ -78,6 +84,35 @@ class _Words(np.random.bit_generator.ISeedSequence):
 def from_words(words: np.ndarray) -> np.random.Generator:
     """stream(*keys) given the pcg64_words row of child_seed(*keys)."""
     return np.random.Generator(np.random.PCG64(_Words(words)))
+
+
+@functools.lru_cache(maxsize=None)
+def _jumps(n: int) -> tuple:
+    """numpy's PCG64 seeds words (s, q) as inc 2q + 1, state (inc + s) M + inc, and steps before
+    each output: output i reads A_i s + D_i inc mod 2^128, A_i = M^(i+2), D_i = sum_{j<=i+2} M^j.
+    A_i and 2 D_i as (2, 1, n) high, low and low-half words, then D_i's high and low words."""
+    powers = [pow(_PCG_MULT, j, 2 ** 128) for j in range(n + 2)]
+    d = list(itertools.accumulate(powers))[2:]
+    k = np.array([divmod(x % 2 ** 128, 2 ** 64) for x in powers[2:] + [2 * x for x in d] + d],
+                 np.uint64).reshape(3, n, 2).transpose(2, 0, 1)[:, :, None]
+    return k[0, :2], k[1, :2], k[1, :2] & _LO32, k[1, :2] >> _32, k[0, 2], k[1, 2]
+
+
+def pcg64_raw(words: np.ndarray, n: int) -> np.ndarray:
+    """from_words(w).bit_generator.random_raw(n) for each row w of the (N, 4) uint64 words,
+    as (N, n) uint64: 128-bit values as high and low words, low words' products by halves."""
+    kh, kl, k0, k1, dh, dl = _jumps(n)
+    vh, vl = words.T[0::2, :, None], words.T[1::2, :, None]     # s and q, (2, N, 1)
+    a0, a1 = vl & _LO32, vl >> _32
+    t = a1 * k0 + (a0 * k0 >> _32)
+    u = (t & _LO32) + a0 * k1
+    hi = a1 * k1 + (t >> _32) + (u >> _32) + vh * kl + vl * kh
+    lo = vl * kl
+    low = lo[0] + lo[1]
+    lo, hi = low + dl, hi[0] + hi[1] + (low < lo[0]) + dh
+    hi += lo < dl
+    x, r = hi ^ lo, hi >> _58     # XSL-RR: the halves' xor, rotated right by the top 6 bits
+    return (x >> r) | (x << ((_64 - r) & _63))
 
 
 def fisher_yates(items, rng: np.random.Generator) -> np.ndarray:

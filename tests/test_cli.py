@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sbpu import config
 from sbpu.cli import main
 from sbpu.config import PRESETS, ConfigError, FederationConfig
 
@@ -340,6 +341,34 @@ def test_objective_construction_errors_exit_1(tmp_path, capsys, objective, field
     assert main(["run-fl", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "invalid configuration" in err and (field is None or f"objective: {field}" in err)
+
+
+def test_every_malformed_client_entry_reported(tmp_path, capsys):
+    clients = [{"center": [0.0], "matrix": [1.0], "sigmaa": 3}, {"center": [0.0]},
+               {"center": 0.5, "matrix": [1.0]}]
+    path, _ = write_config(tmp_path, objective={"kind": "quadratic", "clients": clients})
+    assert main(["run-fl", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "objective: clients[" in line] == [
+        "  - objective: clients[0]: unknown key 'sigmaa'",
+        "  - objective: clients[1]: missing key 'matrix'",
+        "  - objective: clients[2]: center must be list[float], got 0.5"]
+
+
+def test_objective_spec_checked_with_the_top_level(tmp_path, capsys, monkeypatch):
+    # checked against its builder's signature, before and without building it
+    spec = {"kind": "quadratic_random", "bogus": 1}
+    path, _ = write_config(tmp_path, objective=spec)
+    assert main(["run-attack", "--config", str(path), "--attack", "lia"]) == 1
+    assert "objective: unknown key 'bogus'" in capsys.readouterr().err
+    path, _ = write_config(tmp_path, objective=spec, K=0)
+    assert main(["run-fl", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "K must be >= 1" in err and "objective: unknown key 'bogus'" in err
+    streams = []
+    monkeypatch.setattr(config.seeds, "stream", lambda *keys: streams.append(keys))
+    FederationConfig.from_dict({"objective": {"kind": "quadratic_random", "dim": 3}})
+    assert streams == []
 
 
 def test_empty_classifier_dataset_exit_1(tmp_path, capsys):

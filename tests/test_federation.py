@@ -22,7 +22,7 @@ from sbpu.federation import (ROUND_BLOCK, ClientState, Cohort, DefensePolicy, Di
                              RoundRecord, RunPlan, _local_step, aggregate, apply_defense,
                              iter_rounds, local_train, measure_divergence, run_federation,
                              run_round, tune_malloc)
-from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
+from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix, _selector_plan,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
 from sbpu.objectives import (ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack,
                              sgd_step)
@@ -448,8 +448,8 @@ class TestBatchedEngine:
         rng = np.random.default_rng(61)
         h = GlobalHistory(*(P.from_vector(rng.standard_normal(template.vector.size), template)
                             for _ in range(3)), round=2)
-        X = _dispatch_matrix(h, DiversityRates(0.3, 0.2),
-                             [seeds.stream(62, "sbpu", 2, k) for k in range(4)])
+        sel = _selector_plan(template.layout).draw([seeds.stream(62, "sbpu", 2, k) for k in range(4)])
+        X = _dispatch_matrix(h, DiversityRates(0.3, 0.2), sel)
         assert X.shape == (4, template.vector.size) and X.flags.c_contiguous
 
     def test_center_and_outside_ball_raise_no_warning(self):
@@ -742,28 +742,41 @@ class TestRunFederation:
 class TestRoundStreams:
     """Cohort.streams derives a run's round streams in blocks, with the bits
     of seeds.stream(seed, tag, round, key): key is the client index for
-    "sbpu" and the client id for "train" and "defense"."""
+    "sbpu" and the client id for "train" and "defense"; "sbpu" gives the
+    selector rows its streams draw."""
 
     TAGS = ("sbpu", "train", "defense")
 
     def _cohort(self, ids):
-        objs = quad_suite(len(ids), 2, seed=70)
+        objs = two_layer_quadratics([0.0] * len(ids), [5.0] * len(ids), 70)   # 4 filters
         return Cohort([ClientState(id=i, n_k=1, objective=o, E=1) for i, o in zip(ids, objs)])
 
     @pytest.mark.parametrize("first", [0, ROUND_BLOCK - 2])
     def test_block_generators_equal_single_streams(self, first):
         cohort = self._cohort([7, 3, 11]).for_rounds(ROUND_BLOCK + 2)
+        plan = _selector_plan(cohort.template.layout)
         bounds = np.arange(9, 1, -1)
         for r in range(first, ROUND_BLOCK + 2):   # across a block boundary
             streams = cohort.streams(71, r, self.TAGS)
-            for tag in self.TAGS:
-                keys = range(3) if tag == "sbpu" else [7, 3, 11]
+            assert streams["sbpu"].shape == (3, 4)
+            np.testing.assert_array_equal(
+                streams["sbpu"], plan.draw([seeds.stream(71, "sbpu", r, k) for k in range(3)]))
+            for tag in self.TAGS[1:]:
                 assert len(streams[tag]) == 3
-                for rng, key in zip(streams[tag], keys):
+                for rng, key in zip(streams[tag], [7, 3, 11]):
                     ref = seeds.stream(71, tag, r, key)
                     assert rng.bit_generator.state == ref.bit_generator.state
                     np.testing.assert_array_equal(rng.integers(0, bounds), ref.integers(0, bounds))
                     np.testing.assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
+
+    def test_no_sbpu_generator_built(self, monkeypatch):
+        built = []
+        from_words = seeds.from_words
+        monkeypatch.setattr(seeds, "from_words", lambda w: built.append(w) or from_words(w))
+        cohort = self._cohort([7, 3, 11]).for_rounds(3)
+        for r in range(3):
+            cohort.streams(71, r, ("sbpu", "train"))
+        assert len(built) == 3 * 3   # the "train" generators only
 
     def test_streams_derived_only_for_reached_rounds(self, monkeypatch):
         hashed = []

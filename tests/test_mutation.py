@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from sbpu import params as P
 from sbpu import seeds
-from sbpu.mutation import (DiversityRates, GlobalHistory, apply_stochastic_lists,
-                           build_stochastic_list, check_neighborhood_bound,
-                           generate_diverse_models, sbpu_mutate,
+from sbpu.federation import ROUND_BLOCK, ClientState, Cohort
+from sbpu.mutation import (DiversityRates, GlobalHistory, _SelectorPlan, _selector_plan,
+                           apply_stochastic_lists, build_stochastic_list,
+                           check_neighborhood_bound, generate_diverse_models, sbpu_mutate,
                            stochastic_multiset)
+from sbpu.objectives import ClassifierObjective, QuadraticObjective
 
 from conftest import pair_like, random_params
 
@@ -260,6 +262,58 @@ class TestGenerateDiverseModels:
         a = generate_diverse_models(h, 4, DiversityRates(0.2, 0.1), seed=42)
         b = generate_diverse_models(h, 4, DiversityRates(0.2, 0.1), seed=42)
         assert a == b
+
+
+def selector_cohort(kind, K):
+    """K clients laid out as quad-mc ([[16, 1]]), clf-dp (32-64-10) or one filter."""
+    rng = np.random.default_rng(80)
+    if kind == "clf-dp":
+        objs = [ClassifierObjective(architecture=((32, 64, "relu"), (64, 10, "linear")),
+                                    data_x=rng.uniform(size=(4, 32)), data_y=rng.integers(0, 10, 4))
+                for _ in range(K)]
+    else:
+        d = 16 if kind == "quad-mc" else 3
+        objs = [QuadraticObjective(matrix=np.eye(d), center=rng.standard_normal(d),
+                                   layout=((16, 1),) if kind == "quad-mc" else None)
+                for _ in range(K)]
+    return Cohort([ClientState(id=k, n_k=1, objective=o, E=1) for k, o in enumerate(objs)])
+
+
+class TestSelectorRows:
+    """_SelectorPlan.rows draws what _SelectorPlan.draw draws from the
+    seeds.stream generators, with no generator.  A classifier Cohort sets
+    glibc's mmap and trim thresholds for the rest of the test process
+    (federation.tune_malloc); no result depends on them."""
+
+    @pytest.mark.parametrize("kind, filters", [("quad-mc", 16), ("clf-dp", 76), ("one-filter", 1)])
+    def test_block_rows_equal_stream_draws(self, kind, filters):
+        cohort = selector_cohort(kind, 3).for_rounds(ROUND_BLOCK + 2)
+        plan = _selector_plan(cohort.template.layout)
+        assert plan.columns.shape == (3, filters - len(cohort.template.layout), 1)
+        for r in range(ROUND_BLOCK - 2, ROUND_BLOCK + 2):   # across a block boundary
+            rows = cohort.streams(81, r, ("sbpu", "train"))["sbpu"]
+            assert rows.shape == (3, filters) and rows.dtype == np.int8
+            np.testing.assert_array_equal(
+                rows, plan.draw([seeds.stream(81, "sbpu", r, k) for k in range(3)]))
+
+    def test_rejected_draw_goes_through_the_generator(self, monkeypatch):
+        # a 2000-filter list: numpy rejects and redraws draw 513 of the stream
+        # (5, "sbpu", 275, 4), found with seeds.pcg64_raw; its neighbours do not
+        plan = _selector_plan(((2000, 1, "weight"),))
+        keys = [(5, "sbpu", 275, k) for k in range(3, 6)]
+        rng, ref = seeds.stream(*keys[1]), seeds.stream(*keys[1])
+        rng.integers(0, plan.columns[0, :, 0])
+        ref.bit_generator.advance(1000)
+        # the 1999 draws took 2000 32-bit halves, one more than without a rejection
+        assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+        assert rng.bit_generator.state["has_uint32"] == 0
+        drawn = []
+        draw = _SelectorPlan.draw
+        monkeypatch.setattr(_SelectorPlan, "draw",
+                            lambda self, rngs: drawn.append(rngs) or draw(self, rngs))
+        rows = plan.rows(seeds.pcg64_words([seeds.child_seed(*k) for k in keys]))
+        assert len(drawn) == 1
+        np.testing.assert_array_equal(rows, draw(plan, [seeds.stream(*k) for k in keys]))
 
 
 class TestNeighborhoodBound:

@@ -68,3 +68,20 @@ def test_from_words_gives_the_stream_generator(keys):
     np.testing.assert_array_equal(rng.integers(0, bounds), ref.integers(0, bounds))
     np.testing.assert_array_equal(rng.standard_normal(9), ref.standard_normal(9))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=12), st.integers(0, 80))
+def test_pcg64_raw_matches_random_raw(child_seeds, n):
+    words = seeds.pcg64_words(child_seeds)
+    got = seeds.pcg64_raw(words, n)
+    assert got.dtype == np.uint64 and got.shape == (len(child_seeds), n)
+    for w, row in zip(words, got):
+        np.testing.assert_array_equal(row, seeds.from_words(w).bit_generator.random_raw(n))
+
+
+@pytest.mark.parametrize("word", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_pcg64_raw_carries_at_the_word_edges(word):
+    words = np.full((1, 4), word, dtype=np.uint64)
+    np.testing.assert_array_equal(seeds.pcg64_raw(words, 5)[0],
+                                  seeds.from_words(words[0]).bit_generator.random_raw(5))
