@@ -6,9 +6,9 @@ convergence (Monte-Carlo gap and divergence measurement against the
 closed-form bounds).  FederationConfig validates the file together with the
 command-line values and each command's needs; this module only dispatches.
 
-Exit codes: 0 ok, 1 configuration error, 2 runtime divergence (a non-finite
-loss, parameter value, divergence or envelope quantity), 3 bound violation
-in the guaranteed regime.  Set SBPU_LOG to a logging level name (e.g. DEBUG)
+Exit codes: 0 ok, 1 configuration error (or a run too large to allocate), 2
+runtime divergence (a non-finite loss, parameter value, divergence or envelope
+quantity), 3 bound violation in the guaranteed regime.  Set SBPU_LOG to a logging level name (e.g. DEBUG)
 for verbose progress output.
 """
 
@@ -207,6 +207,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(str(e), file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as e:   # e.g. a batch_size whose batch indices no allocation holds
+        print(ConfigError([f"the run does not fit in memory: {e}"]), file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, P.NonFiniteError) as e:
         print(f"runtime divergence: {e}", file=sys.stderr)

@@ -28,6 +28,9 @@ All randomness flows through streams derived from the master seed, so
 concurrent and serial client schedules produce bit-identical results.  Round
 streams are keyed by (seed, tag, round, client); within a run (iter_rounds)
 run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
+Cohort.streams hands out "sbpu" as selector rows, "train" as generators for
+quadratic clients and as the round's batch indices for classifier clients,
+and "defense" as generators.
 """
 
 from __future__ import annotations
@@ -153,11 +156,12 @@ class Cohort(tuple):
 
     Admission is the one rule of run_round and local_train: at least one
     client, one objective kind, one E, one template() layout (the flat
-    kernels do not check), and a dataset in each classifier.  RunPlan admits
-    its clients once; run_round and local_train wrap a plain sequence on the
-    spot, and Cohort(cohort) is cohort itself.  The caller checks the
-    template against the model.
-    It also keeps the last block of round streams it derived (streams)."""
+    kernels do not check), and a dataset in each classifier, whose group's
+    batch indices for a round fit one array.  RunPlan admits its clients
+    once; run_round and local_train wrap a plain sequence on the spot, and
+    Cohort(cohort) is cohort itself.  The caller checks the template against
+    the model.  It also keeps the last block of round streams it derived
+    (streams)."""
 
     def __new__(cls, clients: Sequence[ClientState]) -> "Cohort":
         if isinstance(clients, Cohort):
@@ -188,6 +192,8 @@ class Cohort(tuple):
             for (_, size, _), like in itertools.groupby(self, lambda c: (
                     c.objective.architecture, c.batch_size, c.objective.n_samples)):
                 objs = [c.objective for c in like]
+                if len(objs) * self[0].E * size > np.iinfo(np.intp).max // 8:   # in streams
+                    raise ValueError(f"E * batch_size = {self[0].E * size}: too many to draw")
                 DX = np.array([o.data_x for o in objs])
                 self.groups.append((objs[0], size, slice(k, k + len(objs)),
                                     (DX, np.array([o.data_y for o in objs])),
@@ -206,9 +212,13 @@ class Cohort(tuple):
     def streams(self, seed: int, r: int, tags: tuple) -> dict[str, list | np.ndarray]:
         """Per tag, seeds.stream(seed, tag, r, key) for each client, key its
         index for "sbpu" (which tags hold) and its id otherwise, but for "sbpu"
-        the selector rows they draw.  Past the kept block, one seeds.pcg64_words
-        call derives rounds r to r + ROUND_BLOCK - 1, cut at end (only r if end
-        is None), and one _SelectorPlan.rows call draws their selector rows."""
+        the selector rows they draw, and for a classifier cohort's "train", per
+        group, the (k, E, batch_size) indices of the batches they draw: one
+        random_raw call a client and one seeds.lemire pass a group, a row
+        numpy may have redrawn drawn again through a fresh generator.  Past the
+        kept block, one seeds.pcg64_words call derives rounds r to
+        r + ROUND_BLOCK - 1, cut at end (only r if end is None), and one
+        _SelectorPlan.rows call draws their selector rows."""
         b = self._block
         if b is None or b[:2] != (seed, tags) or not 0 <= r - b[2] < len(b[3]):
             n = 1 if self.end is None else min(ROUND_BLOCK, max(self.end - r, 1))
@@ -217,43 +227,53 @@ class Cohort(tuple):
                                        for t in tags for k in keys[t]]).reshape(n, len(tags), -1, 4)
             sel = _selector_plan(self.template.layout).rows(words[:, tags.index("sbpu")].reshape(-1, 4))
             b = self._block = (seed, tags, r, words, sel.reshape(n, len(self), -1))
-        return {t: b[4][r - b[2]] if t == "sbpu" else [seeds.from_words(w) for w in ws]
-                for t, ws in zip(tags, b[3][r - b[2]])}
+        out = {t: b[4][r - b[2]] if t == "sbpu" else [seeds.from_words(w) for w in ws]
+               for t, ws in zip(tags, b[3][r - b[2]])}
+        if self.groups:
+            gens, ws, E = out["train"], b[3][r - b[2], tags.index("train")], self[0].E
+            out["train"] = []
+            for obj, size, ks, _, _ in self.groups:
+                raw = np.array([g.bit_generator.random_raw(-(-E * size // 2)) for g in gens[ks]])
+                at, redo = seeds.lemire(raw, np.uint64(obj.n_samples), E * size)
+                for k in np.flatnonzero(redo):
+                    at[k] = seeds.from_words(ws[ks][k]).integers(0, obj.n_samples, E * size)
+                out["train"].append(at.reshape(-1, E, size))
+        return out
 
 
 def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
-                rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, list[float] | None]:
+                draws: Sequence) -> tuple[np.ndarray, list[float] | None]:
     """Local iteration s of client k on row k of X: (new rows, their full
     losses if s is the last iteration E - 1, else None).
 
     Rows stay flat; LayeredParams appears only at the history and the public
     functions.  Quadratic clients start from their row projected onto their
     radius-R ball and take projected sphere-noise gradient steps, all rows at
-    once; classifier clients each step X[k] + (-eta) * g on one batch sampled
-    uniformly with replacement, one stacked backprop per Cohort group on a
-    slice of the rows, with no copy.  The first client whose row is not
-    finite raises params.NonFiniteError, or DivergenceError if only its loss
-    is not.  A group's losses are one stacked _loss call over its data: at
-    the last iteration all its rows, before it only the rows _loss_certified
-    cannot show finite.  Quadratic losses before the last iteration are
-    computed only for a cohort that is not certified.  Elsewhere 0.0 stands
-    in for the loss.
+    once, with draws their generators; classifier clients each step
+    X[k] + (-eta) * g on one batch sampled uniformly with replacement, one
+    stacked backprop per Cohort group on a slice of the rows, with no copy,
+    with draws per group its batch indices (k, E, batch_size).  The first
+    client whose row is not finite raises params.NonFiniteError, or
+    DivergenceError if only its loss is not.  A group's losses are one
+    stacked _loss call over its data: at the last iteration all its rows,
+    before it only the rows _loss_certified cannot show finite.  Quadratic
+    losses before the last iteration are computed only for a cohort that is
+    not certified.  Elsewhere 0.0 stands in for the loss.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
     quads, last = clients.quads, s == clients[0].E - 1
     if quads is None:
         new, losses = np.empty_like(X), np.zeros(len(clients))
-        for obj, size, ks, (DX, DY), x_max in clients.groups:
-            at = (np.arange(len(DX))[:, None],
-                  np.array([rng.integers(0, obj.n_samples, size=size) for rng in rngs[ks]]))
+        for (obj, _, ks, (DX, DY), x_max), batches in zip(clients.groups, draws):
+            at = (np.arange(len(DX))[:, None], batches[:, s])
             rows = np.add(X[ks], (-eta) * obj._grad(X[ks], (DX[at], DY[at])), out=new[ks])
             due = slice(None) if last else ~obj._loss_certified(rows, x_max)
             if last or due.any():
                 losses[ks][due] = obj._loss(rows[due], (DX[due], DY[due]))
         X = new
     else:
-        X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, rngs)
+        X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, draws)
         losses = quads.loss(X) if last or not clients.certified else np.zeros(len(clients))
     if not (np.isfinite(X).all() and np.isfinite(losses).all()):
         k = int(np.argmin(np.isfinite(X).all(axis=1) & np.isfinite(losses)))
@@ -266,11 +286,14 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
 def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
                 global_step_offset: int, rng: np.random.Generator) -> LayeredParams:
     """One client's E SGD iterations from w_init with the shared step-count
-    schedule; run_round takes the same steps for all clients in lockstep."""
+    schedule; run_round takes the same steps for all clients in lockstep.  A
+    classifier draws its E batches in one rng.integers call, as E calls would."""
     cohort, X = Cohort([c]), w_init.vector[None, :]
     P.check_same_shape(cohort.template, w_init)
+    draws = [rng] if cohort.quads is not None else [
+        rng.integers(0, c.objective.n_samples, size=(1, c.E, c.batch_size))]
     for s in range(c.E):
-        X, _ = _local_step(cohort, X, schedule.lr_at(global_step_offset + s), s, [rng])
+        X, _ = _local_step(cohort, X, schedule.lr_at(global_step_offset + s), s, draws)
     return P.from_vector(X[0], w_init)
 
 

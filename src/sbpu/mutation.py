@@ -152,23 +152,21 @@ class _SelectorPlan:
         return self.multiset[np.array(perms)]
 
     def rows(self, words: np.ndarray) -> np.ndarray:
-        """draw([seeds.from_words(w) for w in words]) without generators: numpy draws j < b
-        as (u * b) >> 32, u the next 32-bit half of a raw output, low half first (Lemire), so
-        a chunk of rows makes each swap in all its rows at once.  A row where some
-        (u * b) mod 2^32 < b, which numpy may reject, is drawn through its generator."""
+        """draw([seeds.from_words(w) for w in words]) without generators: seeds.lemire draws
+        each row's js from its seeds.pcg64_raw outputs, and a chunk of rows makes each swap in
+        all its rows at once.  A row that numpy may have redrawn is drawn through its generator."""
         n, f = self.columns.shape[1], self.multiset.size
         out = self.multiset.astype(np.int8)[None].repeat(len(words), axis=0)   # a block stays small
         flat, (b, i, o) = out.reshape(-1), self.columns
-        b = b.view(np.uint64)   # pcg64_raw's dtype: a loop new to the process costs RSS
         size = max(_CHUNK // max(n, 1), 1)
         for c in range(0, len(words) if n else 0, size):
             w = words[c:c + size]
-            m = seeds.pcg64_raw(w, (n + 1) // 2).astype("<u8", copy=False).view("<u4").T[:n] * b
+            j, redo = seeds.lemire(seeds.pcg64_raw(w, (n + 1) // 2), b.view(np.uint64).T, n)
             base = np.arange(c * f, (c + len(w)) * f, f)   # each row's first flat index
-            at = (base + i, base + o + (m >> 32).view(np.int64))   # (draws, rows) swap pairs
+            at = (base + i, base + o + j.T)   # (draws, rows) swap pairs
             for x, y in zip(np.concatenate(at, axis=1), np.concatenate(at[::-1], axis=1)):
                 flat[x] = flat[y]
-            for k in np.flatnonzero(((m & 0xFFFFFFFF) < b).any(axis=0)):
+            for k in np.flatnonzero(redo):
                 out[c + k] = self.draw([seeds.from_words(w[k])])[0]
         return out
 

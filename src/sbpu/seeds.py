@@ -7,8 +7,9 @@ and never on execution order.  No global RNG state is used anywhere.
 
 stream builds one generator; pcg64_words runs numpy's SeedSequence seeding
 on an array of child seeds, and from_words builds the same generators from
-its rows, and pcg64_raw their first outputs without building them.
-tests/test_seeds.py checks all three against numpy.
+its rows, and pcg64_raw their first outputs without building them; lemire
+turns raw outputs into numpy's bounded integers.  tests/test_seeds.py checks
+all four against numpy.
 """
 
 import functools
@@ -27,6 +28,7 @@ _STATE_OUT = np.array([_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)], np.u
 # numpy's PCG64 multiplier (pcg64.h), and uint64 masks and shifts
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LO32, _32, _58, _63, _64 = (np.uint64(v) for v in (0xFFFFFFFF, 32, 58, 63, 64))
+_ONES = np.uint64(2 ** 64 - 1)
 
 
 def child_seed(*keys) -> int:
@@ -107,12 +109,28 @@ def pcg64_raw(words: np.ndarray, n: int) -> np.ndarray:
     t = a1 * k0 + (a0 * k0 >> _32)
     u = (t & _LO32) + a0 * k1
     hi = a1 * k1 + (t >> _32) + (u >> _32) + vh * kl + vl * kh
-    lo = vl * kl
-    low = lo[0] + lo[1]
-    lo, hi = low + dl, hi[0] + hi[1] + (low < lo[0]) + dh
-    hi += lo < dl
+    a, b = vl * kl
+    low = a + b
+    lo = low + dl
+    hi = hi[0] + hi[1] + _carry(a, b, low) + dh + _carry(low, dl, lo)
     x, r = hi ^ lo, hi >> _58     # XSL-RR: the halves' xor, rotated right by the top 6 bits
     return (x >> r) | (x << ((_64 - r) & _63))
+
+
+def _carry(a, b, s):
+    """The carry out of s = a + b mod 2^64 as 0 or 1, in bit operations: loops that uint64
+    comparisons would first fault in cost the process RSS."""
+    return (a & b | (a | b) & (s ^ _ONES)) >> _63
+
+
+def lemire(raw: np.ndarray, bound, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.integers(0, bound, count) per row of uint64 PCG64 outputs, bound in [1, 2^32]
+    as uint64 broadcast against (rows, count): numpy draws (u * bound) >> 32, u the next 32-bit
+    half, low half first (Lemire), and may redraw u where (u * bound) mod 2^32 < bound.  The
+    (rows, count) int64 values, and per row 1 if it holds such a u (draw it from its generator
+    instead), else 0."""
+    m = raw.astype("<u8", copy=False).view("<u4")[..., :count] * bound
+    return (m >> _32).view(np.int64), np.bitwise_or.reduce(((m & _LO32) - bound) >> _63, axis=-1)
 
 
 def fisher_yates(items, rng: np.random.Generator) -> np.ndarray:

@@ -379,6 +379,25 @@ def test_empty_classifier_dataset_exit_1(tmp_path, capsys):
     assert "invalid configuration" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("batch_size", [2 ** 40, 2 ** 62])
+def test_unallocatable_batch_size_exit_1(tmp_path, capsys, batch_size):
+    # a round's batch indices that no allocation (2**40) or no array (2**62) can
+    # hold: a config error, not a numpy traceback
+    path, _ = write_config(tmp_path, objective=CLASSIFIER, mu=1.0, batch_size=batch_size)
+    assert main(["run-fl", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and "Traceback" not in err
+    assert ("does not fit in memory" if batch_size < 2 ** 60 else "too many to draw") in err
+
+
+def test_batch_larger_than_dataset_runs(tmp_path):
+    # batches sample with replacement, so batch_size may exceed the dataset
+    path, out = write_config(tmp_path, objective={**CLASSIFIER, "dataset": {"n": 5}}, mu=1.0,
+                             batch_size=64)
+    assert main(["run-fl", "--config", str(path)]) == 0
+    assert (out / "metrics.csv").exists()
+
+
 def test_client_admission_error_exit_1(tmp_path, capsys, monkeypatch):
     # RunPlan admits the clients; a config whose objectives it rejects (here
     # two kinds, which no objective spec builds today) exits 1, not a traceback

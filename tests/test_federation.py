@@ -577,11 +577,45 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(ClassifierObjective, "_loss", counted)
         X = rng.standard_normal((2, clients.template.vector.size)) * 1e150
+        batches = [rng.integers(0, 20, size=(1, 3, 3)) for _ in clients.groups]   # (k, E, b)
         with np.errstate(all="ignore"):   # the sigmoid saturates
-            _, losses = _local_step(clients, X, 1e-300, 0, [np.random.default_rng(k) for k in (0, 1)])
+            _, losses = _local_step(clients, X, 1e-300, 0, batches)
             assert losses is None and evaluated == ["relu"]
-            _, losses = _local_step(clients, X, 1e-300, 2, [np.random.default_rng(k) for k in (0, 1)])
+            _, losses = _local_step(clients, X, 1e-300, 2, batches)
         assert evaluated == ["relu"] * 2 + ["sigmoid"] and all(map(math.isfinite, losses))
+
+    def test_classifier_round_draws_batches_with_one_raw_call(self, monkeypatch):
+        # each client's "train" generator makes one random_raw call for the
+        # round's E batches and no integers call, with the bits of E calls
+        class Counted:
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, self
+
+            def random_raw(self, size):
+                calls.append(("random_raw", size))
+                return self.rng.bit_generator.random_raw(size)
+
+            def integers(self, *args, **kwargs):
+                calls.append(("integers",))
+                return self.rng.integers(*args, **kwargs)
+
+        calls, from_words = [], seeds.from_words
+        monkeypatch.setattr(seeds, "from_words", lambda w: Counted(from_words(w)))
+        rng = np.random.default_rng(72)
+        clients = [ClientState(id=20 + k, n_k=1, E=3, batch_size=size,
+                               objective=ClassifierObjective(
+                                   architecture=((4, 6, "relu"), (6, 3, "linear")),
+                                   data_x=rng.uniform(size=(20, 4)),
+                                   data_y=rng.integers(0, 3, 20)))
+                   for k, size in enumerate((5, 5, 7))]
+        template = clients[0].objective.template()
+        h = GlobalHistory(*(P.from_vector(rng.standard_normal(template.vector.size), template)
+                            for _ in range(3)), round=2)
+        args = (DiversityRates(0.3, 0.2), LrSchedule(mu=1.0, gamma=20.0), DefensePolicy(), 73)
+        _, rec = run_round(h, clients, *args)
+        assert calls == [("random_raw", 8)] * 2 + [("random_raw", 11)]   # ceil(E * b / 2)
+        monkeypatch.undo()
+        assert rec == per_client_round(h, clients, *args, None, tie_gradients=False)[1]
 
     @staticmethod
     def _stack_losses(monkeypatch, cohort):
@@ -777,6 +811,26 @@ class TestRoundStreams:
         for r in range(3):
             cohort.streams(71, r, ("sbpu", "train"))
         assert len(built) == 3 * 3   # the "train" generators only
+
+    def test_redrawn_batch_row_goes_through_a_fresh_generator(self, monkeypatch):
+        # numpy rejects and redraws a draw of stream (74, "train", 31, 131) when it
+        # draws 1000 indices below 641 (found with seeds.lemire); its neighbours do not
+        rng = np.random.default_rng(75)
+        cohort = Cohort([ClientState(id=i, n_k=1, E=2, batch_size=500,
+                                     objective=ClassifierObjective(
+                                         architecture=((2, 3, "linear"),),
+                                         data_x=rng.uniform(size=(641, 2)),
+                                         data_y=rng.integers(0, 3, 641)))
+                         for i in (130, 131, 132)]).for_rounds(40)
+        built, from_words = [], seeds.from_words
+        monkeypatch.setattr(seeds, "from_words", lambda w: built.append(w) or from_words(w))
+        batches, = cohort.streams(74, 31, ("sbpu", "train"))["train"]
+        assert batches.shape == (3, 2, 500) and len(built) == 3 + 1   # client 131 twice
+        for row, i in zip(batches, (130, 131, 132)):
+            np.testing.assert_array_equal(
+                row, seeds.stream(74, "train", 31, i).integers(0, 641, (2, 500)))
+        raw = seeds.stream(74, "train", 31, 131).bit_generator.random_raw(500)
+        assert (seeds.lemire(raw[None], np.uint64(641), 1000)[0] != batches[1].ravel()).any()
 
     def test_streams_derived_only_for_reached_rounds(self, monkeypatch):
         hashed = []

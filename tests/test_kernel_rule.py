@@ -18,7 +18,8 @@ import sbpu
 SRC = Path(sbpu.__file__).parent
 BANNED = {"sum", "max", "min", "mean", "stack"}
 KERNELS = {
-    "objectives.py": ["softmax", "_ACTS", "_row_norms", "_project_rows",
+    "objectives.py": ["softmax", "_ACTS", "_max_columns", "_add_columns", "_row_norms",
+                      "_project_rows",
                       "QuadraticStack", "ClassifierObjective._forward",
                       "ClassifierObjective._batch", "ClassifierObjective._loss",
                       "ClassifierObjective._grad", "ClassifierObjective._loss_certified",
@@ -28,6 +29,8 @@ KERNELS = {
     "params.py": ["layer_sq_sums"],
     "attacks.py": ["ir_reconstruct"],
     "federation.py": ["Cohort", "_local_step", "run_round"],
+    "seeds.py": ["_carry", "lemire"],
+    "mutation.py": ["_SelectorPlan.rows"],
 }
 
 

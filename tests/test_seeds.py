@@ -85,3 +85,43 @@ def test_pcg64_raw_carries_at_the_word_edges(word):
     words = np.full((1, 4), word, dtype=np.uint64)
     np.testing.assert_array_equal(seeds.pcg64_raw(words, 5)[0],
                                   seeds.from_words(words[0]).bit_generator.random_raw(5))
+
+
+class TestLemire:
+    """seeds.lemire against Generator.integers on fresh from_words generators:
+    a row it does not flag holds what integers draws, and every row where
+    numpy rejected a draw is flagged."""
+
+    @staticmethod
+    def _words(*keys, rows=40):
+        return seeds.pcg64_words([seeds.child_seed(*keys, k) for k in range(rows)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 256, 2 ** 31 + 1, 2 ** 32])
+    @pytest.mark.parametrize("count", [1, 7, 160])   # odd counts leave a half unread
+    def test_unflagged_rows_match_integers(self, n, count):
+        words = self._words(9, "lemire", n, count)
+        raw = np.array([seeds.from_words(w).bit_generator.random_raw(-(-count // 2))
+                        for w in words])
+        got, redo = seeds.lemire(raw, np.uint64(n), count)
+        assert got.dtype == np.int64 and got.shape == (40, count) and redo.shape == (40,)
+        differ = [not np.array_equal(row, seeds.from_words(w).integers(0, n, count))
+                  for w, row in zip(words, got)]
+        assert not any(d and not r for d, r in zip(differ, redo))
+        if n == 2 ** 31 + 1:   # numpy rejects about half the draws: the fallback matters
+            assert any(differ)
+        if n <= 256:
+            assert not redo.any()
+
+    @pytest.mark.parametrize("n, b, E", [(256, 32, 5), (100, 7, 3), (1000, 33, 2), (3, 5, 4),
+                                         (1, 4, 2), (2 ** 31 + 1, 3, 3)])
+    def test_one_raw_draw_gives_the_E_calls(self, n, b, E):
+        # the generator's 32-bit half buffer carries across calls, so E calls of
+        # size b, one call of size (E, b) and one random_raw call draw the same
+        for w in self._words(10, "batches", n, b, E):
+            calls, one = seeds.from_words(w), seeds.from_words(w)
+            each = np.array([calls.integers(0, n, b) for _ in range(E)])
+            np.testing.assert_array_equal(one.integers(0, n, (E, b)), each)
+            assert one.bit_generator.state == calls.bit_generator.state
+            raw = seeds.from_words(w).bit_generator.random_raw(-(-E * b // 2))
+            got, redo = seeds.lemire(raw[None], np.uint64(n), E * b)
+            assert redo[0] or np.array_equal(got.reshape(E, b), each)
