@@ -35,8 +35,8 @@ EXPLICIT = {"kind": "quadratic", "radius": 2.0, "layout": [[2, 1]], "clients": [
     {"center": [0.0, 0.3], "matrix": [1.0, -0.2, -0.2, 1.2], "sigma": 0.3}]}
 
 
-def _clf(act: str, dataset: dict | None = None, **kw) -> dict:
-    return {"objective": {"kind": "classifier", "architecture": [[4, 8, act], [8, 3, "linear"]],
+def _clf(act: str, dataset: dict | None = None, n_c: int = 3, **kw) -> dict:
+    return {"objective": {"kind": "classifier", "architecture": [[4, 8, act], [8, n_c, "linear"]],
                           "dataset": dataset or {"n": 24}},
             "K": 3, "E": 2, "batch_size": 4, "rounds": 3, "mu": 1.0, **kw}
 
@@ -64,7 +64,11 @@ CASES = {
         "objective": {**QUAD, "shared_matrix": True, "sigma": [0.1, 0, 0.3]},
         "K": 3, "E": 2, "rounds": 4, **RATES}),
     "run-fl-clf-spread": (["run-fl"], _clf("relu", {"n": 20, "spread": 0.4}, beta=0.05)),
+    "run-fl-clf-10-classes": (["run-fl"], _clf("relu", n_c=10, beta=0.05)),
+    "run-fl-clf-130-classes": (["run-fl"], _clf("lrelu", n_c=130, beta=0.05)),   # > 128 columns
     "run-attack-lia": (["run-attack", "--attack", "lia"], {"objective": QUAD}),
+    "run-attack-mia": (["run-attack", "--attack", "mia"], {"objective": QUAD}),
+    "run-attack-ir": (["run-attack", "--attack", "ir"], {"objective": QUAD}),
 }
 
 
