@@ -192,7 +192,7 @@ class FederationConfig:
         return DiversityRates.from_beta(self.beta)
 
     def build_plan(self) -> RunPlan:
-        with _construction_errors():
+        with _construction_errors("objective: "):
             objs = build_objectives(self.objective, self.K, self.seed)
             schedule = self.build_schedule(objs)
         n_k = self.n_k or [1] * self.K
@@ -236,8 +236,10 @@ class FederationConfig:
         is the one check_bounds validated."""
         if self.rounds < 1:
             raise ConfigError(["convergence runs need rounds >= 1"])
+        if self.rounds * self.E > np.iinfo(np.intp).max // 8:   # its per-step float64 series
+            raise ConfigError([f"rounds * E = {self.rounds * self.E}: too many steps to record"])
         plan = self.build_plan()
-        with _construction_errors():    # e.g. classifier clients
+        with _construction_errors("objective: "):    # e.g. classifier clients
             return ConvergenceConfig(plan=plan, alpha=self.alpha, n_seeds=self.n_seeds)
 
     def manifest(self) -> dict:
@@ -253,12 +255,13 @@ class FederationConfig:
 
 
 @contextmanager
-def _construction_errors():
-    """Report an error raised while building objects from a checked config as a ConfigError."""
+def _construction_errors(prefix: str = ""):
+    """Report an error raised while building objects from a checked config as a ConfigError,
+    its message after prefix."""
     try:
         yield
     except (ValueError, TypeError, KeyError, IndexError, OverflowError, MemoryError) as e:
-        raise ConfigError(getattr(e, "violations", [f"objective: {e}"])) from e
+        raise ConfigError(getattr(e, "violations", [f"{prefix}{e}"])) from e
 
 
 def build_objectives(spec: dict, K: int, seed: int) -> list:

@@ -29,8 +29,8 @@ concurrent and serial client schedules produce bit-identical results.  Round
 streams are keyed by (seed, tag, round, client); within a run (iter_rounds)
 run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
 Cohort.streams hands out "sbpu" as selector rows, "train" as generators for
-quadratic clients and as the round's batch indices for classifier clients,
-and "defense" as generators.
+quadratic clients and as the round's batch indices for classifier clients
+(one integers call a client), and "defense" as generators.
 """
 
 from __future__ import annotations
@@ -98,6 +98,10 @@ class DefensePolicy:
                 raise ValueError("dp clip bound C must be finite and > 0")
             if not 0.0 < self.epsilon_per_round < math.inf:
                 raise ValueError("dp epsilon_per_round must be finite and > 0")
+            if not math.isfinite(self.noise_std()):
+                raise ValueError(f"dp noise std C * sqrt(2 ln(1.25 / delta)) / epsilon_per_round "
+                                 f"overflows for C = {self.clip}, epsilon_per_round = "
+                                 f"{self.epsilon_per_round}")
         if self.tag == "gc" and not (0.0 <= self.prune_fraction < 1.0):
             raise ValueError("gc prune fraction must lie in [0, 1)")
 
@@ -213,10 +217,9 @@ class Cohort(tuple):
         """Per tag, seeds.stream(seed, tag, r, key) for each client, key its
         index for "sbpu" (which tags hold) and its id otherwise, but for "sbpu"
         the selector rows they draw, and for a classifier cohort's "train", per
-        group, the (k, E, batch_size) indices of the batches they draw: one
-        random_raw call a client and one seeds.lemire pass a group, a row
-        numpy may have redrawn drawn again through a fresh generator.  Past the
-        kept block, one seeds.pcg64_words call derives rounds r to
+        group, the (k, E, batch_size) indices of the batches they draw, one
+        integers call a client, as local_train draws them.  Past the kept
+        block, one seeds.pcg64_words call derives rounds r to
         r + ROUND_BLOCK - 1, cut at end (only r if end is None), and one
         _SelectorPlan.rows call draws their selector rows."""
         b = self._block
@@ -230,14 +233,9 @@ class Cohort(tuple):
         out = {t: b[4][r - b[2]] if t == "sbpu" else [seeds.from_words(w) for w in ws]
                for t, ws in zip(tags, b[3][r - b[2]])}
         if self.groups:
-            gens, ws, E = out["train"], b[3][r - b[2], tags.index("train")], self[0].E
-            out["train"] = []
-            for obj, size, ks, _, _ in self.groups:
-                raw = np.array([g.bit_generator.random_raw(-(-E * size // 2)) for g in gens[ks]])
-                at, redo = seeds.lemire(raw, np.uint64(obj.n_samples), E * size)
-                for k in np.flatnonzero(redo):
-                    at[k] = seeds.from_words(ws[ks][k]).integers(0, obj.n_samples, E * size)
-                out["train"].append(at.reshape(-1, E, size))
+            gens, E = out["train"], self[0].E
+            out["train"] = [np.array([g.integers(0, obj.n_samples, (E, size)) for g in gens[ks]])
+                            for obj, size, ks, _, _ in self.groups]
         return out
 
 
@@ -287,7 +285,7 @@ def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
                 global_step_offset: int, rng: np.random.Generator) -> LayeredParams:
     """One client's E SGD iterations from w_init with the shared step-count
     schedule; run_round takes the same steps for all clients in lockstep.  A
-    classifier draws its E batches in one rng.integers call, as E calls would."""
+    classifier draws its E batches in one rng.integers call, as Cohort.streams does."""
     cohort, X = Cohort([c]), w_init.vector[None, :]
     P.check_same_shape(cohort.template, w_init)
     draws = [rng] if cohort.quads is not None else [
@@ -374,8 +372,9 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     iteration s + 1 runs.  Each client draws from its own ("train", round,
     client) stream, so the order changes no value, but a DivergenceError
     names the earliest diverging iteration.  The client losses are those of
-    the last iteration.  A non-finite envelope quantity (alpha given), client
-    divergence or global loss raises params.NonFiniteError naming the round.
+    the last iteration.  A non-finite dispatched model, envelope quantity
+    (alpha given), client divergence, new aggregate or global loss raises
+    params.NonFiniteError naming the round.
     """
     cohort = Cohort(clients)
     P.check_same_shape(cohort.template, h.w_glb)
@@ -405,7 +404,10 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
         mean = _weighted_mean(dispatched + np.array([
             _defend(delta, policy, rng)
             for rng, delta in zip(streams["defense"], trained - dispatched)]), sizes)
-    new_glb = P.from_vector(mean, h.w_glb)
+    try:
+        new_glb = P.from_vector(mean, h.w_glb)
+    except P.NonFiniteError as e:
+        raise P.NonFiniteError(f"round {h.round}: non-finite value in the new aggregate") from e
     total = float(sum(sizes))
     glb_losses = np.empty(len(cohort)) if cohort.quads is None else cohort.quads.loss(new_glb.vector)
     for obj, _, ks, data, _ in cohort.groups:   # classifiers: the aggregate over each group's data

@@ -241,7 +241,7 @@ def _dispatch_matrix(h: GlobalHistory, rates: DiversityRates, sel: np.ndarray) -
     w = h.w_glb.vector
     X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel, h.w_glb.layout)
     if not np.isfinite(X).all():
-        raise P.NonFiniteError("non-finite value in parameters")
+        raise P.NonFiniteError(f"round {h.round}: non-finite value in the dispatched models")
     return X
 
 

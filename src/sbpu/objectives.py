@@ -18,7 +18,9 @@ variance bound holds with equality and the norm bound holds surely.
 Kernel rule: the per-call kernels use np.add.reduce, np.maximum.reduce and
 np.array, not np.sum, np.max, np.mean or np.stack, whose Python-level dispatch
 outweighs the arithmetic on these shapes; the bits are the same, and
-tests/test_kernel_rule.py keeps the rule.
+tests/test_kernel_rule.py keeps the rule.  The classifier loss takes its
+class-axis max a column at a time (_max_columns), since numpy reduces a short
+last axis row by row, and sums its exponentials with numpy's own reduce.
 """
 
 from __future__ import annotations
@@ -291,31 +293,6 @@ def _max_columns(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def _add_columns(a: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
-    """np.add.reduce(a, axis=-1), bit for bit: 0.0 plus numpy's pairwise sum of columns lo to
-    lo + n - 1 (all by default), below 8 columns a running sum from 0.0, up to 128 8 running
-    block sums, their fixed tree and the tail, above 128 the sums of two halves, the first cut
-    to a multiple of 8 columns.  numpy itself would reduce a short last axis row by row."""
-    if n is None:
-        return 0.0 + _add_columns(a, 0, a.shape[-1])
-    if n > 128:
-        h = n // 2 - n // 2 % 8
-        return _add_columns(a, lo, h) + _add_columns(a, lo + h, n - h)
-    tail = lo + n - n % 8
-    if n < 8:
-        s, tail = 0.0 + a[..., lo], lo + 1
-    else:
-        r = a[..., lo:lo + 8]
-        for j in range(lo + 8, tail, 8):
-            r = r + a[..., j:j + 8]
-        while r.shape[-1] > 1:   # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-            r = r[..., 0::2] + r[..., 1::2]
-        s = r[..., 0]
-    for j in range(tail, lo + n):
-        s += a[..., j]
-    return s
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
@@ -428,7 +405,7 @@ class ClassifierObjective:
         """Mean cross-entropy at the flat vector v: a float.  On K rows (K, d), or
         v broadcast, with a (K, n, in) batch, one loss per row with the bits that
         row gets alone.  Each layer's matmul output takes bias, activation and, once the
-        labels' logits are read, exp in place; the class axis is reduced a column at a time."""
+        labels' logits are read, exp in place; the class-axis max is taken a column at a time."""
         h, y = self._batch(batch)
         for w_at, shape, b_at, a in self._dense:
             h = np.matmul(h, v[w_at].reshape(v.shape[:-1] + shape).mT)
@@ -437,7 +414,7 @@ class ClassifierObjective:
                 _ACTS[a][0](h, h)
         h -= _max_columns(h)[..., None]
         logp = h.reshape(-1)[np.arange(0, h.size, self.n_c) + y].reshape(h.shape[:-1])
-        logp -= np.log(_add_columns(np.exp(h, out=h)))
+        logp -= np.log(np.add.reduce(np.exp(h, out=h), axis=-1))
         loss = -(np.add.reduce(logp, axis=-1) / logp.shape[-1])
         return float(loss) if loss.ndim == 0 else loss
 

@@ -8,8 +8,9 @@ and never on execution order.  No global RNG state is used anywhere.
 stream builds one generator; pcg64_words runs numpy's SeedSequence seeding
 on an array of child seeds, and from_words builds the same generators from
 its rows, and pcg64_raw their first outputs without building them; lemire
-turns raw outputs into numpy's bounded integers.  tests/test_seeds.py checks
-all four against numpy.
+turns raw outputs into numpy's bounded integers (the selector shuffles'
+swaps, mutation._SelectorPlan.rows).  tests/test_seeds.py checks all four
+against numpy.
 """
 
 import functools

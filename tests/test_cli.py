@@ -388,6 +388,7 @@ def test_unallocatable_batch_size_exit_1(tmp_path, capsys, batch_size):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration") and "Traceback" not in err
     assert ("does not fit in memory" if batch_size < 2 ** 60 else "too many to draw") in err
+    assert "objective: " not in err   # admission is not about the objective spec
 
 
 def test_batch_larger_than_dataset_runs(tmp_path):
@@ -417,6 +418,33 @@ def test_client_admission_error_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["run-fl", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "one objective kind" in err
+    assert "objective: " not in err   # admission is not about the objective spec
+
+
+@pytest.mark.parametrize("rounds", [2 ** 60, 2 ** 62, 2 ** 63])
+def test_unrecordable_convergence_rounds_exit_1(tmp_path, capsys, rounds):
+    # rounds * E steps whose divergence series no float64 array can hold: a
+    # config error, not numpy's ValueError from the series' allocation
+    path, _ = write_config(tmp_path, rounds=rounds, E=1)
+    assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invalid configuration:",
+                                f"  - rounds * E = {rounds}: too many steps to record"]
+
+
+@pytest.mark.parametrize("defense,rounds", [
+    ({"clip": 1e308, "epsilon_per_round": 1.0}, 4),
+    ({"epsilon_per_round": 1e-308}, 4),
+    ({"epsilon_per_round": 1e-308}, 0),
+], ids=["huge-clip", "tiny-epsilon", "tiny-epsilon-no-rounds"])
+def test_overflowing_dp_noise_exit_1(tmp_path, capsys, defense, rounds):
+    # an infinite noise std is a config error, not a run of inf parameters
+    path, _ = write_config(tmp_path, rounds=rounds, defense={"tag": "dp", **defense})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run-fl", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and "  - defense: dp noise std" in err
 
 
 @pytest.mark.parametrize("overrides", [
@@ -574,6 +602,29 @@ def test_overflowed_global_loss_exit_2(tmp_path, capsys):
         assert main(["run-fl", "--config", str(path)]) == 2
     assert "round 0: non-finite global loss inf" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+
+
+def test_overflowed_dispatched_models_exit_2(tmp_path, capsys):
+    # beta1 = beta2 = 1e308: the mutation's branch update overflows in round 0
+    path, _ = write_config(tmp_path, beta1=1e308, beta2=1e308, tie_gradients=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+        assert main(["run-fl", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime divergence: round 0: non-finite value in the dispatched models" in err
+
+
+def test_overflowed_aggregate_exit_2(tmp_path, capsys):
+    # a finite dp noise std of 4.8e307: the clients' defended uploads stay
+    # finite, but their weighted mean overflows
+    path, _ = write_config(tmp_path, objective={**base_config(tmp_path)["objective"], "dim": 64,
+                                                "layout": [[64, 1]]}, K=4, seed=1,
+                           defense={"tag": "dp", "epsilon_per_round": 1e-307, "clip": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+        assert main(["run-fl", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime divergence: round 0: non-finite value in the new aggregate" in err
 
 
 def test_overflowed_layer_sum_exit_2(tmp_path, capsys):

@@ -18,7 +18,7 @@ import sbpu
 SRC = Path(sbpu.__file__).parent
 BANNED = {"sum", "max", "min", "mean", "stack"}
 KERNELS = {
-    "objectives.py": ["softmax", "_ACTS", "_max_columns", "_add_columns", "_row_norms",
+    "objectives.py": ["softmax", "_ACTS", "_max_columns", "_row_norms",
                       "_project_rows",
                       "QuadraticStack", "ClassifierObjective._forward",
                       "ClassifierObjective._batch", "ClassifierObjective._loss",
