@@ -276,7 +276,8 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     if not (np.isfinite(X).all() and np.isfinite(losses).all()):
         k = int(np.argmin(np.isfinite(X).all(axis=1) & np.isfinite(losses)))
         if not np.isfinite(X[k]).all():
-            raise P.NonFiniteError("non-finite value in parameters")
+            raise P.NonFiniteError(f"client {clients[k].id}, local iteration {s}: "
+                                   "non-finite value in parameters")
         raise DivergenceError(clients[k].id, s)
     return X, losses.tolist() if last else None
 
@@ -373,8 +374,8 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     client) stream, so the order changes no value, but a DivergenceError
     names the earliest diverging iteration.  The client losses are those of
     the last iteration.  A non-finite dispatched model, envelope quantity
-    (alpha given), client divergence, new aggregate or global loss raises
-    params.NonFiniteError naming the round.
+    (alpha given), trained row, client divergence, new aggregate or global
+    loss raises params.NonFiniteError naming the round.
     """
     cohort = Cohort(clients)
     P.check_same_shape(cohort.template, h.w_glb)
@@ -392,8 +393,11 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
 
     trained, step_divergences = dispatched, []
     for s in range(E):
-        trained, losses = _local_step(cohort, trained, schedule.lr_at(h.round * E + s), s,
-                                      streams["train"])
+        try:
+            trained, losses = _local_step(cohort, trained, schedule.lr_at(h.round * E + s), s,
+                                          streams["train"])
+        except P.NonFiniteError as e:
+            raise P.NonFiniteError(f"round {h.round}, {e}") from e
         d, mean = _divergence(trained, sizes, h.w_glb.layout)
         step_divergences.append(d)
     for s, d in enumerate(step_divergences):   # checked after training: DivergenceError first

@@ -12,16 +12,14 @@ multiple of 4 the remaining r = f - 4*floor(f/4) slots are filled from the
 fixed cycle [-1, +1, -2, +2] before shuffling, which keeps the multiset
 deterministic and near-balanced (and covers tiny layers with f < 4).
 
-A layout's selector plan, built once and cached, holds what its lists share
-(the concatenated multisets and Fisher-Yates bounds), so a model's lists for
-every layer come from one bounded-integer draw with the bits of
-build_stochastic_list layer by layer.  sbpu_mutate and generate_diverse_models
-draw from generators; the round engine draws a block's rows from its seed
-words with no generator (rows()).  A round's K diverse models are the rows of
-one C-contiguous (K, d) matrix, which generate_diverse_models wraps as
-LayeredParams.  One kernel, _envelopes, audits dispatched rows against the
-history: the round engine's (K, d) matrix, or check_neighborhood_bound's one
-shape-checked row.
+A model's lists come from a generator only through build_stochastic_list,
+layer by layer (sbpu_mutate, generate_diverse_models).  The round engine
+draws a block's lists with the same bits from its seed words and no
+generator, through the layout's cached selector plan (_SelectorPlan.rows).
+A round's K diverse models are the rows of one C-contiguous (K, d) matrix,
+which generate_diverse_models wraps as LayeredParams.  One kernel,
+_envelopes, audits dispatched rows against the history: the round engine's
+(K, d) matrix, or check_neighborhood_bound's one shape-checked row.
 """
 
 from __future__ import annotations
@@ -127,34 +125,28 @@ def build_stochastic_list(f: int, rng: np.random.Generator) -> np.ndarray:
     return seeds.fisher_yates(stochastic_multiset(f), rng)
 
 
+def _selectors(layout: tuple, rng: np.random.Generator) -> list[np.ndarray]:
+    """A model's selector lists from rng: build_stochastic_list for each layer, in order."""
+    return [build_stochastic_list(nf, rng) for nf, _, _ in layout]
+
+
 @dataclass(frozen=True)
 class _SelectorPlan:
-    """The run-invariant part of a layout's selector lists: build_stochastic_list
-    for every layer in layer order, flattened.  One rng.integers call over the
-    concatenated Fisher-Yates bounds draws what the per-layer calls draw and
-    leaves the generator in the same state."""
+    """The run-invariant part of a layout's selector lists, _selectors flattened, for
+    rows(): it draws them from seed words, with no generator."""
 
+    layout: tuple
     multiset: np.ndarray    # every layer's stochastic_multiset, concatenated
-    swaps: tuple            # per draw: the flat index it swaps (i of its layer)
     columns: np.ndarray     # (3, draws, 1): bounds (each layer's np.arange(nf, 1, -1)),
-                            # swaps and offsets (a layer's first flat index; j is relative)
+                            # swaps (the flat index i of each draw) and offsets (a layer's
+                            # first flat index; j is relative)
     repeats: tuple | None   # scalars per filter, for np.repeat (None if all 1)
 
-    def draw(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """The (len(rngs), filters) selectors, row k shuffled by rngs[k]."""
-        bounds, _, offsets = self.columns[:, :, 0]
-        perms = []
-        for rng in rngs:
-            perm = list(range(self.multiset.size))
-            for i, j in zip(self.swaps, (rng.integers(0, bounds) + offsets).tolist()):
-                perm[i], perm[j] = perm[j], perm[i]
-            perms.append(perm)
-        return self.multiset[np.array(perms)]
-
     def rows(self, words: np.ndarray) -> np.ndarray:
-        """draw([seeds.from_words(w) for w in words]) without generators: seeds.lemire draws
-        each row's js from its seeds.pcg64_raw outputs, and a chunk of rows makes each swap in
-        all its rows at once.  A row that numpy may have redrawn is drawn through its generator."""
+        """Row k: np.concatenate(_selectors(layout, seeds.from_words(words[k]))), without
+        generators: seeds.lemire draws each row's js from its seeds.pcg64_raw outputs, and a
+        chunk of rows makes each swap in all its rows at once.  A row that numpy may have
+        redrawn is drawn through its generator."""
         n, f = self.columns.shape[1], self.multiset.size
         out = self.multiset.astype(np.int8)[None].repeat(len(words), axis=0)   # a block stays small
         flat, (b, i, o) = out.reshape(-1), self.columns
@@ -167,7 +159,7 @@ class _SelectorPlan:
             for x, y in zip(np.concatenate(at, axis=1), np.concatenate(at[::-1], axis=1)):
                 flat[x] = flat[y]
             for k in np.flatnonzero(redo):
-                out[c + k] = self.draw([seeds.from_words(w[k])])[0]
+                out[c + k] = np.concatenate(_selectors(self.layout, seeds.from_words(w[k])))
         return out
 
 
@@ -186,7 +178,7 @@ def _selector_plan(layout: tuple) -> _SelectorPlan:
     for a in arrays:
         a.flags.writeable = False
     repeats = tuple(fl for nf, fl, _ in layout for _ in range(nf))
-    return _SelectorPlan(arrays[0], tuple(swaps), arrays[1],
+    return _SelectorPlan(layout, arrays[0], arrays[1],
                          None if all(fl == 1 for fl in repeats) else repeats)
 
 
@@ -227,17 +219,13 @@ def _branch_update(w: np.ndarray, g: np.ndarray, g_prev: np.ndarray, rates: Dive
 def sbpu_mutate(w_glb: LayeredParams, g_glb: LayeredParams, g_prev: LayeredParams,
                 rates: DiversityRates, rng: np.random.Generator) -> LayeredParams:
     """One diverse model: fresh shuffled list per layer, then the branch update."""
-    P.check_same_shape(w_glb, g_glb)
-    P.check_same_shape(w_glb, g_prev)
-    layout = w_glb.layout
-    return P.from_vector(_branch_update(w_glb.vector, g_glb.vector, g_prev.vector, rates,
-                                        _selector_plan(layout).draw([rng])[0], layout), w_glb)
+    return apply_stochastic_lists(w_glb, g_glb, g_prev, rates, _selectors(w_glb.layout, rng))
 
 
 def _dispatch_matrix(h: GlobalHistory, rates: DiversityRates, sel: np.ndarray) -> np.ndarray:
     """The K diverse models as the rows of one checked, C-contiguous (K, d) float64
-    matrix, row k's filter selectors sel[k]: client k's draw from its own (seed,
-    "sbpu", round, k) stream through the layout's cached plan (_SelectorPlan)."""
+    matrix, row k's filter selectors sel[k]: client k's lists from its own (seed,
+    "sbpu", round, k) stream (_selectors, or _SelectorPlan.rows from its words)."""
     w = h.w_glb.vector
     X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel, h.w_glb.layout)
     if not np.isfinite(X).all():
@@ -254,8 +242,9 @@ def generate_diverse_models(h: GlobalHistory, K: int, rates: DiversityRates,
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    rngs = [seeds.stream(seed, "sbpu", h.round, k) for k in range(K)]
-    sel = _selector_plan(h.w_glb.layout).draw(rngs)
+    layout = h.w_glb.layout
+    sel = np.array([np.concatenate(_selectors(layout, seeds.stream(seed, "sbpu", h.round, k)))
+                    for k in range(K)])
     return [P.from_vector(x, h.w_glb) for x in _dispatch_matrix(h, rates, sel)]
 
 

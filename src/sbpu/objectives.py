@@ -18,9 +18,12 @@ variance bound holds with equality and the norm bound holds surely.
 Kernel rule: the per-call kernels use np.add.reduce, np.maximum.reduce and
 np.array, not np.sum, np.max, np.mean or np.stack, whose Python-level dispatch
 outweighs the arithmetic on these shapes; the bits are the same, and
-tests/test_kernel_rule.py keeps the rule.  The classifier loss takes its
-class-axis max a column at a time (_max_columns), since numpy reduces a short
-last axis row by row, and sums its exponentials with numpy's own reduce.
+tests/test_kernel_rule.py keeps the rule.  The classifier has one forward pass
+(_forward), which its loss, gradient and logits share: each layer's matmul
+output takes the bias and activation in place, and backprop reads each
+activation's derivative from its output.  The loss takes its class-axis max a
+column at a time (_max_columns), since numpy reduces a short last axis row by
+row, and sums its exponentials with numpy's own reduce.
 """
 
 from __future__ import annotations
@@ -272,15 +275,15 @@ def sgd_step(w: LayeredParams, g: LayeredParams, eta: float,
 # ---------------------------------------------------------------------------
 # tiny softmax classifier
 
-# hidden-layer activation tag -> (a(z) into out, fresh if out is None; da/dz at z given a = a(z))
+# hidden-layer activation tag -> (a(z) written into z; da/dz given a = a(z): for relu and
+# lrelu a > 0 exactly where z > 0, also for NaN, signed zeros and subnormals)
 _ACTS = {
-    "sigmoid": (lambda z, out=None: np.divide(1.0, np.add(np.exp(np.negative(z, out=out), out=out),
-                                                          1.0, out=out), out=out),
-                lambda z, a: a * (1.0 - a)),
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
-             lambda z, a: (z > 0.0).astype(np.float64)),
-    "lrelu": (lambda z, out=None: np.multiply(z, np.where(z > 0.0, 1.0, 0.01), out=out),
-              lambda z, a: np.where(z > 0.0, 1.0, 0.01)),
+    "sigmoid": (lambda z: np.divide(1.0, np.add(np.exp(np.negative(z, out=z), out=z), 1.0, out=z),
+                                    out=z),
+                lambda a: a * (1.0 - a)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: (a > 0.0).astype(np.float64)),
+    "lrelu": (lambda z: np.multiply(z, np.where(z > 0.0, 1.0, 0.01), out=z),
+              lambda a: np.where(a > 0.0, 1.0, 0.01)),
 }
 ACTIVATIONS = tuple(_ACTS)
 
@@ -374,18 +377,19 @@ class ClassifierObjective:
             v[w_at] = (scale * rng.standard_normal(shape)).ravel()
         return P.from_vector(v, self._template)
 
-    def _forward(self, v: np.ndarray, x: np.ndarray):
-        """W per dense layer, a view of the flat vector v, and on the checked
-        float64 batch x each layer's input (then logits) and pre-activation.
+    def _forward(self, v: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+        """On the checked float64 batch x, each layer's input, then the logits, at the
+        flat vector v: one np.matmul per layer, whose output takes the bias and the
+        activation in place (x itself is never written).
 
         v may also hold K rows (K, d) with x a (K, b, in) batch per row: np.matmul
         runs over the leading axis and gives each row the bits it gets alone."""
-        Ws, hs, zs, lead = [], [x], [], v.shape[:-1]
+        hs = [x]
         for w_at, shape, b_at, a in self._dense:
-            Ws.append(v[w_at].reshape(lead + shape))
-            zs.append(hs[-1] @ Ws[-1].mT + v[b_at])
-            hs.append(zs[-1] if a == "linear" else _ACTS[a][0](zs[-1]))
-        return Ws, hs, zs
+            h = np.matmul(hs[-1], v[w_at].reshape(v.shape[:-1] + shape).mT)
+            h += v[b_at]
+            hs.append(h if a == "linear" else _ACTS[a][0](h))
+        return hs
 
     def _batch(self, batch):
         if batch is None:
@@ -404,14 +408,10 @@ class ClassifierObjective:
     def _loss(self, v: np.ndarray, batch=None) -> float | np.ndarray:
         """Mean cross-entropy at the flat vector v: a float.  On K rows (K, d), or
         v broadcast, with a (K, n, in) batch, one loss per row with the bits that
-        row gets alone.  Each layer's matmul output takes bias, activation and, once the
-        labels' logits are read, exp in place; the class-axis max is taken a column at a time."""
-        h, y = self._batch(batch)
-        for w_at, shape, b_at, a in self._dense:
-            h = np.matmul(h, v[w_at].reshape(v.shape[:-1] + shape).mT)
-            h += v[b_at]
-            if a != "linear":
-                _ACTS[a][0](h, h)
+        row gets alone.  The logits from _forward take the shift by their class-axis
+        max (taken a column at a time) and, once the labels' logits are read, exp in place."""
+        x, y = self._batch(batch)
+        h = self._forward(v, x)[-1]
         h -= _max_columns(h)[..., None]
         logp = h.reshape(-1)[np.arange(0, h.size, self.n_c) + y].reshape(h.shape[:-1])
         logp -= np.log(np.add.reduce(np.exp(h, out=h), axis=-1))
@@ -443,23 +443,23 @@ class ClassifierObjective:
         rows (K, d) with a (K, b, in) batch, row k's gradient on batch k."""
         x, y = self._batch(batch)
         lead = v.shape[:-1]
-        Ws, hs, zs = self._forward(v, x)
-        delta = softmax(zs[-1])         # fresh: the probabilities, then dL/dz
+        hs = self._forward(v, x)
+        delta = softmax(hs[-1])         # fresh: the probabilities, then dL/dz
         delta.reshape(-1)[np.arange(0, delta.size, self.n_c) + y] -= 1.0
         delta /= x.shape[-2]            # logit gradient of the mean loss
         g = np.empty(v.shape)           # written through views: each reshape splits a last axis
-        for li in range(len(Ws) - 1, -1, -1):
+        for li in range(len(self._dense) - 1, -1, -1):
             w_at, shape, b_at, _ = self._dense[li]
             np.add.reduce(delta, axis=-2, keepdims=True, out=g[b_at])
             np.matmul(delta.mT, hs[li], out=g[w_at].reshape(lead + shape))
             if li > 0:
-                delta = delta @ Ws[li]
-                delta = delta * _ACTS[self.architecture[li - 1][2]][1](zs[li - 1], hs[li])
+                delta = delta @ v[w_at].reshape(lead + shape)
+                delta *= _ACTS[self._dense[li - 1][3]][1](hs[li])
         return g
 
     def logits(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
         P.check_same_shape(self._template, w)
-        return self._forward(w.vector, np.atleast_2d(np.asarray(x, dtype=np.float64)))[1][-1]
+        return self._forward(w.vector, np.atleast_2d(np.asarray(x, dtype=np.float64)))[-1]
 
     def predict(self, w: LayeredParams, x: np.ndarray) -> np.ndarray:
         return softmax(self.logits(w, x))

@@ -2,6 +2,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sbpu import params as P
+from sbpu import seeds
+from sbpu.mutation import build_stochastic_list
 
 
 def random_params(rng, n_layers=None, max_filters=8, max_width=6):
@@ -11,6 +13,13 @@ def random_params(rng, n_layers=None, max_filters=8, max_width=6):
                                    int(rng.integers(1, max_width + 1))))
               for _ in range(n_layers)]
     return P.from_arrays(arrays)
+
+
+def stream_lists(layout, keys):
+    """Per key, build_stochastic_list for each layer of layout in order on the
+    generator seeds.stream(*key), concatenated: one model's filter selectors."""
+    return np.array([np.concatenate([build_stochastic_list(nf, rng) for nf, _, _ in layout])
+                     for rng in (seeds.stream(*key) for key in keys)])
 
 
 def pair_like(rng, p):

@@ -294,7 +294,9 @@ def test_diverging_classifier_exit_2(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
         assert main(["run-fl", "--config", str(path)]) == 2
-    assert "runtime divergence" in capsys.readouterr().err
+    # the first non-finite trained row, named by round, client and local iteration
+    assert ("runtime divergence: round 0, client 0, local iteration 1: non-finite value "
+            "in parameters") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("objective,field", [

@@ -22,10 +22,12 @@ from sbpu.federation import (ROUND_BLOCK, ClientState, Cohort, DefensePolicy, Di
                              RoundRecord, RunPlan, _local_step, aggregate, apply_defense,
                              iter_rounds, local_train, measure_divergence, run_federation,
                              run_round, tune_malloc)
-from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix, _selector_plan,
+from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
 from sbpu.objectives import (ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack,
                              sgd_step)
+
+from conftest import stream_lists
 
 # The first classifier Cohort built here sets glibc's mmap and trim
 # thresholds to its cap for the rest of the test process (tune_malloc); no
@@ -448,7 +450,7 @@ class TestBatchedEngine:
         rng = np.random.default_rng(61)
         h = GlobalHistory(*(P.from_vector(rng.standard_normal(template.vector.size), template)
                             for _ in range(3)), round=2)
-        sel = _selector_plan(template.layout).draw([seeds.stream(62, "sbpu", 2, k) for k in range(4)])
+        sel = stream_lists(template.layout, [(62, "sbpu", 2, k) for k in range(4)])
         X = _dispatch_matrix(h, DiversityRates(0.3, 0.2), sel)
         assert X.shape == (4, template.vector.size) and X.flags.c_contiguous
 
@@ -788,13 +790,12 @@ class TestRoundStreams:
     @pytest.mark.parametrize("first", [0, ROUND_BLOCK - 2])
     def test_block_generators_equal_single_streams(self, first):
         cohort = self._cohort([7, 3, 11]).for_rounds(ROUND_BLOCK + 2)
-        plan = _selector_plan(cohort.template.layout)
         bounds = np.arange(9, 1, -1)
         for r in range(first, ROUND_BLOCK + 2):   # across a block boundary
             streams = cohort.streams(71, r, self.TAGS)
             assert streams["sbpu"].shape == (3, 4)
-            np.testing.assert_array_equal(
-                streams["sbpu"], plan.draw([seeds.stream(71, "sbpu", r, k) for k in range(3)]))
+            np.testing.assert_array_equal(streams["sbpu"], stream_lists(
+                cohort.template.layout, [(71, "sbpu", r, k) for k in range(3)]))
             for tag in self.TAGS[1:]:
                 assert len(streams[tag]) == 3
                 for rng, key in zip(streams[tag], [7, 3, 11]):

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbpu import mutation
 from sbpu import params as P
 from sbpu import seeds
 from sbpu.federation import ROUND_BLOCK, ClientState, Cohort
-from sbpu.mutation import (DiversityRates, GlobalHistory, _SelectorPlan, _selector_plan,
+from sbpu.mutation import (DiversityRates, GlobalHistory, _selector_plan,
                            apply_stochastic_lists, build_stochastic_list,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate,
                            stochastic_multiset)
 from sbpu.objectives import ClassifierObjective, QuadraticObjective
 
-from conftest import pair_like, random_params
+from conftest import pair_like, random_params, stream_lists
 
 
 def single(*values):
@@ -280,8 +281,8 @@ def selector_cohort(kind, K):
 
 
 class TestSelectorRows:
-    """_SelectorPlan.rows draws what _SelectorPlan.draw draws from the
-    seeds.stream generators, with no generator.  A classifier Cohort sets
+    """_SelectorPlan.rows draws what build_stochastic_list draws layer by layer
+    from the seeds.stream generators, with no generator.  A classifier Cohort sets
     glibc's mmap and trim thresholds for the rest of the test process
     (federation.tune_malloc); no result depends on them."""
 
@@ -294,7 +295,7 @@ class TestSelectorRows:
             rows = cohort.streams(81, r, ("sbpu", "train"))["sbpu"]
             assert rows.shape == (3, filters) and rows.dtype == np.int8
             np.testing.assert_array_equal(
-                rows, plan.draw([seeds.stream(81, "sbpu", r, k) for k in range(3)]))
+                rows, stream_lists(cohort.template.layout, [(81, "sbpu", r, k) for k in range(3)]))
 
     def test_rejected_draw_goes_through_the_generator(self, monkeypatch):
         # a 2000-filter list: numpy rejects and redraws draw 513 of the stream
@@ -308,12 +309,12 @@ class TestSelectorRows:
         assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
         assert rng.bit_generator.state["has_uint32"] == 0
         drawn = []
-        draw = _SelectorPlan.draw
-        monkeypatch.setattr(_SelectorPlan, "draw",
-                            lambda self, rngs: drawn.append(rngs) or draw(self, rngs))
+        selectors = mutation._selectors
+        monkeypatch.setattr(mutation, "_selectors",
+                            lambda layout, rng: drawn.append(rng) or selectors(layout, rng))
         rows = plan.rows(seeds.pcg64_words([seeds.child_seed(*k) for k in keys]))
         assert len(drawn) == 1
-        np.testing.assert_array_equal(rows, draw(plan, [seeds.stream(*k) for k in keys]))
+        np.testing.assert_array_equal(rows, stream_lists(plan.layout, keys))
 
 
 class TestNeighborhoodBound:

@@ -421,7 +421,7 @@ class TestLossCertificate:
         v = rng.standard_normal(obj.template().vector.size) * 10.0 ** data.draw(st.floats(-2.0, 160.0))
         if obj._loss_certified(v, float(np.abs(obj.data_x).max())):
             with np.errstate(all="ignore"):   # a saturated sigmoid may overflow exp
-                assert np.isfinite(obj._forward(v, obj.data_x)[1][-1]).all()
+                assert np.isfinite(obj._forward(v, obj.data_x)[-1]).all()
                 assert math.isfinite(obj._loss(v))
 
     @pytest.mark.parametrize("act", ["relu", "lrelu", "sigmoid"])
@@ -445,7 +445,7 @@ class TestLossCertificate:
                                   data_x=np.ones((1, 1)), data_y=np.array([1]))
         v = np.array([9e307, -9e307, 0.0, 0.0])
         with np.errstate(all="ignore"):
-            assert np.isfinite(obj._forward(v, obj.data_x)[1][-1]).all()
+            assert np.isfinite(obj._forward(v, obj.data_x)[-1]).all()
             assert not math.isfinite(obj._loss(v))
         assert not obj._loss_certified(v, 1.0)
         assert obj._loss_certified(v * 1e-8, 1.0)
@@ -534,3 +534,39 @@ class TestStackedKernels:
             alone = obj._loss(V[k], (DX[k], DY[k]))
             assert type(alone) is float and _bits(rows[k]) == _bits(alone)
             assert _bits(broadcast[k]) == _bits(obj._loss(V[0], (DX[k], DY[k])))
+
+
+# ---------------------------------------------------------------------------
+# the kernels write only into arrays they allocate
+
+@pytest.mark.parametrize("act", ["relu", "lrelu", "sigmoid"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_kernels_leave_callers_arrays_untouched(act, layers):
+    # a user batch reaches the kernels uncopied (_batch keeps float64 input as
+    # it is); a LayeredParams vector is read-only, so v is also given as plain
+    # writeable rows to the flat kernels
+    widths = [5] + [7] * layers + [4]
+    arch = tuple(zip(widths, widths[1:], [act] * (len(widths) - 2) + ["linear"]))
+    rng = np.random.default_rng([layers, len(act)])
+    obj = ClassifierObjective(architecture=arch)
+    w = obj.init_params(rng, scale=2.0)
+    K, b, d = 3, 6, w.vector.size
+    x, y = rng.standard_normal((b, 5)) * 3.0, rng.integers(0, 4, b)
+    v, V = w.vector.copy(), rng.standard_normal((K, d))
+    X, Y = rng.standard_normal((K, b, 5)) * 3.0, rng.integers(0, 4, (K, b))
+    arrays = (x, y, v, V, X, Y)
+    assert all(a.flags.writeable for a in arrays)
+    assert all(a.dtype == np.float64 for a in (x, v, V, X))
+    before = [a.copy() for a in arrays]
+    obj.loss(w, (x, y))
+    obj.grad(w, (x, y))
+    obj.logits(w, x)
+    obj.predict(w, x)
+    obj.logits(w, x[0])
+    obj._loss(v, (x, y))
+    obj._grad(v, (x, y))
+    obj._loss(V, (X, Y))
+    obj._grad(V, (X, Y))
+    obj._loss(v, (X, Y))
+    for a, want in zip(arrays, before):
+        assert a.tobytes() == want.tobytes()
