@@ -28,9 +28,9 @@ All randomness flows through streams derived from the master seed, so
 concurrent and serial client schedules produce bit-identical results.  Round
 streams are keyed by (seed, tag, round, client); within a run (iter_rounds)
 run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
-Cohort.streams hands out "sbpu" as selector rows, "train" as generators for
-quadratic clients and as the round's batch indices for classifier clients
-(one integers call a client), and "defense" as generators.
+Cohort.streams hands out "sbpu" as selector rows, "train" as the round's
+draws, one call a client: sphere noise for quadratic clients and batch
+indices for classifier clients, and "defense" as generators.
 """
 
 from __future__ import annotations
@@ -151,12 +151,12 @@ class Cohort(tuple):
     work to build and never changes: the stacked quadratics (None for classifiers)
     with their loss certificate (certified: 0.5 * lambda_max * R^2 < 1e300 for each,
     so every loss in the balls is finite, rounding included), the shared template,
-    and the classifier groups: runs of consecutive clients of one architecture,
-    batch_size and dataset size, which one stacked backprop steps and one stacked
-    forward evaluates, as (objective, batch_size, the run's rows as a slice, their
-    data stacked (k, n, in) and (k, n), each one's largest |x| for its loss
-    certificate).  A config's clients form one run; an interleaved cohort (A, B, A)
-    steps as three groups.
+    the sample fractions n_k / N (weights), and the classifier groups: runs of
+    consecutive clients of one architecture, batch_size and dataset size, which
+    one stacked backprop steps and one stacked forward evaluates, as (objective,
+    batch_size, the run's rows as a slice, their data stacked (k, n, in) and
+    (k, n), each one's largest |x| for its loss certificate).  A config's clients
+    form one run; an interleaved cohort (A, B, A) steps as three groups.
 
     Admission is the one rule of run_round and local_train: at least one
     client, one objective kind, one E, one template() layout (the flat
@@ -178,6 +178,7 @@ class Cohort(tuple):
         if any(c.E != self[0].E for c in self):
             raise ValueError("all clients must share one E")
         self.template = self[0].objective.template()
+        self.weights = _fractions([c.n_k for c in self])
         for c in self[1:]:
             P.check_same_shape(c.objective.template(), self.template)
         self.quads = (QuadraticStack([c.objective for c in self])
@@ -216,11 +217,11 @@ class Cohort(tuple):
     def streams(self, seed: int, r: int, tags: tuple) -> dict[str, list | np.ndarray]:
         """Per tag, seeds.stream(seed, tag, r, key) for each client, key its
         index for "sbpu" (which tags hold) and its id otherwise, but for "sbpu"
-        the selector rows they draw, and for a classifier cohort's "train", per
-        group, the (k, E, batch_size) indices of the batches they draw, one
-        integers call a client, as local_train draws them.  Past the kept
-        block, one seeds.pcg64_words call derives rounds r to
-        r + ROUND_BLOCK - 1, cut at end (only r if end is None), and one
+        the selector rows they draw, and for "train" what local_train draws: a
+        quadratic cohort's QuadraticStack.noise block, or per classifier group
+        the (k, E, batch_size) indices of its batches, one integers call a
+        client.  Past the kept block, one seeds.pcg64_words call derives rounds
+        r to r + ROUND_BLOCK - 1, cut at end (only r if end is None), and one
         _SelectorPlan.rows call draws their selector rows."""
         b = self._block
         if b is None or b[:2] != (seed, tags) or not 0 <= r - b[2] < len(b[3]):
@@ -232,22 +233,22 @@ class Cohort(tuple):
             b = self._block = (seed, tags, r, words, sel.reshape(n, len(self), -1))
         out = {t: b[4][r - b[2]] if t == "sbpu" else [seeds.from_words(w) for w in ws]
                for t, ws in zip(tags, b[3][r - b[2]])}
-        if self.groups:
-            gens, E = out["train"], self[0].E
-            out["train"] = [np.array([g.integers(0, obj.n_samples, (E, size)) for g in gens[ks]])
-                            for obj, size, ks, _, _ in self.groups]
+        gens, E = out["train"], self[0].E
+        out["train"] = self.quads.noise(gens, E) if self.quads is not None else [
+            np.array([g.integers(0, obj.n_samples, (E, size)) for g in gens[ks]])
+            for obj, size, ks, _, _ in self.groups]
         return out
 
 
 def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
-                draws: Sequence) -> tuple[np.ndarray, list[float] | None]:
+                draws) -> tuple[np.ndarray, list[float] | None]:
     """Local iteration s of client k on row k of X: (new rows, their full
     losses if s is the last iteration E - 1, else None).
 
     Rows stay flat; LayeredParams appears only at the history and the public
     functions.  Quadratic clients start from their row projected onto their
     radius-R ball and take projected sphere-noise gradient steps, all rows at
-    once, with draws their generators; classifier clients each step
+    once, with draws the round's noise block; classifier clients each step
     X[k] + (-eta) * g on one batch sampled uniformly with replacement, one
     stacked backprop per Cohort group on a slice of the rows, with no copy,
     with draws per group its batch indices (k, E, batch_size).  The first
@@ -271,7 +272,7 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
                 losses[ks][due] = obj._loss(rows[due], (DX[due], DY[due]))
         X = new
     else:
-        X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, draws)
+        X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, draws, s)
         losses = quads.loss(X) if last or not clients.certified else np.zeros(len(clients))
     if not (np.isfinite(X).all() and np.isfinite(losses).all()):
         k = int(np.argmin(np.isfinite(X).all(axis=1) & np.isfinite(losses)))
@@ -285,11 +286,11 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
 def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
                 global_step_offset: int, rng: np.random.Generator) -> LayeredParams:
     """One client's E SGD iterations from w_init with the shared step-count
-    schedule; run_round takes the same steps for all clients in lockstep.  A
-    classifier draws its E batches in one rng.integers call, as Cohort.streams does."""
+    schedule; run_round takes the same steps for all clients in lockstep.  Its
+    E steps' noise or batches are one rng call, as in Cohort.streams."""
     cohort, X = Cohort([c]), w_init.vector[None, :]
     P.check_same_shape(cohort.template, w_init)
-    draws = [rng] if cohort.quads is not None else [
+    draws = cohort.quads.noise([rng], c.E) if cohort.quads is not None else [
         rng.integers(0, c.objective.n_samples, size=(1, c.E, c.batch_size))]
     for s in range(c.E):
         X, _ = _local_step(cohort, X, schedule.lr_at(global_step_offset + s), s, draws)
@@ -309,33 +310,38 @@ def _checked_vectors(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> 
     return np.stack([u.vector for u in updates])
 
 
-def _weighted_mean(X: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """sum_k (n_k / N) * X[k] as a fresh vector: the anchor plus weighted
-    deviations from the first row, so identical rows give that row bit for bit."""
+def _fractions(sizes: Sequence[int]) -> np.ndarray:
+    """The sample fractions p_k = n_k / N, the aggregation weights."""
     total = float(sum(sizes))
-    base = X[0]
-    acc = base.copy()
-    for x, nk in zip(X[1:], sizes[1:]):
-        acc += (nk / total) * (x - base)
+    return np.array([n / total for n in sizes])
+
+
+def _weighted_mean(X: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_k p_k * X[k] as a fresh vector: the anchor plus weighted
+    deviations from the first row, so identical rows give that row bit for bit."""
+    base, acc = X[0], X[0].copy()
+    for x, pk in zip(X[1:], p[1:].tolist()):
+        acc += pk * (x - base)
     return acc
 
 
-def _divergence(X: np.ndarray, sizes: Sequence[int], layout: tuple) -> tuple[float, np.ndarray]:
-    """(sum_k p_k * ||wbar - X[k]||^2, wbar) with wbar the sample-weighted mean of the rows."""
-    total, mean = float(sum(sizes)), _weighted_mean(X, sizes)
-    return math.fsum((n / total) * sq for n, sq in
-                     zip(sizes, P.layer_sq_sums(mean - X, layout))), mean
+def _divergence(X: np.ndarray, p: np.ndarray, layout: tuple) -> tuple[float, np.ndarray]:
+    """(sum_k p_k * ||wbar - X[k]||^2, wbar) with wbar the p-weighted mean of the rows."""
+    mean = _weighted_mean(X, p)
+    return math.fsum(pk * sq for pk, sq in
+                     zip(p.tolist(), P.layer_sq_sums(mean - X, layout))), mean
 
 
 def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> LayeredParams:
     """Sample-fraction weighted average, sum_k (n_k / N) * update_k."""
-    return P.from_vector(_weighted_mean(_checked_vectors(updates, sizes), sizes), updates[0])
+    X = _checked_vectors(updates, sizes)
+    return P.from_vector(_weighted_mean(X, _fractions(sizes)), updates[0])
 
 
 def measure_divergence(client_weights: Sequence[LayeredParams],
                        sizes: Sequence[int]) -> float:
     """sum_k p_k * ||wbar - w_k||^2 with wbar the sample-weighted average."""
-    return _divergence(_checked_vectors(client_weights, sizes), sizes,
+    return _divergence(_checked_vectors(client_weights, sizes), _fractions(sizes),
                        client_weights[0].layout)[0]
 
 
@@ -379,7 +385,7 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     """
     cohort = Cohort(clients)
     P.check_same_shape(cohort.template, h.w_glb)
-    sizes, E = [c.n_k for c in cohort], cohort[0].E
+    p, E = cohort.weights, cohort[0].E
 
     tags = ("sbpu", "train") if policy.tag == "none" else ("sbpu", "train", "defense")
     streams = cohort.streams(seed, h.round, tags)
@@ -398,7 +404,7 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
                                           streams["train"])
         except P.NonFiniteError as e:
             raise P.NonFiniteError(f"round {h.round}, {e}") from e
-        d, mean = _divergence(trained, sizes, h.w_glb.layout)
+        d, mean = _divergence(trained, p, h.w_glb.layout)
         step_divergences.append(d)
     for s, d in enumerate(step_divergences):   # checked after training: DivergenceError first
         if not math.isfinite(d):
@@ -407,16 +413,15 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     if policy.tag != "none":   # the identity defense aggregates the last step's mean
         mean = _weighted_mean(dispatched + np.array([
             _defend(delta, policy, rng)
-            for rng, delta in zip(streams["defense"], trained - dispatched)]), sizes)
+            for rng, delta in zip(streams["defense"], trained - dispatched)]), p)
     try:
         new_glb = P.from_vector(mean, h.w_glb)
     except P.NonFiniteError as e:
         raise P.NonFiniteError(f"round {h.round}: non-finite value in the new aggregate") from e
-    total = float(sum(sizes))
     glb_losses = np.empty(len(cohort)) if cohort.quads is None else cohort.quads.loss(new_glb.vector)
     for obj, _, ks, data, _ in cohort.groups:   # classifiers: the aggregate over each group's data
         glb_losses[ks] = obj._loss(new_glb.vector, data)
-    global_loss = math.fsum((n / total) * loss for n, loss in zip(sizes, glb_losses.tolist()))
+    global_loss = math.fsum(pk * loss for pk, loss in zip(p.tolist(), glb_losses.tolist()))
     if not math.isfinite(global_loss):
         raise P.NonFiniteError(f"round {h.round}: non-finite global loss {global_loss}")
 

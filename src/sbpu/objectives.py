@@ -122,8 +122,10 @@ class QuadraticObjective:
         r = float(np.linalg.norm(v - self.center))
         if r > self.radius * (1.0 + 1e-12):
             raise ValueError(f"w outside projection ball: distance {r:g} > radius {self.radius:g}")
-        return self.params_from_vector(self._stack.stochastic_grad(v[None], [rng])[0])
+        return self.params_from_vector(
+            self._stack.stochastic_grad(v[None], self._stack.noise([rng], 1), 0)[0])
 
+    @np.errstate(over="ignore")   # a far point's distance may overflow
     def project(self, w: LayeredParams) -> LayeredParams:
         """Euclidean projection onto the ball of radius R around the center."""
         return self.params_from_vector(self._stack.project(P.as_vector(w)[None])[0])
@@ -137,12 +139,19 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
 
 def _project_rows(X: np.ndarray, center: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Row k of X, or center[k] + (x - center[k]) * R/r when it lies r > R =
-    radius[k] from center[k]; only those rows are divided."""
+    radius[k] from center[k]; only those rows are divided, and a finite one
+    whose r overflows (past about 1.3e154) by its largest |x - c| first.  The
+    public projections silence the overflow's numpy notice; the round engine,
+    where np.errstate would cost about 1 us a step, leaves it, as it does others."""
     D = X - center
     r = _row_norms(D)
     out = r > radius
     if not out.any():
         return X
+    far = np.flatnonzero((r == np.inf) & np.isfinite(D).all(axis=1))
+    if far.size:
+        D[far] /= np.maximum.reduce(np.abs(D[far]), axis=1)[:, None]
+        r[far] = _row_norms(D[far])
     X = X.copy()
     X[out] = center[out] + D[out] * (radius[out] / r[out])[:, None]
     return X
@@ -155,8 +164,10 @@ class QuadraticStack:
     A QuadraticObjective runs its loss, projection and stochastic gradient
     through a one-row stack, and checks its ball there: the stack's
     stochastic gradient trusts its rows to lie in their balls, as sgd_step's
-    projected rows do.  The stacked forms (np.matmul for A @ x and x @ A,
-    np.vecdot, _row_norms) give each row the bits it gets alone.
+    projected rows do.  A noisy row's round of noise is one standard_normal call,
+    which numpy fills as E standard_normal(d) calls would.  The stacked forms
+    (np.matmul for A @ x and x @ A, np.vecdot, _row_norms) give each row the
+    bits it gets alone.
     """
 
     def __init__(self, objs: Sequence[QuadraticObjective]):
@@ -176,31 +187,39 @@ class QuadraticStack:
     def project(self, X: np.ndarray) -> np.ndarray:
         return _project_rows(X, self.center, self.radius)
 
-    def stochastic_grad(self, X: np.ndarray,
-                        rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Row k: objective k's gradient plus sphere noise drawn from rngs[k],
+    def noise(self, rngs: Sequence[np.random.Generator], E: int) -> np.ndarray | None:
+        """E steps' sphere noise (noisy rows, E, d), None if no row is noisy: noisy row
+        i (objective rows[i]) fills its (E, d) block in one standard_normal call on
+        rngs[rows[i]], redraws after it any all-zero draw, and scales each to norm sigma."""
+        if not self.rows:
+            return None
+        xi = np.empty((len(self.rows), E, self.center.shape[1]))
+        for i, k in enumerate(self.rows):
+            rngs[k].standard_normal(out=xi[i])
+        flat = xi.reshape(-1, xi.shape[2])
+        n = _row_norms(flat)
+        while not n.all():   # the first zero norm, until none is left
+            j = n.argmin()
+            rngs[self.rows[j // E]].standard_normal(out=flat[j])
+            n[j] = np.linalg.norm(flat[j])
+        xi *= self.sigma[self.noisy, None, None] / n.reshape(-1, E, 1)
+        return xi
+
+    def stochastic_grad(self, X: np.ndarray, noise: np.ndarray | None, s: int) -> np.ndarray:
+        """Row k: objective k's gradient plus its step s of noise (a noise block),
         for rows inside their balls (unchecked)."""
         D = X - self.center
         G = np.matmul(self.matrix, D[:, :, None])[:, :, 0]
-        if self.rows:
-            xi = np.empty((len(self.rows), X.shape[1]))
-            for i, k in enumerate(self.rows):
-                rngs[k].standard_normal(out=xi[i])
-            n = _row_norms(xi)
-            for i in np.flatnonzero(n == 0.0):   # probability-zero guard
-                while n[i] == 0.0:
-                    rngs[self.rows[i]].standard_normal(out=xi[i])
-                    n[i] = np.linalg.norm(xi[i])
-            G[self.noisy] += (self.sigma[self.noisy] / n)[:, None] * xi
+        if noise is not None:
+            G[self.noisy] += noise[:, s]
         return G
 
-    def sgd_step(self, X: np.ndarray, eta: float,
-                 rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """One projected stochastic gradient step per row (sgd_step with the
+    def sgd_step(self, X: np.ndarray, eta: float, noise: np.ndarray | None, s: int) -> np.ndarray:
+        """One projected stochastic gradient step s per row (sgd_step with the
         ball) at an eta > 0 the caller has checked, from rows inside their
         balls: the result's rows are, up to rounding, which is what lets the
         stack skip the ball check and a Cohort certify their losses finite."""
-        return self.project(X + (-eta) * self.stochastic_grad(X, rngs))
+        return self.project(X + (-eta) * self.stochastic_grad(X, noise, s))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +288,8 @@ def sgd_step(w: LayeredParams, g: LayeredParams, eta: float,
     if ball is None:
         return out
     center = np.asarray(ball[0], dtype=np.float64).reshape(1, -1)
-    return P.from_vector(_project_rows(out.vector[None], center, np.array([ball[1]]))[0], out)
+    with np.errstate(over="ignore"):   # a far point's distance may overflow
+        return P.from_vector(_project_rows(out.vector[None], center, np.array([ball[1]]))[0], out)
 
 
 # ---------------------------------------------------------------------------

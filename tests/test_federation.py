@@ -244,17 +244,20 @@ class TestRunRound:
         assert rec.round == 0
 
     def test_fedavg_oracle_equivalence(self):
-        objs = quad_suite(4, 3, seed=22, sigma=0.3)
-        sizes = [c.n_k for c in self._clients(objs)]
-        schedule = LrSchedule(mu=1.0, gamma=8.0)
-        h = GlobalHistory.bootstrap(objs[0].template())
-        seed = 23
-        for r in range(10):
-            expect, _ = naive_fedavg_round(h, objs, sizes, schedule, r * E_STEPS,
-                                           seed, r)
-            h, rec = run_round(h, self._clients(objs), DiversityRates(0.0, 0.0),
-                               schedule, DefensePolicy(), seed=seed)
-            np.testing.assert_array_equal(P.as_vector(h.w_glb), expect)
+        # every client noisy, then sigma = 0 clients among them
+        for sigmas in ([0.3] * 4, [0.0, 0.1, 0.0, 0.3]):
+            objs = [quad(o.matrix, o.center, sigma=sigma)
+                    for o, sigma in zip(quad_suite(4, 3, seed=22), sigmas)]
+            sizes = [c.n_k for c in self._clients(objs)]
+            schedule = LrSchedule(mu=1.0, gamma=8.0)
+            h = GlobalHistory.bootstrap(objs[0].template())
+            seed = 23
+            for r in range(10):
+                expect, _ = naive_fedavg_round(h, objs, sizes, schedule, r * E_STEPS,
+                                               seed, r)
+                h, rec = run_round(h, self._clients(objs), DiversityRates(0.0, 0.0),
+                                   schedule, DefensePolicy(), seed=seed)
+                np.testing.assert_array_equal(P.as_vector(h.w_glb), expect)
 
     def test_history_rotation_exact(self):
         objs = quad_suite(2, 2, seed=24)
@@ -619,6 +622,37 @@ class TestBatchedEngine:
         monkeypatch.undo()
         assert rec == per_client_round(h, clients, *args, None, tie_gradients=False)[1]
 
+    def test_quadratic_round_draws_noise_with_one_standard_normal_call(self, monkeypatch):
+        # each noisy client's "train" generator makes one standard_normal call
+        # for the round's E steps, a sigma = 0 client's none, and the rounds
+        # keep the bits of per-client stochastic_grad calls (the fancy-index path)
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                calls.append(("standard_normal", out.shape))
+                return self.rng.standard_normal(out=out)
+
+        calls, from_words = [], seeds.from_words
+        monkeypatch.setattr(seeds, "from_words", lambda w: Counted(from_words(w)))
+        objs = two_layer_quadratics([0.0, 0.1, 0.0, 0.3], [5.0, 0.4, 5.0, 5.0], 76)
+        clients = [ClientState(id=30 + k, n_k=k + 1, objective=o, E=3)
+                   for k, o in enumerate(objs)]
+        rng = np.random.default_rng(77)
+        h = GlobalHistory(*(objs[0].params_from_vector(rng.standard_normal(11))
+                            for _ in range(3)), round=2)
+        args = (DiversityRates(0.3, 0.2), LrSchedule(mu=1.0, gamma=20.0), DefensePolicy(), 78)
+        rounds = [(h, None)]
+        for _ in range(4):
+            rounds.append(run_round(rounds[-1][0], Cohort(clients), *args))
+            assert calls == [("standard_normal", (3, 11))] * 2
+            calls.clear()
+        monkeypatch.undo()
+        for (h, _), (h2, rec) in zip(rounds, rounds[1:]):
+            ref, want = per_client_round(h, clients, *args, None, tie_gradients=False)
+            assert rec == want and h2.w_glb.vector.tobytes() == ref.w_glb.vector.tobytes()
+
     @staticmethod
     def _stack_losses(monkeypatch, cohort):
         """The row counts of the cohort's QuadraticStack.loss calls, as they come."""
@@ -779,13 +813,15 @@ class TestRoundStreams:
     """Cohort.streams derives a run's round streams in blocks, with the bits
     of seeds.stream(seed, tag, round, key): key is the client index for
     "sbpu" and the client id for "train" and "defense"; "sbpu" gives the
-    selector rows its streams draw."""
+    selector rows its streams draw, and a quadratic cohort's "train" the
+    sphere noise they draw."""
 
     TAGS = ("sbpu", "train", "defense")
+    SIGMAS = (0.2, 0.0, 0.3)
 
     def _cohort(self, ids):
-        objs = two_layer_quadratics([0.0] * len(ids), [5.0] * len(ids), 70)   # 4 filters
-        return Cohort([ClientState(id=i, n_k=1, objective=o, E=1) for i, o in zip(ids, objs)])
+        objs = two_layer_quadratics(self.SIGMAS, [5.0] * len(ids), 70)   # 4 filters, d = 11
+        return Cohort([ClientState(id=i, n_k=1, objective=o, E=2) for i, o in zip(ids, objs)])
 
     @pytest.mark.parametrize("first", [0, ROUND_BLOCK - 2])
     def test_block_generators_equal_single_streams(self, first):
@@ -796,13 +832,16 @@ class TestRoundStreams:
             assert streams["sbpu"].shape == (3, 4)
             np.testing.assert_array_equal(streams["sbpu"], stream_lists(
                 cohort.template.layout, [(71, "sbpu", r, k) for k in range(3)]))
-            for tag in self.TAGS[1:]:
-                assert len(streams[tag]) == 3
-                for rng, key in zip(streams[tag], [7, 3, 11]):
-                    ref = seeds.stream(71, tag, r, key)
-                    assert rng.bit_generator.state == ref.bit_generator.state
-                    np.testing.assert_array_equal(rng.integers(0, bounds), ref.integers(0, bounds))
-                    np.testing.assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
+            noise = [[(sigma / np.linalg.norm(x)) * x
+                      for x in seeds.stream(71, "train", r, key).standard_normal((2, 11))]
+                     for sigma, key in zip(self.SIGMAS, [7, 3, 11]) if sigma > 0.0]
+            np.testing.assert_array_equal(streams["train"], noise)
+            assert len(streams["defense"]) == 3
+            for rng, key in zip(streams["defense"], [7, 3, 11]):
+                ref = seeds.stream(71, "defense", r, key)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                np.testing.assert_array_equal(rng.integers(0, bounds), ref.integers(0, bounds))
+                np.testing.assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
     def test_no_sbpu_generator_built(self, monkeypatch):
         built = []

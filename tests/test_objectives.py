@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from sbpu import params as P
 from sbpu.objectives import (AssumptionConstants, ClassifierObjective, LrSchedule,
-                             QuadraticObjective, _max_columns, constants_for,
-                             sgd_step, softmax)
+                             QuadraticObjective, QuadraticStack, _max_columns,
+                             _project_rows, constants_for, sgd_step, softmax)
 
 
 def quad(A, c, sigma=0.0, radius=10.0):
@@ -108,6 +108,32 @@ class TestStochasticGrad:
         with pytest.raises(ValueError):
             o.stochastic_grad(vec(o, 2.0, 0.0), np.random.default_rng(4))
 
+    def test_all_zero_draw_redrawn_onto_the_sphere(self):
+        # the first step's draw and its first redraw are all zeros: both are
+        # redrawn from the same generator, after the round's block
+        class ZeroFirst:
+            def __init__(self):
+                self.rng, self.zeros, self.calls = np.random.default_rng(6), 2, []
+
+            def standard_normal(self, out):
+                self.calls.append(out.shape)
+                self.rng.standard_normal(out=out)
+                if self.zeros:   # the block's first row, then the redrawn row
+                    self.zeros -= 1
+                    out.reshape(-1, out.shape[-1])[0] = 0.0
+                return out
+
+        stack = QuadraticStack([quad(np.eye(3), np.zeros(3), sigma=0.5)])
+        gen, ref = ZeroFirst(), np.random.default_rng(6)
+        noise = stack.noise([gen], 2)
+        block = ref.standard_normal((2, 3))
+        ref.standard_normal(3)   # the zeroed redraw
+        redrawn = ref.standard_normal(3)
+        assert gen.calls == [(2, 3), (3,), (3,)]
+        np.testing.assert_array_equal(noise[0], [(0.5 / np.linalg.norm(x)) * x
+                                                 for x in (redrawn, block[1])])
+        assert np.linalg.norm(noise[0, 0]) == pytest.approx(0.5, rel=1e-12)
+
     def test_deviation_and_norm_bounds(self):
         o = quad(np.diag([1.0, 2.0]), [0.0, 0.0], sigma=0.5, radius=2.0)
         G = 2.0 * 2.0 + 0.5
@@ -118,6 +144,45 @@ class TestStochasticGrad:
             dev = math.sqrt(P.sq_distance(g, o.grad(w)))
             assert dev <= 0.5 * (1 + 1e-12)
             assert math.sqrt(P.sq_norm(g)) <= G * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("E, d", [(1, 1), (2, 1), (7, 1), (2, 16), (3, 5), (4, 129)])
+def test_normal_block_equals_per_step_draws(E, d):
+    # the noise of a round's E steps is one standard_normal call filling an
+    # (E, d) block, with the values and the final generator state of E
+    # standard_normal(d) calls, as is one standard_normal((E, d)) call
+    block, steps, sized = (np.random.default_rng(E * d) for _ in range(3))
+    want = [steps.standard_normal(d) for _ in range(E)]
+    np.testing.assert_array_equal(block.standard_normal(out=np.empty((E, d))), want)
+    np.testing.assert_array_equal(sized.standard_normal((E, d)), want)
+    assert block.bit_generator.state == sized.bit_generator.state == steps.bit_generator.state
+
+
+class TestProjectRows:
+    def test_far_row_lands_on_the_sphere(self):
+        # ||x|| overflows past about 1.3e154; the rows in range keep their bits
+        X = np.array([[1e200, 1e200, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0],
+                      [-1e300, 2.0, 1e300, 1e-300], [0.1, 0.0, 0.0, 0.0]])
+        center, radius = np.zeros((4, 4)), np.array([2.0, 1.0, 3.0, 1.0])
+        with np.errstate(over="ignore"):   # the kernel leaves the notice to its caller
+            Y = _project_rows(X, center, radius)
+        for y, R in zip(Y[[0, 2]], radius[[0, 2]]):
+            assert math.hypot(*y) == pytest.approx(R, rel=1e-12)
+        np.testing.assert_allclose(Y[0], [math.sqrt(2.0), math.sqrt(2.0), 0.0, 0.0], rtol=1e-12)
+        np.testing.assert_allclose(Y[2], np.array([-1.0, 2e-300, 1.0, 0.0]) * (3.0 / math.sqrt(2.0)),
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(Y[1], X[1] * (1.0 / np.linalg.norm(X[1])))
+        np.testing.assert_array_equal(Y[3], X[3])
+
+    def test_public_projections_land_far_points_silently(self):
+        o = quad(np.eye(4), [1.0, 0.0, 0.0, 0.0], radius=2.0)
+        far = vec(o, 1e200, 1e200, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (o.project(far), sgd_step(far, vec(o, 0.0, 0.0, 0.0, 0.0), 1.0,
+                                               (o.center, o.radius))):
+                np.testing.assert_allclose(P.as_vector(w) - o.center,
+                                           [math.sqrt(2.0), math.sqrt(2.0), 0.0, 0.0], rtol=1e-12)
 
 
 class TestSgdStep:
