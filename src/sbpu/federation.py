@@ -29,8 +29,8 @@ concurrent and serial client schedules produce bit-identical results.  Round
 streams are keyed by (seed, tag, round, client); within a run (iter_rounds)
 run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
 Cohort.streams hands out "sbpu" as selector rows, "train" as the round's
-draws, one call a client: sphere noise for quadratic clients and batch
-indices for classifier clients, and "defense" as generators.
+draws, at most one call a client: sphere noise for quadratic clients and
+batch indices for classifier clients, and "defense" as generators.
 """
 
 from __future__ import annotations
@@ -310,32 +310,32 @@ def _checked_vectors(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> 
     return np.stack([u.vector for u in updates])
 
 
-def _fractions(sizes: Sequence[int]) -> np.ndarray:
+def _fractions(sizes: Sequence[int]) -> list[float]:
     """The sample fractions p_k = n_k / N, the aggregation weights."""
     total = float(sum(sizes))
-    return np.array([n / total for n in sizes])
+    return [n / total for n in sizes]
 
 
-def _weighted_mean(X: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _weighted_mean(X: np.ndarray, p: Sequence[float]) -> np.ndarray:
     """sum_k p_k * X[k] as a fresh vector: the anchor plus weighted
     deviations from the first row, so identical rows give that row bit for bit."""
     base, acc = X[0], X[0].copy()
-    for x, pk in zip(X[1:], p[1:].tolist()):
+    for x, pk in zip(X[1:], p[1:]):
         acc += pk * (x - base)
     return acc
 
 
-def _divergence(X: np.ndarray, p: np.ndarray, layout: tuple) -> tuple[float, np.ndarray]:
+def _divergence(X: np.ndarray, p: Sequence[float], layout: tuple) -> tuple[float, np.ndarray]:
     """(sum_k p_k * ||wbar - X[k]||^2, wbar) with wbar the p-weighted mean of the rows."""
     mean = _weighted_mean(X, p)
     return math.fsum(pk * sq for pk, sq in
-                     zip(p.tolist(), P.layer_sq_sums(mean - X, layout))), mean
+                     zip(p, P.layer_sq_sums(mean - X, layout))), mean
 
 
 def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> LayeredParams:
     """Sample-fraction weighted average, sum_k (n_k / N) * update_k."""
-    X = _checked_vectors(updates, sizes)
-    return P.from_vector(_weighted_mean(X, _fractions(sizes)), updates[0])
+    return P.from_vector(_weighted_mean(_checked_vectors(updates, sizes), _fractions(sizes)),
+                         updates[0])
 
 
 def measure_divergence(client_weights: Sequence[LayeredParams],
@@ -421,7 +421,7 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     glb_losses = np.empty(len(cohort)) if cohort.quads is None else cohort.quads.loss(new_glb.vector)
     for obj, _, ks, data, _ in cohort.groups:   # classifiers: the aggregate over each group's data
         glb_losses[ks] = obj._loss(new_glb.vector, data)
-    global_loss = math.fsum(pk * loss for pk, loss in zip(p.tolist(), glb_losses.tolist()))
+    global_loss = math.fsum(pk * loss for pk, loss in zip(p, glb_losses.tolist()))
     if not math.isfinite(global_loss):
         raise P.NonFiniteError(f"round {h.round}: non-finite global loss {global_loss}")
 

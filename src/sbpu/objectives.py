@@ -125,10 +125,10 @@ class QuadraticObjective:
         return self.params_from_vector(
             self._stack.stochastic_grad(v[None], self._stack.noise([rng], 1), 0)[0])
 
-    @np.errstate(over="ignore")   # a far point's distance may overflow
     def project(self, w: LayeredParams) -> LayeredParams:
         """Euclidean projection onto the ball of radius R around the center."""
-        return self.params_from_vector(self._stack.project(P.as_vector(w)[None])[0])
+        with np.errstate(over="ignore"):   # a far point's distance may overflow
+            return self.params_from_vector(self._stack.project(P.as_vector(w)[None])[0])
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
