@@ -19,10 +19,11 @@ the last local step's losses are recorded, like the global loss one stacked
 forward per group over its data; earlier ones are certified finite, a
 classifier's per row (ClassifierObjective._loss_certified) and evaluated
 where that fails, a quadratic cohort's once per run (Cohort.certified).
-Under the identity defense the aggregate is the last step's mean, computed
-for the divergence.  The first classifier Cohort calls tune_malloc.
-LayeredParams appears only at the history (the new aggregate, once a
-round) and at the public functions, which wrap the kernels the engine runs.
+The divergence squares its deviations in place; under the identity defense
+the aggregate is the mean it computed at the last step, adopted uncopied.
+The first classifier Cohort calls tune_malloc.  LayeredParams appears only
+at the history (the new aggregate, once a round) and at the public
+functions, which wrap the kernels the engine runs.
 
 All randomness flows through streams derived from the master seed, so
 concurrent and serial client schedules produce bit-identical results.  Round
@@ -39,6 +40,7 @@ import ctypes
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -255,9 +257,9 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     client whose row is not finite raises params.NonFiniteError, or
     DivergenceError if only its loss is not.  A group's losses are one
     stacked _loss call over its data: at the last iteration all its rows,
-    before it only the rows _loss_certified cannot show finite.  Quadratic
-    losses before the last iteration are computed only for a cohort that is
-    not certified.  Elsewhere 0.0 stands in for the loss.
+    before it only the rows _loss_certified cannot show finite; 0.0 stands in
+    for the others.  Quadratic losses before the last iteration are computed
+    only for a cohort that is not certified; a certified one checks its rows.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
@@ -273,9 +275,9 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
         X = new
     else:
         X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, draws, s)
-        losses = quads.loss(X) if last or not clients.certified else np.zeros(len(clients))
-    if not (np.isfinite(X).all() and np.isfinite(losses).all()):
-        k = int(np.argmin(np.isfinite(X).all(axis=1) & np.isfinite(losses)))
+        losses = quads.loss(X) if last or not clients.certified else None
+    if not (np.isfinite(X).all() and (losses is None or np.isfinite(losses).all())):
+        k = int(np.argmin(np.isfinite(X).all(axis=1) & (losses is None or np.isfinite(losses))))
         if not np.isfinite(X[k]).all():
             raise P.NonFiniteError(f"client {clients[k].id}, local iteration {s}: "
                                    "non-finite value in parameters")
@@ -326,16 +328,17 @@ def _weighted_mean(X: np.ndarray, p: Sequence[float]) -> np.ndarray:
 
 
 def _divergence(X: np.ndarray, p: Sequence[float], layout: tuple) -> tuple[float, np.ndarray]:
-    """(sum_k p_k * ||wbar - X[k]||^2, wbar) with wbar the p-weighted mean of the rows."""
+    """(sum_k p_k * ||wbar - X[k]||^2, wbar) with wbar the p-weighted mean of the rows,
+    a fresh vector; the bits of layer_sq_sums, with the deviations squared in place."""
     mean = _weighted_mean(X, p)
-    return math.fsum(pk * sq for pk, sq in
-                     zip(p, P.layer_sq_sums(mean - X, layout))), mean
+    V = mean - X
+    return math.fsum(map(operator.mul, p, P._row_sq_sums(np.multiply(V, V, out=V), layout))), mean
 
 
 def aggregate(updates: Sequence[LayeredParams], sizes: Sequence[int]) -> LayeredParams:
     """Sample-fraction weighted average, sum_k (n_k / N) * update_k."""
-    return P.from_vector(_weighted_mean(_checked_vectors(updates, sizes), _fractions(sizes)),
-                         updates[0])
+    return P._wrap(_weighted_mean(_checked_vectors(updates, sizes), _fractions(sizes)),
+                   updates[0].layout)
 
 
 def measure_divergence(client_weights: Sequence[LayeredParams],
@@ -379,9 +382,10 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     iteration s + 1 runs.  Each client draws from its own ("train", round,
     client) stream, so the order changes no value, but a DivergenceError
     names the earliest diverging iteration.  The client losses are those of
-    the last iteration.  A non-finite dispatched model, envelope quantity
-    (alpha given), trained row, client divergence, new aggregate or global
-    loss raises params.NonFiniteError naming the round.
+    the last iteration; the new aggregate adopts the round's fresh mean uncopied.
+    A non-finite dispatched model, envelope quantity (alpha given), trained row,
+    client divergence, new aggregate or global loss raises params.NonFiniteError
+    naming the round.
     """
     cohort = Cohort(clients)
     P.check_same_shape(cohort.template, h.w_glb)
@@ -415,13 +419,13 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
             _defend(delta, policy, rng)
             for rng, delta in zip(streams["defense"], trained - dispatched)]), p)
     try:
-        new_glb = P.from_vector(mean, h.w_glb)
+        new_glb = P._wrap(mean, h.w_glb.layout)   # adopts the fresh mean, checked
     except P.NonFiniteError as e:
         raise P.NonFiniteError(f"round {h.round}: non-finite value in the new aggregate") from e
     glb_losses = np.empty(len(cohort)) if cohort.quads is None else cohort.quads.loss(new_glb.vector)
     for obj, _, ks, data, _ in cohort.groups:   # classifiers: the aggregate over each group's data
         glb_losses[ks] = obj._loss(new_glb.vector, data)
-    global_loss = math.fsum(pk * loss for pk, loss in zip(p, glb_losses.tolist()))
+    global_loss = math.fsum(map(operator.mul, p, glb_losses.tolist()))
     if not math.isfinite(global_loss):
         raise P.NonFiniteError(f"round {h.round}: non-finite global loss {global_loss}")
 

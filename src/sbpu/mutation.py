@@ -57,6 +57,13 @@ class DiversityRates:
         """Conventional single-knob form: beta1 = beta, beta2 = beta^2."""
         return cls(beta1=beta, beta2=beta * beta)
 
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """beta * s by s + 2, read-only: the branch coefficients _branch_update looks up."""
+        t = np.array([-2.0 * self.beta2, -self.beta1, 0.0, self.beta1, 2.0 * self.beta2])
+        t.flags.writeable = False
+        return t
+
 
 @dataclass(frozen=True)
 class GlobalHistory:
@@ -205,14 +212,15 @@ def _branch_update(w: np.ndarray, g: np.ndarray, g_prev: np.ndarray, rates: Dive
                    sel: np.ndarray, layout: tuple) -> np.ndarray:
     """w + beta1 * s * g where |s| == 1, else w + beta2 * s * g_prev, for the
     filter selectors sel (one row per model, or one model) repeated over each
-    filter's scalars.  beta * s is looked up, with the bits of the product."""
-    coef = np.array([-2.0 * rates.beta2, -rates.beta1, 0.0, rates.beta1,
-                     2.0 * rates.beta2])[sel + 2]
-    one = _BETA1_BRANCH[sel + 2]
-    repeats = _selector_plan(layout).repeats
+    filter's scalars.  beta * s is looked up, with the bits of the product.  Tied
+    gradients (g_prev is g) take g for both branches, with no np.where."""
+    at = sel + 2
+    coef, repeats = rates.table[at], _selector_plan(layout).repeats
     if repeats is not None:   # np.repeat keeps the rows C-contiguous
         coef = np.repeat(coef, repeats, axis=-1)
-        one = np.repeat(one, repeats, axis=-1)
+    if g_prev is g:
+        return w + coef * g
+    one = _BETA1_BRANCH[at] if repeats is None else np.repeat(_BETA1_BRANCH[at], repeats, axis=-1)
     return w + coef * np.where(one, g, g_prev)
 
 
@@ -225,9 +233,12 @@ def sbpu_mutate(w_glb: LayeredParams, g_glb: LayeredParams, g_prev: LayeredParam
 def _dispatch_matrix(h: GlobalHistory, rates: DiversityRates, sel: np.ndarray) -> np.ndarray:
     """The K diverse models as the rows of one checked, C-contiguous (K, d) float64
     matrix, row k's filter selectors sel[k]: client k's lists from its own (seed,
-    "sbpu", round, k) stream (_selectors, or _SelectorPlan.rows from its words)."""
+    "sbpu", round, k) stream (_selectors, or _SelectorPlan.rows from its words).  One
+    value in both lagged slots (tied gradients, bootstrap) forms g once."""
     w = h.w_glb.vector
-    X = _branch_update(w, w - h.w_prev.vector, w - h.w_prev2.vector, rates, sel, h.w_glb.layout)
+    g = w - h.w_prev.vector
+    g_prev = g if h.w_prev2 is h.w_prev else w - h.w_prev2.vector
+    X = _branch_update(w, g, g_prev, rates, sel, h.w_glb.layout)
     if not np.isfinite(X).all():
         raise P.NonFiniteError(f"round {h.round}: non-finite value in the dispatched models")
     return X

@@ -178,6 +178,7 @@ class QuadraticStack:
         rows = np.flatnonzero(self.sigma > 0.0)
         self.rows = rows.tolist()   # the noisy rows, as a slice when all are: no fancy index
         self.noisy = slice(None) if rows.size == len(objs) else rows
+        self.scale = self.sigma[self.noisy, None, None]   # noise's sigma column, per noisy row
 
     def loss(self, X: np.ndarray) -> np.ndarray:
         """Objective k's loss at row k of X (or at X itself, when 1-D)."""
@@ -202,7 +203,7 @@ class QuadraticStack:
             j = n.argmin()
             rngs[self.rows[j // E]].standard_normal(out=flat[j])
             n[j] = np.linalg.norm(flat[j])
-        xi *= self.sigma[self.noisy, None, None] / n.reshape(-1, E, 1)
+        xi *= self.scale / n.reshape(-1, E, 1)
         return xi
 
     def stochastic_grad(self, X: np.ndarray, noise: np.ndarray | None, s: int) -> np.ndarray:

@@ -169,8 +169,16 @@ def layer_sq_sums(V: np.ndarray, layout: tuple) -> list[float]:
     of the row, then math.fsum: the summation order of sq_distance and sq_norm
     (bounds.csv prints 17 digits).  The reduction along axis 1 adds each row in
     the order it adds that row alone, so a row's sum does not depend on K.
-    A row whose finite layer sums add past the float range sums to inf."""
-    sq, sums, pos = V ** 2, [], 0
+    A row whose finite layer sums add past the float range sums to inf.  V is
+    left as it is (sq_norm passes a stored vector); _row_sq_sums takes squares."""
+    return _row_sq_sums(V ** 2, layout)
+
+
+def _row_sq_sums(sq: np.ndarray, layout: tuple) -> list[float]:
+    """layer_sq_sums of the rows whose squares are sq; one layer's sums need no fsum."""
+    if len(layout) == 1:
+        return np.add.reduce(sq, axis=1).tolist()
+    sums, pos = [], 0
     for nf, fl, _ in layout:
         sums.append(np.add.reduce(sq[:, pos:pos + nf * fl], axis=1).tolist())
         pos += nf * fl

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sbpu import config
 from sbpu.cli import main
 from sbpu.config import PRESETS, ConfigError, FederationConfig
+from sbpu.federation import iter_rounds
 
 # A main() call that builds a classifier cohort sets glibc's mmap and trim
 # thresholds to its cap for the rest of the test process
@@ -640,3 +641,15 @@ def test_overflowed_layer_sum_exit_2(tmp_path, capsys):
         assert main(["run-fl", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "runtime divergence" in err and "Traceback" not in err
+
+
+@pytest.mark.xfail(strict=True, reason="build_plan starts classifier runs at the all-zero "
+                   "template: relu and lrelu hidden layers get zero gradients and never move")
+@pytest.mark.parametrize("act", ["relu", "lrelu"])
+def test_classifier_run_moves_hidden_weights_off_zero(act):
+    cfg = FederationConfig.from_dict({
+        "objective": {"kind": "classifier", "architecture": [[32, 64, act], [64, 10, "linear"]]},
+        "K": 4, "E": 5, "batch_size": 32, "rounds": 30, "beta1": 0.1, "beta2": 0.075,
+        "mu": 1.0, "gamma_override": 20.0, "seed": 3})
+    *_, (h, _) = iter_rounds(cfg.build_plan())
+    assert np.count_nonzero(h.w_glb.layers[0].filters) > 0

@@ -740,6 +740,114 @@ class TestBatchedEngine:
                       DefensePolicy(), seed=60)
 
 
+def naive_divergence(X, p, layout):
+    """The divergence's oracle: per client, one np.add.reduce of each layer's
+    squared deviations from the mean, then math.fsum, weighted by p."""
+    mean, terms = federation._weighted_mean(X, p), []
+    for x, pk in zip(X, p):
+        v, pos, sums = mean - x, 0, []
+        for nf, fl, _ in layout:
+            sums.append(float(np.add.reduce(v[pos:pos + nf * fl] ** 2)))
+            pos += nf * fl
+        try:
+            terms.append(pk * math.fsum(sums))
+        except OverflowError:
+            terms.append(pk * math.inf)
+    return math.fsum(terms), mean
+
+
+def outcome(f, *args):
+    """f(*args)'s divergence and mean as bytes, or the exception type it raises."""
+    try:
+        d, mean = f(*args)
+    except OverflowError as e:
+        return type(e)
+    return ("nan" if math.isnan(d) else np.float64(d).tobytes()), mean.tobytes()
+
+
+class TestRoundTrims:
+    """The round's trimmed kernels keep the bits of their plain forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_divergence_matches_naive_oracle(self, data):
+        # deviations squared in place, one layer's fsum skipped: same bits,
+        # through rows whose squares or totals overflow and a NaN row
+        K = data.draw(st.integers(1, 8))
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 40)),
+                                    min_size=1, max_size=4))
+        layout = P.from_arrays([np.zeros(s) for s in shapes]).layout
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        scales = data.draw(st.lists(st.sampled_from([1e-3, 1.0, 1e3, 1e150, 1e154, 1e160]),
+                                    min_size=K, max_size=K))
+        X = rng.standard_normal((K, sum(nf * fl for nf, fl in shapes))) * np.array(scales)[:, None]
+        if data.draw(st.booleans()):
+            X[data.draw(st.integers(0, K - 1)), 0] = math.nan
+        p = federation._fractions(rng.integers(1, 50, K).tolist())
+        before = X.tobytes()
+        with np.errstate(all="ignore"):
+            got = outcome(federation._divergence, X, p, layout)
+            want = outcome(naive_divergence, X, p, layout)
+        assert got == want
+        assert X.tobytes() == before
+
+    def test_divergence_overflow_and_nan_rows(self):
+        layout = ((2, 3, "weight"), (1, 3, "bias"))
+        X = np.zeros((3, 9))
+        X[1] = 1e160   # its squared deviations overflow: the divergence is inf
+        with np.errstate(all="ignore"):
+            assert federation._divergence(X, [0.5, 0.25, 0.25], layout)[0] == math.inf
+            X[2, 4] = math.nan
+            assert math.isnan(federation._divergence(X, [0.5, 0.25, 0.25], layout)[0])
+
+    def test_certified_quadratic_non_finite_row_before_the_last_step(self):
+        # no loss is computed before the last step of a certified cohort, and
+        # a non-finite row still names its client and iteration
+        objs = quad_suite(3, 4, seed=81, sigma=0.2)
+        clients = Cohort([ClientState(id=20 + k, n_k=1, objective=o, E=3)
+                          for k, o in enumerate(objs)])
+        assert clients.certified
+        draws = clients.quads.noise([seeds.stream(82, "train", 0, c.id) for c in clients], 3)
+        draws[1, 1, 2] = math.nan   # client 21's noise at local iteration 1
+        X, losses = _local_step(clients, np.array([o.center for o in objs]), 0.1, 0, draws)
+        assert losses is None and np.isfinite(X).all()
+        with pytest.raises(P.NonFiniteError,
+                           match="client 21, local iteration 1: non-finite value in parameters"):
+            _local_step(clients, X, 0.1, 1, draws)
+
+    @pytest.mark.parametrize("K, policy", [
+        (1, DefensePolicy()), (3, DefensePolicy()),
+        (3, DefensePolicy("dp", epsilon_per_round=50.0, clip=1.0))])
+    def test_adopted_aggregate_owns_its_memory(self, monkeypatch, K, policy):
+        seen, dispatch, step = [], federation._dispatch_matrix, federation._local_step
+
+        def dispatched(*args):
+            seen.append(dispatch(*args))
+            return seen[-1]
+
+        def trained(*args):
+            out = step(*args)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(federation, "_dispatch_matrix", dispatched)
+        monkeypatch.setattr(federation, "_local_step", trained)
+        objs = quad_suite(K, 5, seed=85, sigma=0.1)
+        clients = [ClientState(id=k, n_k=k + 1, objective=o, E=2) for k, o in enumerate(objs)]
+        h = GlobalHistory.bootstrap(objs[0].template())
+        for _ in range(3):
+            h, _ = run_round(h, clients, DiversityRates(0.1, 0.05), LrSchedule(mu=1.0, gamma=8.0),
+                             policy, seed=86)
+            v = h.w_glb.vector
+            assert not v.flags.writeable
+            assert len(seen) == 3 and not any(np.shares_memory(v, a) for a in seen)
+            seen.clear()
+        updates = [objs[0].params_from_vector(np.full(5, k + 1.0)) for k in range(K)]
+        v = aggregate(updates, range(1, K + 1)).vector
+        assert not v.flags.writeable
+        assert not any(np.shares_memory(v, u.vector) for u in updates)
+
+
 class TestRunFederation:
     def _plan(self, objs, rounds, seed, E=2, rates=DiversityRates(0.1, 0.05),
               **kw):

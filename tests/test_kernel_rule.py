@@ -26,11 +26,12 @@ KERNELS = {
                       "ClassifierObjective.logits",
                       "ClassifierObjective.predict", "ClassifierObjective.loss",
                       "ClassifierObjective.grad"],
-    "params.py": ["layer_sq_sums"],
+    "params.py": ["layer_sq_sums", "_row_sq_sums"],
     "attacks.py": ["ir_reconstruct"],
-    "federation.py": ["Cohort", "_local_step", "run_round"],
-    "seeds.py": ["_carry", "lemire"],
-    "mutation.py": ["_SelectorPlan.rows"],
+    "federation.py": ["Cohort", "_local_step", "run_round", "_weighted_mean", "_divergence",
+                      "_defend"],
+    "seeds.py": ["_carry", "lemire", "pcg64_words", "pcg64_raw"],
+    "mutation.py": ["_SelectorPlan.rows", "_branch_update", "_dispatch_matrix", "_envelopes"],
 }
 
 

@@ -265,6 +265,35 @@ class TestGenerateDiverseModels:
         assert a == b
 
 
+class TestDispatchTrims:
+    @pytest.mark.parametrize("shapes", [[(8, 1)], [(5, 3), (1, 3), (4, 1)]])
+    def test_tied_history_same_bits_as_an_equal_copy(self, shapes):
+        # w_prev2 is w_prev forms g once and skips np.where: the bits of
+        # a history whose two lagged slots are equal but distinct values
+        rng = np.random.default_rng(83)
+        w = P.from_arrays([rng.standard_normal(s) for s in shapes])
+        prev = pair_like(rng, w)
+        rates = DiversityRates(0.3, 0.2)
+        sel = stream_lists(w.layout, [(84, "sbpu", 4, k) for k in range(5)])
+        for tied, copy in ((GlobalHistory(w, prev, prev, round=4),
+                            GlobalHistory(w, prev, P.clone_params(prev), round=4)),
+                           (GlobalHistory.bootstrap(w),
+                            GlobalHistory(w, P.clone_params(w), P.clone_params(w)))):
+            assert tied.w_prev2 is tied.w_prev and copy.w_prev2 is not copy.w_prev
+            a = mutation._dispatch_matrix(tied, rates, sel)
+            b = mutation._dispatch_matrix(copy, rates, sel)
+            assert a.tobytes() == b.tobytes()
+
+    def test_branch_table_cached_and_read_only(self):
+        r = DiversityRates(0.3, 0.2)
+        t = r.table
+        assert t is r.table and not t.flags.writeable
+        assert t.tolist() == [-2.0 * 0.2, -0.3, 0.0, 0.3, 2.0 * 0.2]
+        with pytest.raises(ValueError):
+            t[0] = 1.0
+        assert r == DiversityRates(0.3, 0.2) and hash(r) == hash(DiversityRates(0.3, 0.2))
+
+
 def selector_cohort(kind, K):
     """K clients laid out as quad-mc ([[16, 1]]), clf-dp (32-64-10) or one filter."""
     rng = np.random.default_rng(80)
