@@ -20,7 +20,11 @@ forward per group over its data; earlier ones are certified finite, a
 classifier's per row (ClassifierObjective._loss_certified) and evaluated
 where that fails, a quadratic cohort's once per run (Cohort.certified).
 The divergence squares its deviations in place; under the identity defense
-the aggregate is the mean it computed at the last step, adopted uncopied.
+the aggregate is the mean it computed at the last step.  The new aggregate
+is a copy of that mean, made once the local steps' temporaries are freed:
+the history keeps it three rounds, and the mean itself, allocated among
+them, would pin a hole there that can raise the heap's high-water mark in
+steady rounds and fault fresh pages in.
 The first classifier Cohort calls tune_malloc.  LayeredParams appears only
 at the history (the new aggregate, once a round) and at the public
 functions, which wrap the kernels the engine runs.
@@ -382,7 +386,7 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
     iteration s + 1 runs.  Each client draws from its own ("train", round,
     client) stream, so the order changes no value, but a DivergenceError
     names the earliest diverging iteration.  The client losses are those of
-    the last iteration; the new aggregate adopts the round's fresh mean uncopied.
+    the last iteration; the new aggregate is a copy of the round's mean.
     A non-finite dispatched model, envelope quantity (alpha given), trained row,
     client divergence, new aggregate or global loss raises params.NonFiniteError
     naming the round.
@@ -419,7 +423,7 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
             _defend(delta, policy, rng)
             for rng, delta in zip(streams["defense"], trained - dispatched)]), p)
     try:
-        new_glb = P._wrap(mean, h.w_glb.layout)   # adopts the fresh mean, checked
+        new_glb = P._wrap(mean.copy(), h.w_glb.layout)   # checked; see the module docstring
     except P.NonFiniteError as e:
         raise P.NonFiniteError(f"round {h.round}: non-finite value in the new aggregate") from e
     glb_losses = np.empty(len(cohort)) if cohort.quads is None else cohort.quads.loss(new_glb.vector)

@@ -818,7 +818,7 @@ class TestRoundTrims:
     @pytest.mark.parametrize("K, policy", [
         (1, DefensePolicy()), (3, DefensePolicy()),
         (3, DefensePolicy("dp", epsilon_per_round=50.0, clip=1.0))])
-    def test_adopted_aggregate_owns_its_memory(self, monkeypatch, K, policy):
+    def test_new_aggregate_owns_its_memory(self, monkeypatch, K, policy):
         seen, dispatch, step = [], federation._dispatch_matrix, federation._local_step
 
         def dispatched(*args):
