@@ -3,6 +3,7 @@ parameter updates: diverse per-client global models, closed-form convergence
 and divergence bounds with Monte-Carlo verification, and desk-scale privacy
 attacks (label inference, membership inference, input reconstruction)."""
 
+from .config import VERSION as __version__
 from .config import ConfigError, FederationConfig
 from .convergence import (ConvergenceConfig, ConvergenceReport, divergence_bound,
                           measure_divergence, optimum_of,
@@ -16,8 +17,6 @@ from .mutation import (BoundReport, DiversityRates, GlobalHistory,
 from .objectives import (AssumptionConstants, ClassifierObjective, LrSchedule,
                          QuadraticObjective, constants_for, sgd_step)
 from .params import Layer, LayeredParams, ShapeMismatchError, from_arrays
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AssumptionConstants", "BoundReport", "ClassifierObjective", "ClientState",

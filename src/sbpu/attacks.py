@@ -26,7 +26,8 @@ import numpy as np
 
 from . import params as P
 from . import seeds
-from .objectives import ClassifierObjective, softmax
+from .mutation import DiversityRates, GlobalHistory, generate_diverse_models
+from .objectives import BlobDataset, ClassifierObjective, softmax
 from .params import LayeredParams
 
 
@@ -289,27 +290,6 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # end-to-end experiment harnesses (used by the CLI and the test suite)
 
-@dataclass(frozen=True)
-class BlobDataset:
-    """Synthetic class-blob data on the unit hypercube."""
-
-    centers: np.ndarray
-    spread: float = 0.15
-
-    @classmethod
-    def make(cls, n_c: int, dim: int, rng: np.random.Generator,
-             spread: float = 0.15) -> "BlobDataset":
-        if not 0.0 <= spread < math.inf:
-            raise ValueError("spread must be finite and >= 0")
-        return cls(centers=rng.uniform(0.2, 0.8, size=(n_c, dim)), spread=spread)
-
-    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        n_c, dim = self.centers.shape
-        y = rng.integers(0, n_c, size=n)
-        x = self.centers[y] + self.spread * rng.standard_normal((n, dim))
-        return np.clip(x, 0.0, 1.0), y
-
-
 LIA_N_C, LIA_DIM = 4, 16                                 # lia_experiment's classifier
 IR_DIM, IR_N_C, IR_ITERS, IR_STEP = 64, 10, 20000, 0.5   # ir_experiment's model and descent
 
@@ -381,8 +361,6 @@ def mia_experiment(setting: str, seed: int) -> AttackReport:
 
 def ir_experiment(seed: int) -> dict:
     """Matched vs SBPU-mismatched gradient matching on an IR_DIM-IR_N_C linear model."""
-    from .mutation import DiversityRates, GlobalHistory, generate_diverse_models
-
     rng = seeds.stream(seed, "ir")
     obj = ClassifierObjective(architecture=((IR_DIM, IR_N_C, "linear"),))
     w = obj.init_params(rng, scale=0.1)

@@ -30,11 +30,10 @@ from typing import Any, get_args, get_origin
 import numpy as np
 
 from . import seeds
-from .attacks import BlobDataset
 from .convergence import ConvergenceConfig
 from .federation import ClientState, DefensePolicy, RunPlan
 from .mutation import DiversityRates
-from .objectives import (ClassifierObjective, LrSchedule, QuadraticObjective,
+from .objectives import (BlobDataset, ClassifierObjective, LrSchedule, QuadraticObjective,
                          constants_for)
 
 PRESETS = {"mnist": 0.025, "fmnist": 0.25, "cifar10": 0.15, "svhn": 1.1}
@@ -239,7 +238,7 @@ class FederationConfig:
         if self.rounds * self.E > np.iinfo(np.intp).max // 8:   # its per-step float64 series
             raise ConfigError([f"rounds * E = {self.rounds * self.E}: too many steps to record"])
         plan = self.build_plan()
-        with _construction_errors("objective: "):    # e.g. classifier clients
+        with _construction_errors("objective: "):    # e.g. classifier clients, or a moved schedule
             return ConvergenceConfig(plan=plan, alpha=self.alpha, n_seeds=self.n_seeds)
 
     def manifest(self) -> dict:

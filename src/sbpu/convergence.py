@@ -13,10 +13,15 @@ and the per-step client divergence against
 
 Expectations are estimated by averaging independent seeds; both the batch
 noise and the shuffles of the branch-selector lists are resampled per seed.
+Both bounds hold on one schedule, eta_t = 2/(mu*(t + gamma)) at the clients'
+mu and gamma = max(8*kappa, E): ConvergenceConfig derives those constants once
+and refuses a plan on any other schedule, and the experiment reads them and
+the admitted cohort's sample weights.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -51,9 +56,8 @@ def optimum_of(objs: Sequence[QuadraticObjective],
 
 
 def sbpu_variance_term(alpha: float, E: int, G: float) -> float:
-    if 1.0 - 4.0 * alpha * alpha <= 0.0:
-        raise ValueError(f"need 1 - 4*alpha^2 > 0; alpha = {alpha:g} is out of domain")
-    return 32.0 * alpha * alpha / (1.0 - 4.0 * alpha * alpha) * (E - 1) ** 2 * G * G
+    """The SBPU term of B: twice the divergence bound at eta_t = 1."""
+    return 2.0 * divergence_bound(alpha, 1.0, E, G)
 
 
 def theorem1_bound(c: AssumptionConstants, alpha: float, E: int, K: int,
@@ -73,16 +77,25 @@ def divergence_bound(alpha: float, eta_t: float, E: int, G: float) -> float:
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
-    plan: RunPlan             # quadratic clients only
+    plan: RunPlan             # quadratic clients on the schedule of their constants
     alpha: float
     n_seeds: int = 32
 
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
-        for c in self.plan.clients:
-            if not isinstance(c.objective, QuadraticObjective):
-                raise ValueError("convergence experiments require quadratic objectives")
+        if self.plan.clients.quads is None:
+            raise ValueError("convergence experiments require quadratic objectives")
+        c, s = self.constants, self.plan.schedule
+        if (s.mu, s.gamma) != (c.mu, c.gamma):
+            raise ValueError(f"the bounds hold on the schedule mu = {c.mu}, gamma = {c.gamma} "
+                             f"of these objectives, not on mu = {s.mu}, gamma = {s.gamma}")
+
+    @functools.cached_property
+    def constants(self) -> AssumptionConstants:
+        """The clients' constants on the largest of their projection balls."""
+        objs = [c.objective for c in self.plan.clients]
+        return constants_for(objs, self.plan.clients[0].E, max(o.radius for o in objs))
 
 
 @dataclass(frozen=True)
@@ -112,18 +125,12 @@ class ConvergenceReport:
 
 def run_convergence_experiment(cfg: ConvergenceConfig) -> ConvergenceReport:
     """Monte-Carlo gap/divergence measurement against the closed-form bounds."""
-    plan = cfg.plan
+    plan, consts = cfg.plan, cfg.constants
     clients = plan.clients
-    objs = [c.objective for c in clients]
-    sizes = [c.n_k for c in clients]
-    total = float(sum(sizes))
-    weights = [n / total for n in sizes]
     E = clients[0].E
     K = len(clients)
-    R = max(o.radius for o in objs)
-    consts = constants_for(objs, E, R)
 
-    w_star, f_star = optimum_of(objs, weights)
+    w_star, f_star = optimum_of([c.objective for c in clients], clients.weights)
     D0 = P.sq_distance(plan.w_init, w_star)
     B = sum(s * s for s in consts.sigma) / (K * K) + sbpu_variance_term(cfg.alpha, E, consts.G)
 

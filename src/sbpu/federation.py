@@ -2,13 +2,13 @@
 
 Clients are admitted once per run: RunPlan holds them as a Cohort, which
 checks the one admission rule (shared with local_train) and keeps what never
-changes during a run, such as the stacked quadratics.  One round: (1) check
-the cohort's layout against the history, (2) make a diverse model per client
-from the global history, (3) run E local SGD steps on all clients in
-lockstep, measuring the client divergence after each, (4) defend each
-uploaded parameter delta and aggregate by sample fraction, (5) rotate the
-history and advance the round counter.  So a round pays only for its random
-draws and its arithmetic.
+changes during a run, such as the stacked quadratics and the sample weights;
+nothing admitted is checked again.  One round: (1) check the cohort's layout
+against the history, (2) make a diverse model per client from the global
+history, (3) run E local SGD steps on all clients in lockstep, measuring the
+client divergence after each, (4) defend each uploaded parameter delta and
+aggregate by sample fraction, (5) rotate the history and advance the round
+counter.  So a round pays only for its random draws and its arithmetic.
 
 Inside a round the K dispatched models are the rows of one (K, d) float64
 array, from the mutation through the envelope reports, local SGD, defense
@@ -34,8 +34,8 @@ concurrent and serial client schedules produce bit-identical results.  Round
 streams are keyed by (seed, tag, round, client); within a run (iter_rounds)
 run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
 Cohort.streams hands out "sbpu" as selector rows, "train" as the round's
-draws, at most one call a client: sphere noise for quadratic clients and
-batch indices for classifier clients, and "defense" as generators.
+draws (Cohort.draws), at most one call a client: sphere noise for quadratic
+clients and batch indices for classifier clients, and "defense" as generators.
 """
 
 from __future__ import annotations
@@ -155,23 +155,23 @@ def tune_malloc() -> None:
 class Cohort(tuple):
     """The admitted clients of a run, with what run_round needs of them that costs
     work to build and never changes: the stacked quadratics (None for classifiers)
-    with their loss certificate (certified: 0.5 * lambda_max * R^2 < 1e300 for each,
-    so every loss in the balls is finite, rounding included), the shared template,
-    the sample fractions n_k / N (weights), and the classifier groups: runs of
-    consecutive clients of one architecture, batch_size and dataset size, which
-    one stacked backprop steps and one stacked forward evaluates, as (objective,
-    batch_size, the run's rows as a slice, their data stacked (k, n, in) and
-    (k, n), each one's largest |x| for its loss certificate).  A config's clients
-    form one run; an interleaved cohort (A, B, A) steps as three groups.
+    with their loss certificate (certified: 0.5 * L * R^2 < 1e300 for each, L its
+    smoothness, so every loss in the balls is finite, rounding included), the shared
+    template, the sample fractions n_k / N (weights), and the classifier groups: runs
+    of consecutive clients of one architecture, batch_size and dataset size, which one
+    stacked backprop steps and one stacked forward evaluates, as (objective,
+    batch_size, the run's rows as a slice, their data stacked (k, n, in) and (k, n),
+    each one's largest |x| for its loss certificate).  A config's clients form one run;
+    an interleaved cohort (A, B, A) steps as three groups.
 
     Admission is the one rule of run_round and local_train: at least one
-    client, one objective kind, one E, one template() layout (the flat
-    kernels do not check), and a dataset in each classifier, whose group's
-    batch indices for a round fit one array.  RunPlan admits its clients
-    once; run_round and local_train wrap a plain sequence on the spot, and
-    Cohort(cohort) is cohort itself.  The caller checks the template against
-    the model.  It also keeps the last block of round streams it derived
-    (streams)."""
+    client, one objective kind, one E, one template() layout, and a dataset in
+    each classifier, checked when the objective was built, whose group's batch
+    indices for a round fit one array; the flat kernels check none of it.
+    RunPlan admits its clients once; run_round and local_train wrap a plain
+    sequence on the spot, and Cohort(cohort) is cohort itself.  The caller
+    checks the template against the model.  It also keeps the last block of
+    round streams it derived (streams), and makes a round's draws (draws)."""
 
     def __new__(cls, clients: Sequence[ClientState]) -> "Cohort":
         if isinstance(clients, Cohort):
@@ -191,7 +191,7 @@ class Cohort(tuple):
                       if isinstance(self[0].objective, QuadraticObjective) else None)
         self.groups = []
         if self.quads is not None:   # 0.5 * L * R^2 bounds a loss in the ball
-            L = np.linalg.eigvalsh(self.quads.matrix)[:, -1]
+            L = np.array([c.objective.smoothness for c in self])
             with np.errstate(over="ignore"):   # an overflowing bound fails, silently
                 self.certified = bool(np.maximum.reduce(
                     0.5 * L * (self.quads.radius * (1.0 + 1e-12)) ** 2) < 1e300)
@@ -223,10 +223,8 @@ class Cohort(tuple):
     def streams(self, seed: int, r: int, tags: tuple) -> dict[str, list | np.ndarray]:
         """Per tag, seeds.stream(seed, tag, r, key) for each client, key its
         index for "sbpu" (which tags hold) and its id otherwise, but for "sbpu"
-        the selector rows they draw, and for "train" what local_train draws: a
-        quadratic cohort's QuadraticStack.noise block, or per classifier group
-        the (k, E, batch_size) indices of its batches, one integers call a
-        client.  Past the kept block, one seeds.pcg64_words call derives rounds
+        the selector rows they draw, and for "train" the round's draws on them
+        (draws).  Past the kept block, one seeds.pcg64_words call derives rounds
         r to r + ROUND_BLOCK - 1, cut at end (only r if end is None), and one
         _SelectorPlan.rows call draws their selector rows."""
         b = self._block
@@ -239,11 +237,15 @@ class Cohort(tuple):
             b = self._block = (seed, tags, r, words, sel.reshape(n, len(self), -1))
         out = {t: b[4][r - b[2]] if t == "sbpu" else [seeds.from_words(w) for w in ws]
                for t, ws in zip(tags, b[3][r - b[2]])}
-        gens, E = out["train"], self[0].E
-        out["train"] = self.quads.noise(gens, E) if self.quads is not None else [
-            np.array([g.integers(0, obj.n_samples, (E, size)) for g in gens[ks]])
-            for obj, size, ks, _, _ in self.groups]
+        out["train"] = self.draws(out["train"])
         return out
+
+    def draws(self, gens: Sequence[np.random.Generator]) -> np.ndarray | list | None:
+        """A round's "train" draws, one call on each client's generator in gens: a
+        QuadraticStack.noise block, or per classifier group its (k, E, batch_size) indices."""
+        return self.quads.noise(gens, self[0].E) if self.quads is not None else [
+            np.array([g.integers(0, obj.n_samples, (self[0].E, size)) for g in gens[ks]])
+            for obj, size, ks, _, _ in self.groups]
 
 
 def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
@@ -257,13 +259,13 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     once, with draws the round's noise block; classifier clients each step
     X[k] + (-eta) * g on one batch sampled uniformly with replacement, one
     stacked backprop per Cohort group on a slice of the rows, with no copy,
-    with draws per group its batch indices (k, E, batch_size).  The first
-    client whose row is not finite raises params.NonFiniteError, or
-    DivergenceError if only its loss is not.  A group's losses are one
-    stacked _loss call over its data: at the last iteration all its rows,
-    before it only the rows _loss_certified cannot show finite; 0.0 stands in
-    for the others.  Quadratic losses before the last iteration are computed
-    only for a cohort that is not certified; a certified one checks its rows.
+    with draws per group its batch indices (k, E, batch_size): slices of data its
+    objectives checked when built, which the kernels take unchecked.  The first client
+    whose row is not finite raises params.NonFiniteError, or DivergenceError if only its
+    loss is not.  A group's losses are one stacked _loss call over its data: at the last
+    iteration all its rows, before it only the rows _loss_certified cannot show finite;
+    0.0 stands in for the others.  Quadratic losses before the last iteration are
+    computed only for a cohort that is not certified; a certified one checks its rows.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
@@ -293,11 +295,10 @@ def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
                 global_step_offset: int, rng: np.random.Generator) -> LayeredParams:
     """One client's E SGD iterations from w_init with the shared step-count
     schedule; run_round takes the same steps for all clients in lockstep.  Its
-    E steps' noise or batches are one rng call, as in Cohort.streams."""
+    E steps' noise or batches are one rng call, Cohort.draws, as in a round."""
     cohort, X = Cohort([c]), w_init.vector[None, :]
     P.check_same_shape(cohort.template, w_init)
-    draws = cohort.quads.noise([rng], c.E) if cohort.quads is not None else [
-        rng.integers(0, c.objective.n_samples, size=(1, c.E, c.batch_size))]
+    draws = cohort.draws([rng])
     for s in range(c.E):
         X, _ = _local_step(cohort, X, schedule.lr_at(global_step_offset + s), s, draws)
     return P.from_vector(X[0], w_init)

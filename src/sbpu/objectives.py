@@ -23,7 +23,9 @@ tests/test_kernel_rule.py keeps the rule.  The classifier has one forward pass
 output takes the bias and activation in place, and backprop reads each
 activation's derivative from its output.  The loss takes its class-axis max a
 column at a time (_max_columns), since numpy reduces a short last axis row by
-row, and sums its exponentials with numpy's own reduce.
+row, and sums its exponentials with numpy's own reduce.  The kernels take a
+checked batch: only the public loss and grad check one (_batch), and the
+round engine's are slices of data each objective checked when it was built.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class QuadraticObjective:
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_eigs", eigs)   # ascending: L and mu, computed once
         object.__setattr__(self, "_template", P.from_arrays([np.zeros(s) for s in layout]))
         object.__setattr__(self, "_stack", QuadraticStack([self]))
 
@@ -93,11 +96,11 @@ class QuadraticObjective:
 
     @property
     def smoothness(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
+        return float(self._eigs[-1])
 
     @property
     def strong_convexity(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(self._eigs[0])
 
     def template(self) -> LayeredParams:
         """A zero LayeredParams with this objective's layer layout."""
@@ -427,14 +430,15 @@ class ClassifierObjective:
         return x, y
 
     def _loss(self, v: np.ndarray, batch=None) -> float | np.ndarray:
-        """Mean cross-entropy at the flat vector v: a float.  On K rows (K, d), or
-        v broadcast, with a (K, n, in) batch, one loss per row with the bits that
-        row gets alone.  The logits from _forward take the shift by their class-axis
-        max (taken a column at a time) and, once the labels' logits are read, exp in place."""
-        x, y = self._batch(batch)
+        """Mean cross-entropy at the flat vector v on a checked batch (x, y), y of any
+        shape (None: the embedded data): a float.  On K rows (K, d), or v broadcast,
+        with a (K, n, in) batch, one loss per row with the bits that row gets alone.
+        The logits from _forward take the shift by their class-axis max (taken a column
+        at a time) and, once the labels' logits are read, exp in place."""
+        x, y = batch or (self.data_x, self.data_y)
         h = self._forward(v, x)[-1]
         h -= _max_columns(h)[..., None]
-        logp = h.reshape(-1)[np.arange(0, h.size, self.n_c) + y].reshape(h.shape[:-1])
+        logp = h.reshape(-1)[np.arange(0, h.size, self.n_c) + y.ravel()].reshape(h.shape[:-1])
         logp -= np.log(np.add.reduce(np.exp(h, out=h), axis=-1))
         loss = -(np.add.reduce(logp, axis=-1) / logp.shape[-1])
         return float(loss) if loss.ndim == 0 else loss
@@ -460,13 +464,13 @@ class ClassifierObjective:
         return ok
 
     def _grad(self, v: np.ndarray, batch=None) -> np.ndarray:
-        """Mean cross-entropy gradient at the flat vector v by backprop; on K
-        rows (K, d) with a (K, b, in) batch, row k's gradient on batch k."""
-        x, y = self._batch(batch)
+        """Mean cross-entropy gradient at the flat vector v by backprop on a checked batch,
+        as _loss takes it; on K rows (K, d) with a (K, b, in) batch, row k's on batch k."""
+        x, y = batch or (self.data_x, self.data_y)
         lead = v.shape[:-1]
         hs = self._forward(v, x)
         delta = softmax(hs[-1])         # fresh: the probabilities, then dL/dz
-        delta.reshape(-1)[np.arange(0, delta.size, self.n_c) + y] -= 1.0
+        delta.reshape(-1)[np.arange(0, delta.size, self.n_c) + y.ravel()] -= 1.0
         delta /= x.shape[-2]            # logit gradient of the mean loss
         g = np.empty(v.shape)           # written through views: each reshape splits a last axis
         for li in range(len(self._dense) - 1, -1, -1):
@@ -487,9 +491,30 @@ class ClassifierObjective:
 
     def loss(self, w: LayeredParams, batch=None) -> float:
         P.check_same_shape(self._template, w)
-        return self._loss(w.vector, batch)
+        return self._loss(w.vector, self._batch(batch))
 
     def grad(self, w: LayeredParams, batch=None) -> LayeredParams:
         """Mean cross-entropy gradient by backprop (same shape as w)."""
         P.check_same_shape(self._template, w)
-        return P._wrap(self._grad(w.vector, batch), w.layout)   # fresh: checked, not copied
+        return P._wrap(self._grad(w.vector, self._batch(batch)), w.layout)   # fresh, checked
+
+
+@dataclass(frozen=True)
+class BlobDataset:
+    """Synthetic class-blob data on the unit hypercube: classifier configs' datasets."""
+
+    centers: np.ndarray
+    spread: float = 0.15
+
+    @classmethod
+    def make(cls, n_c: int, dim: int, rng: np.random.Generator,
+             spread: float = 0.15) -> "BlobDataset":
+        if not 0.0 <= spread < np.inf:
+            raise ValueError("spread must be finite and >= 0")
+        return cls(centers=rng.uniform(0.2, 0.8, size=(n_c, dim)), spread=spread)
+
+    def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        n_c, dim = self.centers.shape
+        y = rng.integers(0, n_c, size=n)
+        x = self.centers[y] + self.spread * rng.standard_normal((n, dim))
+        return np.clip(x, 0.0, 1.0), y

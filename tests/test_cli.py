@@ -227,6 +227,15 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 1
         assert "rounds >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [{"gamma_override": 1.0}, {"mu": 0.2}])
+    def test_schedule_overrides_exit_1(self, tmp_path, capsys, overrides):
+        # the report's bounds hold on the objectives' own schedule only
+        path, out = write_config(tmp_path, **overrides)
+        assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "the bounds hold on the schedule" in err
+        assert not (out / "report.json").exists()
+
     def test_manifest_records_bound_checks(self, tmp_path):
         path, out = write_config(tmp_path, rounds=2)
         assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 0

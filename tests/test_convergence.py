@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sbpu import params as P
+from sbpu.config import FederationConfig
 from sbpu.convergence import (ConvergenceConfig, divergence_bound,
                               final_decade_slope, measure_divergence, optimum_of,
                               run_convergence_experiment, sbpu_variance_term,
@@ -215,6 +217,27 @@ class TestExperiment:
                        w_init=obj.zero_params())
         with pytest.raises(ValueError):
             ConvergenceConfig(plan=plan, alpha=0.1)
+
+    @pytest.mark.parametrize("mu,gamma", [(None, 1.0), (0.2, None)])
+    def test_schedule_off_the_constants_rejected(self, mu, gamma):
+        # the bounds and the report's constants hold on eta_t = 2/(mu (t + gamma))
+        # with the clients' mu and gamma = max(8 kappa, E) only
+        plan = tiny_plan()
+        schedule = LrSchedule(mu=mu or plan.schedule.mu, gamma=gamma or plan.schedule.gamma)
+        with pytest.raises(ValueError, match="the bounds hold on the schedule"):
+            ConvergenceConfig(plan=dataclasses.replace(plan, schedule=schedule), alpha=0.1)
+
+    def test_eigenvalues_computed_once_per_objective(self, monkeypatch):
+        # K = 4: each objective's eigvalsh at construction, which its smoothness,
+        # strong convexity and the cohort's loss certificate then read
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        cfg = FederationConfig.from_dict({
+            "objective": {"kind": "quadratic_random", "dim": 16, "eig_range": [1.0, 2.0],
+                          "center_spread": 0.3, "radius": 4.0, "sigma": 0.1},
+            "K": 4, "E": 2, "rounds": 3, "alpha": 0.05, "n_seeds": 2, "seed": 91})
+        run_convergence_experiment(cfg.build_convergence())
+        assert len(calls) == 4
 
     def test_report_serialization(self, tmp_path):
         cfg = ConvergenceConfig(plan=tiny_plan(rounds=5), alpha=0.0, n_seeds=1)

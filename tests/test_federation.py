@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import types
 import warnings
 from pathlib import Path
@@ -564,6 +565,22 @@ class TestBatchedEngine:
         run_round(h, clients, *args)
         assert rows == [3, 3]
 
+    def test_round_checks_no_batch(self, monkeypatch):
+        # the engine's batches are slices of the data each objective checked when
+        # it was built: only the public loss and grad check a batch (_batch)
+        clients, h, args = self._classifier_round(small_classifiers(3, 66))
+        batch, checked = ClassifierObjective._batch, []
+
+        def counted(self, b):
+            checked.append(b is None)
+            return batch(self, b)
+
+        monkeypatch.setattr(ClassifierObjective, "_batch", counted)
+        run_round(h, clients, *args)
+        assert checked == []
+        clients[0].objective.loss(h.w_glb)
+        assert checked == [True]
+
     def test_clients_certified_by_their_own_activations(self, monkeypatch):
         # one layout, two activations: rows of size 1e150 bound the relu
         # client's logits near 1e301 (evaluated) and the sigmoid's near 1e151
@@ -951,6 +968,25 @@ class TestRoundStreams:
                 np.testing.assert_array_equal(rng.integers(0, bounds), ref.integers(0, bounds))
                 np.testing.assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
+    @pytest.mark.parametrize("objs", [quad_suite(3, 2, 87, sigma=0.2), small_classifiers(3, 88)],
+                             ids=["quadratic", "classifier"])
+    def test_rounds_and_local_train_draw_through_cohort_draws(self, monkeypatch, objs):
+        draws, calls = Cohort.draws, []
+
+        def counted(self, gens):
+            calls.append(len(gens))
+            return draws(self, gens)
+
+        monkeypatch.setattr(Cohort, "draws", counted)
+        clients = [ClientState(id=k, n_k=1, objective=o, E=2, batch_size=3)
+                   for k, o in enumerate(objs)]
+        schedule = LrSchedule(mu=1.0, gamma=8.0)
+        h = GlobalHistory.bootstrap(objs[0].template())
+        for _ in range(2):
+            h, _ = run_round(h, clients, DiversityRates(0.1, 0.05), schedule, DefensePolicy(), 89)
+        local_train(clients[0], h.w_glb, schedule, 4, np.random.default_rng(90))
+        assert calls == [3, 3, 1]
+
     def test_no_sbpu_generator_built(self, monkeypatch):
         built = []
         from_words = seeds.from_words
@@ -1179,30 +1215,36 @@ class TestTuneMalloc:
 
     @staticmethod
     def _steady_round_faults(K, n, small=0):
+        """The script's count run as python -c and as a file: the two start from
+        different heap layouts, and a layout can hide the faults the gate is for
+        (with tune_malloc deleted, -c runs read 0-1 where file runs read about 400)."""
         # A preloaded allocator or malloc tunables would decide the count instead.
         env = {k: v for k, v in os.environ.items()
                if k not in ("LD_PRELOAD", "GLIBC_TUNABLES") and not k.startswith("MALLOC_")}
         env["PYTHONPATH"] = str(Path(sbpu.__file__).parents[1])
-        out = subprocess.run([sys.executable, "-c", STEADY_ROUND_FAULTS, str(K), str(n),
-                              str(small)],
-                             env=env, capture_output=True, text=True, timeout=300, check=True)
-        return int(out.stdout)
+        with tempfile.TemporaryDirectory() as tmp:
+            script = Path(tmp) / "steady_round_faults.py"
+            script.write_text(STEADY_ROUND_FAULTS)
+            return [int(subprocess.run([sys.executable, *how, str(K), str(n), str(small)],
+                                       env=env, capture_output=True, text=True, timeout=300,
+                                       check=True).stdout)
+                    for how in (["-c", STEADY_ROUND_FAULTS], [str(script)])]
 
     @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
     def test_steady_classifier_rounds_fault_in_no_pages(self):
         # with more than one BLAS thread, glibc's default thresholds return a
         # round's temporaries to the kernel and fault them back in: up to
         # about 395 minor faults a round at two threads
-        assert self._steady_round_faults(8, 256) < 10
+        assert max(self._steady_round_faults(8, 256)) < 10
 
     @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
     def test_steady_rounds_of_a_larger_cohort_fault_in_no_pages(self):
         # (16, 512, 64) stacked activations, 4 MiB: thresholds fixed at
         # 1 MiB / 2 MiB would map and unmap them at every full-data loss
-        assert self._steady_round_faults(16, 512) < 10
+        assert max(self._steady_round_faults(16, 512)) < 10
 
     @pytest.mark.skipif(not _has_mallopt(), reason="no mallopt (not glibc)")
     def test_a_smaller_cohort_later_keeps_the_larger_thresholds(self):
         # a 4-3 classifier's local_train builds a Cohort that would set
         # 1 MiB / 2 MiB again: about 400 minor faults a round after it
-        assert self._steady_round_faults(16, 512, small=1) < 10
+        assert max(self._steady_round_faults(16, 512, small=1)) < 10
