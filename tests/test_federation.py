@@ -1216,8 +1216,8 @@ class TestTuneMalloc:
     @staticmethod
     def _steady_round_faults(K, n, small=0):
         """The script's count run as python -c and as a file: the two start from
-        different heap layouts, and a layout can hide the faults the gate is for
-        (with tune_malloc deleted, -c runs read 0-1 where file runs read about 400)."""
+        different heap layouts, and a layout can hide the faults the gate is for (with
+        tune_malloc deleted, each way has read about 400 a round where the other read 0-1)."""
         # A preloaded allocator or malloc tunables would decide the count instead.
         env = {k: v for k, v in os.environ.items()
                if k not in ("LD_PRELOAD", "GLIBC_TUNABLES") and not k.startswith("MALLOC_")}
