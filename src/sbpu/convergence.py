@@ -14,9 +14,9 @@ and the per-step client divergence against
 Expectations are estimated by averaging independent seeds; both the batch
 noise and the shuffles of the branch-selector lists are resampled per seed.
 Both bounds hold on one schedule, eta_t = 2/(mu*(t + gamma)) at the clients'
-mu and gamma = max(8*kappa, E): ConvergenceConfig derives those constants once
-and refuses a plan on any other schedule, and the experiment reads them and
-the admitted cohort's sample weights.
+mu and gamma = max(8*kappa, E).  ConvergenceConfig derives those constants and
+the optimum once, refusing any other schedule and a numerically singular combined
+matrix (by its eigenvalues); the experiment reads them, the cohort's weights and B.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ def optimum_of(objs: Sequence[QuadraticObjective],
         raise ValueError("one weight per objective")
     A = sum(p * o.matrix for p, o in zip(weights, objs))
     rhs = sum(p * (o.matrix @ o.center) for p, o in zip(weights, objs))
-    if np.linalg.cond(A) > 1e14:
+    lam = np.linalg.eigvalsh(A)   # A is SPD: its 2-norm condition number is lam[-1] / lam[0]
+    if not lam[0] > 0.0 or lam[-1] / lam[0] > 1e14:
         raise np.linalg.LinAlgError("combined matrix numerically singular")
-    w_star_vec = np.linalg.solve(A, rhs)
-    w_star = objs[0].params_from_vector(w_star_vec)
+    w_star = objs[0].params_from_vector(np.linalg.solve(A, rhs))
     f_star = math.fsum(p * o.loss(w_star) for p, o in zip(weights, objs))
     return w_star, f_star
 
@@ -64,6 +64,10 @@ def theorem1_bound(c: AssumptionConstants, alpha: float, E: int, K: int,
                    D0: float, T: int) -> float:
     """Closed-form gap bound at total iteration count T."""
     B = sum(s * s for s in c.sigma) / (K * K) + sbpu_variance_term(alpha, E, c.G)
+    return _gap_bound(c, B, D0, T)
+
+
+def _gap_bound(c: AssumptionConstants, B: float, D0: float, T: int) -> float:
     return 4.0 * c.kappa / (c.gamma + T) * (B / (2.0 * c.mu) + c.L * D0)
 
 
@@ -90,12 +94,18 @@ class ConvergenceConfig:
         if (s.mu, s.gamma) != (c.mu, c.gamma):
             raise ValueError(f"the bounds hold on the schedule mu = {c.mu}, gamma = {c.gamma} "
                              f"of these objectives, not on mu = {s.mu}, gamma = {s.gamma}")
+        self.optimum   # a numerically singular combined matrix raises LinAlgError here
 
     @functools.cached_property
     def constants(self) -> AssumptionConstants:
         """The clients' constants on the largest of their projection balls."""
         objs = [c.objective for c in self.plan.clients]
         return constants_for(objs, self.plan.clients[0].E, max(o.radius for o in objs))
+
+    @functools.cached_property
+    def optimum(self) -> tuple[LayeredParams, float]:
+        """optimum_of the clients' objectives at their sample weights: (w*, f*)."""
+        return optimum_of([c.objective for c in self.plan.clients], self.plan.clients.weights)
 
 
 @dataclass(frozen=True)
@@ -118,19 +128,17 @@ class ConvergenceReport:
             "B": self.B,
             "f_star": self.f_star,
             "D0": self.D0,
-            "series": [list(row) for row in self.series],
-            "divergence_series": [list(row) for row in self.divergence_series],
+            "series": self.series,   # json writes a tuple as a list
+            "divergence_series": self.divergence_series,
         }
 
 
 def run_convergence_experiment(cfg: ConvergenceConfig) -> ConvergenceReport:
     """Monte-Carlo gap/divergence measurement against the closed-form bounds."""
     plan, consts = cfg.plan, cfg.constants
-    clients = plan.clients
-    E = clients[0].E
-    K = len(clients)
+    E, K = plan.clients[0].E, len(plan.clients)
 
-    w_star, f_star = optimum_of([c.objective for c in clients], clients.weights)
+    w_star, f_star = cfg.optimum
     D0 = P.sq_distance(plan.w_init, w_star)
     B = sum(s * s for s in consts.sigma) / (K * K) + sbpu_variance_term(cfg.alpha, E, consts.G)
 
@@ -149,7 +157,7 @@ def run_convergence_experiment(cfg: ConvergenceConfig) -> ConvergenceReport:
                 div_max[t] = max(div_max[t], d)
 
     series = tuple((int((r + 1) * E), float(gap_sum[r] / cfg.n_seeds),
-                    theorem1_bound(consts, cfg.alpha, E, K, D0, (r + 1) * E))
+                    _gap_bound(consts, B, D0, (r + 1) * E))
                    for r in range(n_rounds))
     div_series = tuple((t, float(div_sum[t] / cfg.n_seeds), float(div_max[t]),
                         divergence_bound(cfg.alpha, plan.schedule.lr_at(t), E, consts.G))
@@ -180,13 +188,12 @@ def final_decade_slope(series: Sequence[tuple[int, float, float]]) -> float:
 def write_report_csv(report: ConvergenceReport, path) -> None:
     """Flat CSV: one row per recorded round-end T, with the divergence
     measured at that step."""
-    E_steps = {t: (m, bound) for t, m, _, bound in report.divergence_series}
-    lines = ["T,gap,bound,divergence,divergence_bound"]
-    for T, gap, bound in report.series:
-        d, db = E_steps.get(T - 1, (float("nan"), float("nan")))
-        lines.append(f"{T},{gap:.6g},{bound:.6g},{d:.6g},{db:.6g}")
+    div, nan = report.divergence_series, (0, float("nan"), 0.0, float("nan"))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("T,gap,bound,divergence,divergence_bound\n")
+        for T, gap, bound in report.series:
+            _, d, _, db = div[T - 1] if 0 < T <= len(div) else nan   # row t is step t
+            fh.write(f"{T},{gap:.6g},{bound:.6g},{d:.6g},{db:.6g}\n")
 
 
 def write_report_json(report: ConvergenceReport, path) -> None:

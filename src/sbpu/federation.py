@@ -224,15 +224,15 @@ class Cohort(tuple):
         """Per tag, seeds.stream(seed, tag, r, key) for each client, key its
         index for "sbpu" (which tags hold) and its id otherwise, but for "sbpu"
         the selector rows they draw, and for "train" the round's draws on them
-        (draws).  Past the kept block, one seeds.pcg64_words call derives rounds
-        r to r + ROUND_BLOCK - 1, cut at end (only r if end is None), and one
-        _SelectorPlan.rows call draws their selector rows."""
+        (draws).  Past the kept block, one seeds.child_seeds and one seeds.pcg64_words
+        call derive rounds r to r + ROUND_BLOCK - 1, cut at end (only r if end is None),
+        and one _SelectorPlan.rows call draws their selector rows."""
         b = self._block
         if b is None or b[:2] != (seed, tags) or not 0 <= r - b[2] < len(b[3]):
             n = 1 if self.end is None else min(ROUND_BLOCK, max(self.end - r, 1))
             keys = {t: range(len(self)) if t == "sbpu" else [c.id for c in self] for t in tags}
-            words = seeds.pcg64_words([seeds.child_seed(seed, t, q, k) for q in range(r, r + n)
-                                       for t in tags for k in keys[t]]).reshape(n, len(tags), -1, 4)
+            words = seeds.pcg64_words(seeds.child_seeds(seed, tags, range(r, r + n), keys)
+                                      ).reshape(n, len(tags), -1, 4)
             sel = _selector_plan(self.template.layout).rows(words[:, tags.index("sbpu")].reshape(-1, 4))
             b = self._block = (seed, tags, r, words, sel.reshape(n, len(self), -1))
         out = {t: b[4][r - b[2]] if t == "sbpu" else [seeds.from_words(w) for w in ws]

@@ -5,12 +5,12 @@ seeds are derived by hashing the full key path with SHA-256, so a stream's
 identity depends only on its labels (e.g. master seed, round, client index)
 and never on execution order.  No global RNG state is used anywhere.
 
-stream builds one generator; pcg64_words runs numpy's SeedSequence seeding
-on an array of child seeds, and from_words builds the same generators from
-its rows, and pcg64_raw their first outputs without building them; lemire
-turns raw outputs into numpy's bounded integers (the selector shuffles'
-swaps, mutation._SelectorPlan.rows).  tests/test_seeds.py checks all four
-against numpy.
+stream builds one generator; child_seeds a round block's child seeds, each key
+formatted once (Cohort.streams); pcg64_words runs numpy's SeedSequence seeding
+on an array of child seeds, from_words builds the same generators from its rows
+and pcg64_raw their first outputs without building them; lemire turns raw
+outputs into numpy's bounded integers (mutation._SelectorPlan.rows' swaps).
+tests/test_seeds.py checks child_seeds against child_seed, the rest against numpy.
 """
 
 import functools
@@ -32,20 +32,28 @@ _LO32, _32, _58, _63, _64 = (np.uint64(v) for v in (0xFFFFFFFF, 32, 58, 63, 64))
 _ONES = np.uint64(2 ** 64 - 1)
 
 
+def _key(k) -> str:
+    """A key's part of the hashed path: "i:" and the int, or "s:" and the string."""
+    if isinstance(k, (int, np.integer, str)) and not isinstance(k, bool):
+        return f"s:{k}" if isinstance(k, str) else f"i:{int(k)}"
+    raise TypeError(f"seed keys must be ints or strings, got {k!r}")
+
+
+def _hashed(path: str) -> int:
+    return int.from_bytes(hashlib.sha256(path.encode("utf-8")).digest()[:8], "little")
+
+
 def child_seed(*keys) -> int:
     """Derive a 64-bit seed from a path of integer/string keys."""
-    parts = []
-    for k in keys:
-        if isinstance(k, (bool, float)):
-            raise TypeError(f"seed keys must be ints or strings, got {k!r}")
-        if isinstance(k, (int, np.integer)):
-            parts.append(f"i:{int(k)}")
-        elif isinstance(k, str):
-            parts.append(f"s:{k}")
-        else:
-            raise TypeError(f"seed keys must be ints or strings, got {k!r}")
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return _hashed("\x1f".join(map(_key, keys)))
+
+
+def child_seeds(seed, tags, rounds, keys) -> list[int]:
+    """[child_seed(seed, t, q, k) for q in rounds for t in tags for k in keys[t]]: each key
+    checked and formatted once, and the same path strings hashed."""
+    heads = [f"{_key(seed)}\x1f{_key(t)}\x1f" for t in tags]
+    tails = [[f"\x1f{_key(k)}" for k in keys[t]] for t in tags]
+    return [_hashed(h + q + k) for q in map(_key, rounds) for h, ks in zip(heads, tails) for k in ks]
 
 
 def stream(*keys) -> np.random.Generator:

@@ -236,6 +236,18 @@ class TestConvergenceCommand:
         assert "invalid configuration" in err and "the bounds hold on the schedule" in err
         assert not (out / "report.json").exists()
 
+    def test_singular_combined_matrix_exit_1(self, tmp_path, capsys):
+        # the optimum is solved at admission: no traceback, and nothing written
+        objective = {"kind": "quadratic", "radius": 1.0, "layout": [[2, 1]], "clients": [
+            {"center": [0.0, 0.0], "matrix": [1e-20, 0.0, 0.0, 1.0]},
+            {"center": [0.0, 0.0], "matrix": [1e-20, 0.0, 0.0, 2.0]}]}
+        path, out = write_config(tmp_path, objective=objective, K=2, E=2, rounds=3, alpha=0.05,
+                                 beta1=0.05, beta2=0.04)
+        assert main(["convergence", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "numerically singular" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_manifest_records_bound_checks(self, tmp_path):
         path, out = write_config(tmp_path, rounds=2)
         assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 0

@@ -1,12 +1,15 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sbpu import convergence
 from sbpu import params as P
 from sbpu.config import FederationConfig
-from sbpu.convergence import (ConvergenceConfig, divergence_bound,
+from sbpu.convergence import (ConvergenceConfig, ConvergenceReport, divergence_bound,
                               final_decade_slope, measure_divergence, optimum_of,
                               run_convergence_experiment, sbpu_variance_term,
                               theorem1_bound, write_report_csv, write_report_json)
@@ -19,6 +22,12 @@ def quad(A, c, sigma=0.0, radius=10.0):
     return QuadraticObjective(matrix=np.asarray(A, dtype=float),
                               center=np.asarray(c, dtype=float),
                               noise_sigma=sigma, radius=radius)
+
+
+def near_singular_pair():
+    # the combined matrix diag(1e-20, 1.5) has condition number 1.5e20
+    return [quad(np.diag([1e-20, 1.0]), [0.0, 0.0], radius=1.0),
+            quad(np.diag([1e-20, 2.0]), [0.0, 0.0], radius=1.0)]
 
 
 def consts(L=2.0, mu=1.0, sigma=(1.0, 1.0), G=2.0, E=2):
@@ -57,6 +66,26 @@ class TestOptimum:
         o = quad(np.eye(2), [0.0, 0.0])
         with pytest.raises(ValueError):
             optimum_of([o], [0.5, 0.5])
+
+    def test_near_singular_combined_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+            optimum_of(near_singular_pair(), [0.5, 0.5])
+
+    @pytest.mark.parametrize("K,d,seed", [(2, 3, 1), (4, 16, 2), (8, 5, 3)])
+    def test_bits_of_the_direct_solve(self, K, d, seed):
+        # the condition check leaves w* to np.linalg.solve and f* to fsum
+        rng = np.random.default_rng(seed)
+        objs = []
+        for _ in range(K):   # federation tests' quad_suite
+            M = rng.standard_normal((d, d))
+            objs.append(quad(M @ M.T / d + np.eye(d), 0.5 * rng.standard_normal(d)))
+        weights = [float(n) / K / (K + 1) * 2 for n in range(1, K + 1)]
+        A = sum(p * o.matrix for p, o in zip(weights, objs))
+        rhs = sum(p * (o.matrix @ o.center) for p, o in zip(weights, objs))
+        want = objs[0].params_from_vector(np.linalg.solve(A, rhs))
+        w_star, f_star = optimum_of(objs, weights)
+        assert P.as_vector(w_star).tobytes() == P.as_vector(want).tobytes()
+        assert f_star == math.fsum(p * o.loss(want) for p, o in zip(weights, objs))
 
 
 class TestTheorem1Bound:
@@ -227,17 +256,41 @@ class TestExperiment:
         with pytest.raises(ValueError, match="the bounds hold on the schedule"):
             ConvergenceConfig(plan=dataclasses.replace(plan, schedule=schedule), alpha=0.1)
 
+    def test_singular_combined_matrix_rejected_at_admission(self):
+        objs = near_singular_pair()
+        c = constants_for(objs, 2, 1.0)
+        plan = RunPlan(clients=tuple(ClientState(id=k, n_k=1, objective=o, E=2)
+                                     for k, o in enumerate(objs)),
+                       rates=DiversityRates(0.05, 0.04), schedule=LrSchedule(mu=c.mu, gamma=c.gamma),
+                       policy=DefensePolicy(), rounds=3, seed=1, w_init=objs[0].template())
+        with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+            ConvergenceConfig(plan=plan, alpha=0.05)
+
+    def test_variance_term_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(convergence, "sbpu_variance_term",
+                            lambda *a: calls.append(a) or sbpu_variance_term(*a))
+        rep = run_convergence_experiment(ConvergenceConfig(plan=tiny_plan(E=2, rounds=60),
+                                                           alpha=0.1, n_seeds=1))
+        assert len(calls) == 1
+        # with theorem1_bound's bits at every recorded T
+        assert [b for _, _, b in rep.series] == [
+            theorem1_bound(rep.constants, 0.1, 2, 2, rep.D0, T) for T, _, _ in rep.series]
+
     def test_eigenvalues_computed_once_per_objective(self, monkeypatch):
         # K = 4: each objective's eigvalsh at construction, which its smoothness,
-        # strong convexity and the cohort's loss certificate then read
+        # strong convexity and the cohort's loss certificate then read, and one on
+        # the combined matrix for the optimum's condition check at admission
         eigvalsh, calls = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         cfg = FederationConfig.from_dict({
             "objective": {"kind": "quadratic_random", "dim": 16, "eig_range": [1.0, 2.0],
                           "center_spread": 0.3, "radius": 4.0, "sigma": 0.1},
             "K": 4, "E": 2, "rounds": 3, "alpha": 0.05, "n_seeds": 2, "seed": 91})
-        run_convergence_experiment(cfg.build_convergence())
-        assert len(calls) == 4
+        ccfg = cfg.build_convergence()
+        assert len(calls) == 5
+        run_convergence_experiment(ccfg)
+        assert len(calls) == 5
 
     def test_report_serialization(self, tmp_path):
         cfg = ConvergenceConfig(plan=tiny_plan(rounds=5), alpha=0.0, n_seeds=1)
@@ -250,3 +303,24 @@ class TestExperiment:
         import json
         data = json.loads((tmp_path / "r.json").read_text())
         assert data["single_seed_note"] == "single-seed (not an expectation)"
+
+
+def test_report_writers_build_no_per_row_copies(tmp_path):
+    # a 1,500-round, E = 2 report whose divergence series lacks the last step
+    rep = ConvergenceReport(
+        series=tuple((2 * r + 2, 1.0 / (r + 1), 3.0 / (r + 1)) for r in range(1500)),
+        divergence_series=tuple((t, 1e-3 / (t + 1), 2e-3 / (t + 1), 5e-3 / (t + 1))
+                                for t in range(2999)),
+        constants=consts(), B=1.5, f_star=0.25, D0=2.0, n_seeds=2)
+    for write, name in ((write_report_json, "r.json"), (write_report_csv, "r.csv")):
+        tracemalloc.start()
+        try:
+            write(rep, tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024, (name, peak)
+    lines = (tmp_path / "r.csv").read_text().split("\n")
+    assert lines[1] == "2,1,3,0.0005,0.0025" and lines[-2] == "3000,0.000666667,0.002,nan,nan"
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["series"][0] == [2, 1.0, 3.0] and len(data["divergence_series"]) == 2999

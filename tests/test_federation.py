@@ -1016,8 +1016,13 @@ class TestRoundStreams:
 
     def test_streams_derived_only_for_reached_rounds(self, monkeypatch):
         hashed = []
-        child_seed = seeds.child_seed
-        monkeypatch.setattr(seeds, "child_seed", lambda *k: hashed.append(k) or child_seed(*k))
+        child_seeds = seeds.child_seeds
+
+        def spy(seed, tags, rounds, keys):   # the child_seed key paths each call derives
+            hashed.extend((seed, t, q, k) for q in rounds for t in tags for k in keys[t])
+            return child_seeds(seed, tags, rounds, keys)
+
+        monkeypatch.setattr(seeds, "child_seeds", spy)
         objs = quad_suite(2, 2, seed=72, sigma=0.2)
         clients = [ClientState(id=k + 5, n_k=1, objective=o, E=2) for k, o in enumerate(objs)]
         plan = RunPlan(clients=clients, rates=DiversityRates(0.1, 0.05),

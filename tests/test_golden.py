@@ -1,7 +1,8 @@
 """Pinned output bytes: small configs through cli.main against tests/golden.json.
 
 Each case runs one command and hashes every file it writes except
-manifest.json, which embeds the output path.  The engine's bits rest on
+manifest.json, which embeds the output path; each demo-* case runs a demo
+script and hashes what it prints.  The engine's bits rest on
 numpy's kernels, so the digests hold for the numpy version they were
 recorded with, and on any other the test skips.  Record only from a commit
 whose outputs are known to be right:
@@ -11,8 +12,11 @@ whose outputs are known to be right:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +27,9 @@ import pytest
 from sbpu.cli import main
 
 GOLDEN = Path(__file__).with_name("golden.json")
+DEMOS = Path(__file__).parents[1] / "demos"
+# privacy_attacks.py (about 3 s) is left out: the run-attack cases pin what it computes
+DEMO_CASES = ("bound_verification", "diverse_models")
 
 QUAD = {"kind": "quadratic_random", "dim": 6, "eig_range": [1.0, 3.0], "center_spread": 0.5,
         "radius": 3.0, "sigma": 0.2, "layout": [[3, 2]]}
@@ -82,6 +89,14 @@ def digests(case: str, tmp: Path) -> dict[str, str]:
             for f in sorted(out.iterdir()) if f.name != "manifest.json"}
 
 
+def demo_digest(name: str) -> dict[str, str]:
+    """SHA-256 of what demos/<name>.py prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    return {"stdout": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
+
+
 def _golden() -> dict:
     golden = json.loads(GOLDEN.read_text())
     if golden["numpy"] != np.__version__:
@@ -95,10 +110,16 @@ def test_output_bytes_match_golden(case, tmp_path):
     assert digests(case, tmp_path) == _golden()[case]
 
 
+@pytest.mark.parametrize("name", DEMO_CASES)
+def test_demo_output_matches_golden(name):
+    assert demo_digest(name) == _golden()[f"demo-{name}"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         cases = {case: digests(case, Path(tmp)) for case in CASES}
+    cases.update({f"demo-{name}": demo_digest(name) for name in DEMO_CASES})
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "cases": cases},
                                  indent=1, sort_keys=True) + "\n")

@@ -49,6 +49,41 @@ def test_stream_rejects_bool_float_and_other_keys(keys):
         seeds.stream(*keys)
 
 
+client_keys = st.one_of(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9).map(np.int64),
+                        st.integers(0, 2 ** 32 - 1).map(np.uint32), st.text(max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)),
+       st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True).flatmap(
+           lambda tags: st.tuples(st.just(tags), st.fixed_dictionaries(
+               {t: st.lists(client_keys, max_size=5) for t in tags}))),
+       st.lists(st.integers(0, 10 ** 9) | st.integers(0, 10 ** 6).map(np.int32), max_size=4))
+@example(77, (["sbpu", "train"], {"sbpu": range(4), "train": [9, 8, 7, 6]}), range(64, 128))
+def test_child_seeds_equal_the_child_seed_list(seed, tags_keys, rounds):
+    tags, keys = tags_keys
+    want = [seeds.child_seed(seed, t, q, k) for q in rounds for t in tags for k in keys[t]]
+    assert seeds.child_seeds(seed, tags, rounds, keys) == want
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(False), 2.0, np.float64(1.0)])
+@pytest.mark.parametrize("where", ["seed", "tag", "round", "key"])
+def test_child_seeds_reject_bool_and_float_keys(where, bad):
+    seed, tags, rounds, keys = 1, ["train"], [0, 1], {"train": [3, 4]}
+    if where == "seed":
+        seed = bad
+    elif where == "tag":
+        tags, keys[bad] = ["train", bad], [5]
+    elif where == "round":
+        rounds = [0, bad]
+    else:
+        keys["train"] = [3, bad]
+    with pytest.raises(TypeError, match="ints or strings"):
+        [seeds.child_seed(seed, t, q, k) for q in rounds for t in tags for k in keys[t]]
+    with pytest.raises(TypeError, match="ints or strings"):
+        seeds.child_seeds(seed, tags, rounds, keys)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
 @example([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])   # one word below 2**32, two from 2**32 on
