@@ -48,7 +48,10 @@ def _load(args, **fixed) -> FederationConfig:
 
 def _outdir(cfg: FederationConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:   # e.g. a path under a regular file
+        raise ConfigError([f"out_dir: cannot create {str(out)!r}: {e.strerror or e}"]) from e
     return out
 
 

@@ -14,9 +14,10 @@ and the per-step client divergence against
 Expectations are estimated by averaging independent seeds; both the batch
 noise and the shuffles of the branch-selector lists are resampled per seed.
 Both bounds hold on one schedule, eta_t = 2/(mu*(t + gamma)) at the clients'
-mu and gamma = max(8*kappa, E).  ConvergenceConfig derives those constants and
-the optimum once, refusing any other schedule and a numerically singular combined
-matrix (by its eigenvalues); the experiment reads them, the cohort's weights and B.
+mu and gamma = max(8*kappa, E).  ConvergenceConfig derives those constants, the
+optimum, D0 and B once, refusing any other schedule, a numerically singular combined
+matrix (by its eigenvalues) and bounds that overflow (B, or either bound at its first
+step, its largest); the experiment reads them and the cohort's weights.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ class ConvergenceConfig:
             raise ValueError(f"the bounds hold on the schedule mu = {c.mu}, gamma = {c.gamma} "
                              f"of these objectives, not on mu = {s.mu}, gamma = {s.gamma}")
         self.optimum   # a numerically singular combined matrix raises LinAlgError here
+        E = self.plan.clients[0].E
+        first = (self.B, _gap_bound(c, self.B, self.D0, E),
+                 divergence_bound(self.alpha, s.lr_at(0), E, c.G))
+        if not all(map(math.isfinite, first)):   # both bounds fall with T and t
+            raise ValueError("the bounds overflow: B = {}, gap bound at T = E {}, divergence "
+                             "bound at t = 0 {}".format(*first))
 
     @functools.cached_property
     def constants(self) -> AssumptionConstants:
@@ -103,9 +110,21 @@ class ConvergenceConfig:
         return constants_for(objs, self.plan.clients[0].E, max(o.radius for o in objs))
 
     @functools.cached_property
+    def B(self) -> float:
+        """The gap bound's B: the clients' noise term plus sbpu_variance_term."""
+        c, K = self.constants, len(self.plan.clients)
+        return sum(s * s for s in c.sigma) / (K * K) + sbpu_variance_term(
+            self.alpha, self.plan.clients[0].E, c.G)
+
+    @functools.cached_property
     def optimum(self) -> tuple[LayeredParams, float]:
         """optimum_of the clients' objectives at their sample weights: (w*, f*)."""
         return optimum_of([c.objective for c in self.plan.clients], self.plan.clients.weights)
+
+    @functools.cached_property
+    def D0(self) -> float:
+        """||w_init - w*||^2."""
+        return P.sq_distance(self.plan.w_init, self.optimum[0])
 
 
 @dataclass(frozen=True)
@@ -136,11 +155,7 @@ class ConvergenceReport:
 def run_convergence_experiment(cfg: ConvergenceConfig) -> ConvergenceReport:
     """Monte-Carlo gap/divergence measurement against the closed-form bounds."""
     plan, consts = cfg.plan, cfg.constants
-    E, K = plan.clients[0].E, len(plan.clients)
-
-    w_star, f_star = cfg.optimum
-    D0 = P.sq_distance(plan.w_init, w_star)
-    B = sum(s * s for s in consts.sigma) / (K * K) + sbpu_variance_term(cfg.alpha, E, consts.G)
+    E, f_star, D0, B = plan.clients[0].E, cfg.optimum[1], cfg.D0, cfg.B
 
     n_rounds = plan.rounds
     gap_sum = np.zeros(n_rounds)

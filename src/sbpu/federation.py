@@ -32,10 +32,13 @@ functions, which wrap the kernels the engine runs.
 All randomness flows through streams derived from the master seed, so
 concurrent and serial client schedules produce bit-identical results.  Round
 streams are keyed by (seed, tag, round, client); within a run (iter_rounds)
-run_round derives them ROUND_BLOCK rounds at a time, with identical bits.
+run_round derives them ROUND_BLOCK rounds at a time (fewer when a quadratic
+block's noise would pass NOISE_BLOCK_BYTES), with identical bits.
 Cohort.streams hands out "sbpu" as selector rows, "train" as the round's
-draws (Cohort.draws), at most one call a client: sphere noise for quadratic
-clients and batch indices for classifier clients, and "defense" as generators.
+draws (Cohort.draws), at most one call a client: a quadratic cohort's sphere
+noise, drawn for the whole block as it is derived, so a steady round only
+slices it, or a classifier group's batch indices, drawn each round; and
+"defense" as generators, built each round.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .params import LayeredParams
 
 DP_DELTA = 1e-5  # delta used by the Gaussian-mechanism noise calibration
 ROUND_BLOCK = 64  # rounds of a run whose streams one pass derives
+NOISE_BLOCK_BYTES = 1 << 20  # a quadratic block's sphere noise, at most; one round at least
 
 
 class DivergenceError(RuntimeError):
@@ -171,7 +175,9 @@ class Cohort(tuple):
     RunPlan admits its clients once; run_round and local_train wrap a plain
     sequence on the spot, and Cohort(cohort) is cohort itself.  The caller
     checks the template against the model.  It also keeps the last block of
-    round streams it derived (streams), and makes a round's draws (draws)."""
+    round streams it derived, with a quadratic block's sphere noise (streams; block
+    rounds long, fewer than ROUND_BLOCK when that noise would pass NOISE_BLOCK_BYTES),
+    and makes a round's draws (draws)."""
 
     def __new__(cls, clients: Sequence[ClientState]) -> "Cohort":
         if isinstance(clients, Cohort):
@@ -189,8 +195,10 @@ class Cohort(tuple):
             P.check_same_shape(c.objective.template(), self.template)
         self.quads = (QuadraticStack([c.objective for c in self])
                       if isinstance(self[0].objective, QuadraticObjective) else None)
-        self.groups = []
+        self.groups, self.block = [], ROUND_BLOCK
         if self.quads is not None:   # 0.5 * L * R^2 bounds a loss in the ball
+            noise = 8 * len(self.quads.rows) * self[0].E * self.quads.center.shape[1]
+            self.block = min(ROUND_BLOCK, max(1, NOISE_BLOCK_BYTES // max(noise, 1)))
             L = np.array([c.objective.smoothness for c in self])
             with np.errstate(over="ignore"):   # an overflowing bound fails, silently
                 self.certified = bool(np.maximum.reduce(
@@ -225,24 +233,34 @@ class Cohort(tuple):
         index for "sbpu" (which tags hold) and its id otherwise, but for "sbpu"
         the selector rows they draw, and for "train" the round's draws on them
         (draws).  Past the kept block, one seeds.child_seeds and one seeds.pcg64_words
-        call derive rounds r to r + ROUND_BLOCK - 1, cut at end (only r if end is None),
-        and one _SelectorPlan.rows call draws their selector rows."""
+        call derive rounds r to r + block - 1, cut at end (only r if end is None), one
+        _SelectorPlan.rows call draws their selector rows and, for a quadratic cohort,
+        one draws call on all their "train" generators (none built without a noisy row)
+        draws their sphere noise, of which each round returns its slice.  Classifier
+        batch indices and "defense" generators are made a round at a time."""
         b = self._block
         if b is None or b[:2] != (seed, tags) or not 0 <= r - b[2] < len(b[3]):
-            n = 1 if self.end is None else min(ROUND_BLOCK, max(self.end - r, 1))
+            n = 1 if self.end is None else min(self.block, max(self.end - r, 1))
             keys = {t: range(len(self)) if t == "sbpu" else [c.id for c in self] for t in tags}
             words = seeds.pcg64_words(seeds.child_seeds(seed, tags, range(r, r + n), keys)
                                       ).reshape(n, len(tags), -1, 4)
             sel = _selector_plan(self.template.layout).rows(words[:, tags.index("sbpu")].reshape(-1, 4))
-            b = self._block = (seed, tags, r, words, sel.reshape(n, len(self), -1))
-        out = {t: b[4][r - b[2]] if t == "sbpu" else [seeds.from_words(w) for w in ws]
-               for t, ws in zip(tags, b[3][r - b[2]])}
-        out["train"] = self.draws(out["train"])
+            noise = None
+            if self.quads is not None:   # the block's sphere noise: one draws call
+                noise = self.draws([seeds.from_words(w) for w in words[:, tags.index("train")]
+                                    .reshape(-1, 4)] if self.quads.rows else ())
+                noise = [None] * n if noise is None else noise.reshape(n, -1, *noise.shape[1:])
+            b = self._block = (seed, tags, r, words, sel.reshape(n, len(self), -1), noise)
+        i = r - b[2]
+        out = {t: b[4][i] if t == "sbpu" else [seeds.from_words(w) for w in ws]
+               for t, ws in zip(tags, b[3][i]) if t != "train" or b[5] is None}
+        out["train"] = self.draws(out["train"]) if b[5] is None else b[5][i]
         return out
 
     def draws(self, gens: Sequence[np.random.Generator]) -> np.ndarray | list | None:
         """A round's "train" draws, one call on each client's generator in gens: a
-        QuadraticStack.noise block, or per classifier group its (k, E, batch_size) indices."""
+        QuadraticStack.noise block, or per classifier group its (k, E, batch_size) indices.
+        A quadratic cohort's gens may hold several rounds, K generators a round (streams)."""
         return self.quads.noise(gens, self[0].E) if self.quads is not None else [
             np.array([g.integers(0, obj.n_samples, (self[0].E, size)) for g in gens[ks]])
             for obj, size, ks, _, _ in self.groups]

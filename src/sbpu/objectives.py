@@ -192,21 +192,28 @@ class QuadraticStack:
         return _project_rows(X, self.center, self.radius)
 
     def noise(self, rngs: Sequence[np.random.Generator], E: int) -> np.ndarray | None:
-        """E steps' sphere noise (noisy rows, E, d), None if no row is noisy: noisy row
-        i (objective rows[i]) fills its (E, d) block in one standard_normal call on
-        rngs[rows[i]], redraws after it any all-zero draw, and scales each to norm sigma."""
+        """E steps' sphere noise of one round or several, rngs holding K generators a
+        round, round after round: each round's noisy rows, (rounds * noisy rows, E, d),
+        None if no row is noisy.  A round's noisy row i (objective rows[i]) fills its
+        (E, d) block in one standard_normal call on that round's generator rows[i]; then
+        one stacked _row_norms covers every block, any all-zero draw is redrawn from the
+        generator that made it, and each draw is scaled to norm sigma.  One round's
+        generators give the one-round array; row bits do not depend on the rounds."""
         if not self.rows:
             return None
-        xi = np.empty((len(self.rows), E, self.center.shape[1]))
-        for i, k in enumerate(self.rows):
-            rngs[k].standard_normal(out=xi[i])
-        flat = xi.reshape(-1, xi.shape[2])
+        K, d = self.center.shape
+        gens = [rngs[q + k] for q in range(0, len(rngs), K) for k in self.rows]
+        xi = np.empty((len(gens), E, d))
+        for g, block in zip(gens, xi):
+            g.standard_normal(out=block)
+        flat = xi.reshape(-1, d)
         n = _row_norms(flat)
         while not n.all():   # the first zero norm, until none is left
             j = n.argmin()
-            rngs[self.rows[j // E]].standard_normal(out=flat[j])
+            gens[j // E].standard_normal(out=flat[j])
             n[j] = np.linalg.norm(flat[j])
-        xi *= self.scale / n.reshape(-1, E, 1)
+        rounds = xi.reshape(-1, len(self.rows), E, d)
+        rounds *= self.scale / n.reshape(-1, len(self.rows), E, 1)
         return xi
 
     def stochastic_grad(self, X: np.ndarray, noise: np.ndarray | None, s: int) -> np.ndarray:

@@ -248,6 +248,21 @@ class TestConvergenceCommand:
         assert "invalid configuration" in err and "numerically singular" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("objective", [{"sigma": 1e308, "radius": 2.0},
+                                           {"sigma": 0.1, "radius": 1e308}],
+                             ids=["sigma", "radius"])
+    def test_overflowing_bound_constants_exit_1(self, tmp_path, capsys, objective):
+        # G = L * R + max sigma is finite, G^2 is not: refused at admission, where the
+        # report would otherwise hold Infinity, which is not JSON
+        path, out = write_config(tmp_path, objective={"kind": "quadratic_random", "dim": 4,
+                                                      **objective},
+                                 K=2, E=2, rounds=3, alpha=0.05, beta1=0.05, beta2=0.0375,
+                                 n_seeds=2)
+        assert main(["convergence", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "the bounds overflow" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_manifest_records_bound_checks(self, tmp_path):
         path, out = write_config(tmp_path, rounds=2)
         assert main(["convergence", "--config", str(path), "--seeds", "1"]) == 0
@@ -288,6 +303,21 @@ def test_every_round_runs_through_the_module_run_round(tmp_path, monkeypatch, ar
     path, _ = write_config(tmp_path, **overrides)
     assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("command", ["run-fl", "verify-bounds", "run-attack", "convergence"])
+def test_uncreatable_out_dir_exit_1(tmp_path, capsys, monkeypatch, command):
+    # --out under a regular file: mkdir fails, and no round runs
+    from sbpu import federation
+    monkeypatch.setattr(federation, "run_round", lambda *a, **k: pytest.fail("a round ran"))
+    path, _ = write_config(tmp_path)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    extra = ["--attack", "lia"] if command == "run-attack" else []
+    assert main([command, "--config", str(path), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and f"out_dir: cannot create {str(out)!r}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,alpha", [("run-fl", -0.1), ("convergence", 0.6),

@@ -266,6 +266,19 @@ class TestExperiment:
         with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
             ConvergenceConfig(plan=plan, alpha=0.05)
 
+    @pytest.mark.parametrize("sigma,radius", [(1e308, 2.0), (0.1, 1e308)],
+                             ids=["sigma", "radius"])
+    def test_overflowing_bounds_rejected_at_admission(self, sigma, radius):
+        # G = L * R + max sigma is finite, but G^2 is not: B and both bounds overflow
+        plan = FederationConfig.from_dict({
+            "objective": {"kind": "quadratic_random", "dim": 4, "sigma": sigma, "radius": radius},
+            "K": 2, "E": 2, "rounds": 3, "alpha": 0.05, "beta1": 0.05, "beta2": 0.0375,
+            "tie_gradients": True, "n_seeds": 2}).build_plan()
+        objs = [c.objective for c in plan.clients]
+        assert math.isfinite(constants_for(objs, 2, max(o.radius for o in objs)).G)
+        with pytest.raises(ValueError, match="the bounds overflow: B = inf"):
+            ConvergenceConfig(plan=plan, alpha=0.05, n_seeds=2)
+
     def test_variance_term_computed_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(convergence, "sbpu_variance_term",

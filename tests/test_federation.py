@@ -19,10 +19,10 @@ import sbpu
 from sbpu import federation
 from sbpu import params as P
 from sbpu import seeds
-from sbpu.federation import (ROUND_BLOCK, ClientState, Cohort, DefensePolicy, DivergenceError,
-                             RoundRecord, RunPlan, _local_step, aggregate, apply_defense,
-                             iter_rounds, local_train, measure_divergence, run_federation,
-                             run_round, tune_malloc)
+from sbpu.federation import (NOISE_BLOCK_BYTES, ROUND_BLOCK, ClientState, Cohort, DefensePolicy,
+                             DivergenceError, RoundRecord, RunPlan, _local_step, aggregate,
+                             apply_defense, iter_rounds, local_train, measure_divergence,
+                             run_federation, run_round, tune_malloc)
 from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
 from sbpu.objectives import (ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack,
@@ -1049,6 +1049,73 @@ class TestRoundStreams:
         for ran, rec in iter_rounds(plan):
             h, want = run_round(h, clients, plan.rates, plan.schedule, policy, plan.seed)
             assert rec == want and ran.w_glb.vector.tobytes() == h.w_glb.vector.tobytes()
+
+
+class TestBlockNoise:
+    """A quadratic cohort draws a whole block's sphere noise when it derives the
+    block (one Cohort.draws call on the block's "train" generators), and a round
+    slices its noise out: the bits of QuadraticStack.noise on that round's
+    seeds.stream generators, with no generator built after the block's first round."""
+
+    @staticmethod
+    def _cohort(sigmas, E, d, ids):
+        return Cohort([ClientState(id=i, n_k=1, E=E, objective=quad(np.eye(d), np.zeros(d), s))
+                       for i, s in zip(ids, sigmas)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigmas=st.lists(st.sampled_from([0.0, 0.0, 0.3, 2.5]), min_size=1, max_size=6),
+           E=st.integers(1, 4), d=st.integers(1, 20), rounds=st.integers(1, ROUND_BLOCK + 8),
+           seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+    def test_block_noise_equals_per_round_noise(self, sigmas, E, d, rounds, seed, data):
+        ids = data.draw(st.lists(st.integers(0, 10 ** 6), min_size=len(sigmas),
+                                 max_size=len(sigmas), unique=True))
+        cohort = self._cohort(sigmas, E, d, ids).for_rounds(rounds)   # mostly ends mid-block
+        for r in range(rounds):
+            got = cohort.streams(seed, r, ("sbpu", "train"))["train"]
+            want = cohort.quads.noise([seeds.stream(seed, "train", r, i) for i in ids], E)
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigmas, tags", [
+        ((0.2, 0.0, 0.3), ("sbpu", "train")), ((0.2, 0.0, 0.3), ("sbpu", "train", "defense")),
+        ((0.0, 0.0, 0.0), ("sbpu", "train")), ((0.0, 0.0, 0.0), ("sbpu", "train", "defense"))])
+    def test_generators_built_only_at_the_block(self, monkeypatch, sigmas, tags):
+        # n * K "train" generators at the block's first round and none after it, none
+        # without a noisy row; "defense" generators stay K a round
+        built = []
+        from_words = seeds.from_words
+        monkeypatch.setattr(seeds, "from_words", lambda w: built.append(w) or from_words(w))
+        cohort, n = self._cohort(sigmas, 2, 5, [4, 9, 1]).for_rounds(5), 5
+        per_round = []
+        for r in range(n):
+            cohort.streams(77, r, tags)
+            per_round.append(len(built))
+            built.clear()
+        train, defense = (n * 3 if any(sigmas) else 0), 3 * ("defense" in tags)
+        assert per_round == [train + defense] + [defense] * (n - 1)
+
+    @pytest.mark.parametrize("K, E, d, block", [
+        (1, 40000, 4, 1),          # one round's noise, 1.28 MB, exceeds the budget
+        (1, 16384, 4, 2),          # half the budget a round
+        (4, 2, 16, ROUND_BLOCK),   # the AC-06 shape: 64 KiB a block
+        (3, 100, 50, 8)])          # 120 kB a round
+    def test_block_length_bounds_the_noise(self, monkeypatch, K, E, d, block):
+        derived = []
+        child_seeds = seeds.child_seeds
+        monkeypatch.setattr(seeds, "child_seeds",
+                            lambda s, t, q, k: derived.append(len(q)) or child_seeds(s, t, q, k))
+        cohort = self._cohort([0.5] * K, E, d, range(K))
+        assert cohort.block == block
+        assert block == 1 or block * K * E * d * 8 <= NOISE_BLOCK_BYTES
+        run = cohort.for_rounds(3)
+        for r in range(3):
+            got = run.streams(78, r, ("sbpu", "train"))["train"]
+            want = cohort.quads.noise([seeds.stream(78, "train", r, k) for k in range(K)], E)
+            assert got.tobytes() == want.tobytes()
+        assert derived == [min(block, 3 - r) for r in range(0, 3, block)]
+        assert self._cohort([0.0] * K, E, d, range(K)).block == ROUND_BLOCK   # no noise to hold
 
 
 class TestAdmission:

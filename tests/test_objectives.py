@@ -108,21 +108,25 @@ class TestStochasticGrad:
         with pytest.raises(ValueError):
             o.stochastic_grad(vec(o, 2.0, 0.0), np.random.default_rng(4))
 
+    class ZeroFirst:
+        """default_rng(seed) whose first `zeros` standard_normal calls come out with
+        their first row all zero."""
+
+        def __init__(self, seed=6, zeros=2):
+            self.rng, self.zeros, self.calls = np.random.default_rng(seed), zeros, []
+
+        def standard_normal(self, out):
+            self.calls.append(out.shape)
+            self.rng.standard_normal(out=out)
+            if self.zeros:   # the block's first row, then the redrawn row
+                self.zeros -= 1
+                out.reshape(-1, out.shape[-1])[0] = 0.0
+            return out
+
     def test_all_zero_draw_redrawn_onto_the_sphere(self):
         # the first step's draw and its first redraw are all zeros: both are
         # redrawn from the same generator, after the round's block
-        class ZeroFirst:
-            def __init__(self):
-                self.rng, self.zeros, self.calls = np.random.default_rng(6), 2, []
-
-            def standard_normal(self, out):
-                self.calls.append(out.shape)
-                self.rng.standard_normal(out=out)
-                if self.zeros:   # the block's first row, then the redrawn row
-                    self.zeros -= 1
-                    out.reshape(-1, out.shape[-1])[0] = 0.0
-                return out
-
+        ZeroFirst = self.ZeroFirst
         stack = QuadraticStack([quad(np.eye(3), np.zeros(3), sigma=0.5)])
         gen, ref = ZeroFirst(), np.random.default_rng(6)
         noise = stack.noise([gen], 2)
@@ -133,6 +137,24 @@ class TestStochasticGrad:
         np.testing.assert_array_equal(noise[0], [(0.5 / np.linalg.norm(x)) * x
                                                  for x in (redrawn, block[1])])
         assert np.linalg.norm(noise[0, 0]) == pytest.approx(0.5, rel=1e-12)
+
+    def test_zero_draw_in_a_later_round_redrawn_from_its_generator(self):
+        # two rounds x two clients, round-major: round 1's client 1 draws a zero row
+        # first, redrawn from that generator after all four blocks; a round's rows are
+        # what its generators give alone
+        stack = QuadraticStack([quad(np.eye(3), np.zeros(3), sigma=s) for s in (0.5, 0.25)])
+        gens = [self.ZeroFirst(seed, zeros=int(seed == 9)) for seed in (6, 7, 8, 9)]
+        noise = stack.noise(gens, 2)
+        assert noise.shape == (4, 2, 3)
+        assert [g.calls for g in gens] == [[(2, 3)]] * 3 + [[(2, 3), (3,)]]
+        refs = [np.random.default_rng(seed) for seed in (6, 7, 8, 9)]
+        blocks = [ref.standard_normal((2, 3)) for ref in refs]
+        blocks[3][0] = refs[3].standard_normal(3)
+        np.testing.assert_array_equal(noise, [[(s / np.linalg.norm(x)) * x for x in block]
+                                              for block, s in zip(blocks, (0.5, 0.25) * 2)])
+        for q in range(2):   # each round's generators alone give its rows
+            alone = [self.ZeroFirst(seed, zeros=int(seed == 9)) for seed in (6 + 2 * q, 7 + 2 * q)]
+            np.testing.assert_array_equal(stack.noise(alone, 2), noise[2 * q:2 * q + 2])
 
     def test_deviation_and_norm_bounds(self):
         o = quad(np.diag([1.0, 2.0]), [0.0, 0.0], sigma=0.5, radius=2.0)
