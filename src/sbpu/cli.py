@@ -6,10 +6,11 @@ convergence (Monte-Carlo gap and divergence measurement against the
 closed-form bounds).  FederationConfig validates the file together with the
 command-line values and each command's needs; this module only dispatches.
 
-Exit codes: 0 ok, 1 configuration error (or a run too large to allocate), 2
-runtime divergence (a non-finite loss, parameter value, divergence or envelope
-quantity), 3 bound violation in the guaranteed regime.  Set SBPU_LOG to a logging level name (e.g. DEBUG)
-for verbose progress output.
+Exit codes: 0 ok, 1 configuration error (or a run too large to allocate, or an
+output file that cannot be written, named in the message), 2 runtime divergence
+(a non-finite loss, parameter value, divergence or envelope quantity), 3 bound
+violation in the guaranteed regime.  Set SBPU_LOG to a logging level name (e.g.
+DEBUG) for verbose progress output; an unknown name exits 1 before anything runs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import params as P
@@ -55,8 +57,23 @@ def _outdir(cfg: FederationConfig) -> Path:
     return out
 
 
+def _write(path: Path, *parts) -> None:
+    """Write the output file at path part by part: a str as it is, a function f as f(fh)
+    on the open file.  A file that cannot be opened or written is a configuration error
+    naming it (exit 1), not a traceback."""
+    try:
+        with open(path, "w") as fh:
+            for part in parts:
+                if isinstance(part, str):
+                    fh.write(part)
+                else:
+                    part(fh)
+    except OSError as e:
+        raise ConfigError([f"cannot write {str(path)!r}: {e.strerror or e}"]) from e
+
+
 def _write_manifest(cfg: FederationConfig, out: Path) -> None:
-    (out / "manifest.json").write_text(json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n")
+    _write(out / "manifest.json", json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n")
 
 
 def _write_metrics(records, K: int, out: Path) -> None:
@@ -66,7 +83,7 @@ def _write_metrics(records, K: int, out: Path) -> None:
         row = [str(rec.round), _fmt6(rec.global_loss), _fmt6(rec.divergence)]
         row += [_fmt6(v) for v in rec.client_losses]
         lines.append(",".join(row))
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "metrics.csv", "\n".join(lines) + "\n")
 
 
 def _write_bounds(records, out: Path) -> None:
@@ -74,7 +91,7 @@ def _write_bounds(records, out: Path) -> None:
     lines = ["round,client,dist_sq,lower,upper,holds"]
     lines += [f"{rec.round},{k},{b.dist_sq:.17g},{b.lower:.17g},{b.upper:.17g},{int(b.holds)}"
               for rec in records for k, b in enumerate(rec.bound_reports)]
-    (out / "bounds.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "bounds.csv", "\n".join(lines) + "\n")
 
 
 def cmd_run_fl(args) -> int:
@@ -88,11 +105,11 @@ def cmd_run_fl(args) -> int:
         records.append(rec)
         w_final = h.w_glb
         if cfg.checkpoint_every > 0 and (rec.round + 1) % cfg.checkpoint_every == 0:
-            (out / f"checkpoint_{rec.round:05d}.json").write_text(P.dump_json(w_final) + "\n")
+            _write(out / f"checkpoint_{rec.round:05d}.json", partial(P.write_json, w_final), "\n")
     _write_metrics(records, len(plan.clients), out)
     if plan.alpha is not None:
         _write_bounds(records, out)
-    (out / "checkpoint_final.json").write_text(P.dump_json(w_final) + "\n")
+    _write(out / "checkpoint_final.json", partial(P.write_json, w_final), "\n")
     log.info("run-fl: %d rounds -> %s", len(records), out)
     return EXIT_OK
 
@@ -159,7 +176,7 @@ def cmd_run_attack(args) -> int:
                                 res["objective_mismatched"], None))
         rows.append(_scores_row("ir", "matched", "psnr_db", res["psnr_db"], None))
         rows.append(_scores_row("ir", "matched", "max_error", res["max_error"], None))
-    (out / "attacks.csv").write_text("\n".join(rows) + "\n")
+    _write(out / "attacks.csv", "\n".join(rows) + "\n")
     for line in rows:
         print(line)
     return EXIT_OK
@@ -171,8 +188,8 @@ def cmd_convergence(args) -> int:
     out = _outdir(cfg)
     _write_manifest(cfg, out)
     report = run_convergence_experiment(ccfg)
-    write_report_json(report, out / "report.json")
-    write_report_csv(report, out / "report.csv")
+    _write(out / "report.json", partial(write_report_json, report))
+    _write(out / "report.csv", partial(write_report_csv, report))
     if cfg.n_seeds == 1:
         print("single-seed (not an expectation)")
     last_T, last_gap, last_bound = report.series[-1]
@@ -204,7 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SBPU_LOG", "WARNING").upper())
+    level = os.environ.get("SBPU_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):   # unknown: "Level ..."
+        print(ConfigError([f"SBPU_LOG: unknown logging level {level!r}; use one of "
+                           "DEBUG, INFO, WARNING, ERROR or CRITICAL"]), file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

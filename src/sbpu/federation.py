@@ -15,10 +15,12 @@ array, from the mutation through the envelope reports, local SGD, defense
 and aggregation: quadratic clients step all rows at once (QuadraticStack),
 classifier clients one stacked backprop per run of like clients, a slice
 of the rows (Cohort.groups), each row with the bits it gets alone.  Only
-the last local step's losses are recorded, like the global loss one stacked
-forward per group over its data; earlier ones are certified finite, a
-classifier's per row (ClassifierObjective._loss_certified) and evaluated
-where that fails, a quadratic cohort's once per run (Cohort.certified).
+the last local step's losses are recorded, like the global loss by stacked
+forwards per group over its data, a run of clients at a time whose widest
+activation stays within objectives.LOSS_BLOCK_BYTES (ClassifierObjective._loss);
+earlier ones are certified finite, a classifier's per row
+(ClassifierObjective._loss_certified) and evaluated where that fails, a
+quadratic cohort's once per run (Cohort.certified).
 The divergence squares its deviations in place; under the identity defense
 the aggregate is the mean it computed at the last step.  The new aggregate
 is a copy of that mean, made once the local steps' temporaries are freed:

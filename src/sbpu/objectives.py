@@ -23,7 +23,10 @@ tests/test_kernel_rule.py keeps the rule.  The classifier has one forward pass
 output takes the bias and activation in place, and backprop reads each
 activation's derivative from its output.  The loss takes its class-axis max a
 column at a time (_max_columns), since numpy reduces a short last axis row by
-row, and sums its exponentials with numpy's own reduce.  The kernels take a
+row, and sums its exponentials with numpy's own reduce; over a stack of clients'
+data it runs whole clients at a time, each run's widest activation within
+LOSS_BLOCK_BYTES, which changes no bit, since the stacked matmul gives each
+client the bits it gets alone and the rest works row by row.  The kernels take a
 checked batch: only the public loss and grad check one (_batch), and the
 round engine's are slices of data each objective checked when it was built.
 """
@@ -317,6 +320,7 @@ _ACTS = {
               lambda a: np.where(a > 0.0, 1.0, 0.01)),
 }
 ACTIVATIONS = tuple(_ACTS)
+LOSS_BLOCK_BYTES = 1 << 19  # a stacked loss's widest activation, at most; one row at least
 
 
 def _max_columns(a: np.ndarray) -> np.ndarray:
@@ -439,10 +443,19 @@ class ClassifierObjective:
     def _loss(self, v: np.ndarray, batch=None) -> float | np.ndarray:
         """Mean cross-entropy at the flat vector v on a checked batch (x, y), y of any
         shape (None: the embedded data): a float.  On K rows (K, d), or v broadcast,
-        with a (K, n, in) batch, one loss per row with the bits that row gets alone.
-        The logits from _forward take the shift by their class-axis max (taken a column
-        at a time) and, once the labels' logits are read, exp in place."""
+        with a (K, n, in) batch, one loss per row with the bits that row gets alone,
+        evaluated in runs of whole rows whose widest activation stays within
+        LOSS_BLOCK_BYTES (one row at least), their losses concatenated.  The logits
+        from _forward take the shift by their class-axis max (taken a column at a time)
+        and, once the labels' logits are read, exp in place."""
         x, y = batch or (self.data_x, self.data_y)
+        run = max(1, LOSS_BLOCK_BYTES // (8 * x.shape[-2]
+                                          * max(o for _, o, _ in self.architecture)))
+        if x.ndim == 3 and run < len(x):
+            y = y.reshape(x.shape[:-1])
+            return np.concatenate([self._loss(v if v.ndim == 1 else v[i:i + run],
+                                              (x[i:i + run], y[i:i + run]))
+                                   for i in range(0, len(x), run)])
         h = self._forward(v, x)[-1]
         h -= _max_columns(h)[..., None]
         logp = h.reshape(-1)[np.arange(0, h.size, self.n_c) + y.ravel()].reshape(h.shape[:-1])

@@ -9,14 +9,18 @@ A value checks its vector for finite entries once, when it takes it; each
 operation is one vector expression returning a fresh value, so instances
 can be shared freely across threads.  `.layers` gives read-only per-layer
 views for boundary callers (JSON, attacks); `Layer` validates input arrays.
+A model's JSON text (write_json, and dump_json through it) is written a
+filter row at a time, so a checkpoint never holds the whole model as Python
+floats or as one string.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -231,8 +235,22 @@ def from_jsonable(data: Sequence, kinds: Sequence[str] | None = None) -> Layered
     return from_arrays([np.asarray(layer, dtype=np.float64) for layer in data], kinds)
 
 
+def write_json(p: LayeredParams, fh: TextIO) -> None:
+    """Write json.dumps(to_jsonable(p)) to the text file fh a filter row at a time, each
+    row as json.dumps(row.tolist()), so only one row's text is held at once."""
+    for i, layer in enumerate(p.layers):
+        fh.write(", [" if i else "[[")
+        for j, row in enumerate(layer.filters):
+            fh.write((", " if j else "") + json.dumps(row.tolist()))
+        fh.write("]")
+    fh.write("]")
+
+
 def dump_json(p: LayeredParams) -> str:
-    return json.dumps(to_jsonable(p))
+    """write_json's text as one string."""
+    fh = io.StringIO()
+    write_json(p, fh)
+    return fh.getvalue()
 
 
 def load_json(text: str) -> LayeredParams:

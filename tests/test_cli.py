@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import tempfile
+import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbpu import config
-from sbpu.cli import main
+from sbpu import params as P
+from sbpu.cli import _write, main
 from sbpu.config import PRESETS, ConfigError, FederationConfig
 from sbpu.federation import iter_rounds
+from sbpu.objectives import ClassifierObjective
 
 # A main() call that builds a classifier cohort sets glibc's mmap and trim
 # thresholds to its cap for the rest of the test process
@@ -318,6 +322,55 @@ def test_uncreatable_out_dir_exit_1(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert "invalid configuration" in err and f"out_dir: cannot create {str(out)!r}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,name", [
+    ("run-fl", "manifest.json"), ("run-fl", "metrics.csv"), ("run-fl", "bounds.csv"),
+    ("run-fl", "checkpoint_00001.json"), ("run-fl", "checkpoint_final.json"),
+    ("verify-bounds", "manifest.json"), ("verify-bounds", "bounds.csv"),
+    ("run-attack", "manifest.json"), ("run-attack", "attacks.csv"),
+    ("convergence", "manifest.json"), ("convergence", "report.json"),
+    ("convergence", "report.csv"),
+])
+def test_unwritable_output_file_exit_1(tmp_path, capsys, command, name):
+    # a directory where the output file goes: opening it fails, wherever the
+    # command writes it, and the message names the file
+    path, out = write_config(tmp_path, checkpoint_every=2)
+    (out / name).mkdir(parents=True)
+    extra = ["--attack", "lia"] if command == "run-attack" else []
+    assert main([command, "--config", str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and f"cannot write {str(out / name)!r}" in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_is_written_a_row_at_a_time(tmp_path):
+    # a 784-128-10 model (101,770 parameters): its text through dump_json
+    # alone peaks at about 9 MiB
+    obj = ClassifierObjective(architecture=((784, 128, "relu"), (128, 10, "linear")))
+    w = obj.init_params(np.random.default_rng(2))
+    path = tmp_path / "checkpoint_final.json"
+    tracemalloc.start()
+    try:
+        _write(path, partial(P.write_json, w), "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert path.read_text() == P.dump_json(w) + "\n"
+    assert P.load_json(path.read_text()) == w
+
+
+@pytest.mark.parametrize("level", ["bogus", "5"])
+def test_unknown_log_level_exit_1(tmp_path, capsys, monkeypatch, level):
+    # checked before the arguments: no output directory is created
+    monkeypatch.setenv("SBPU_LOG", level)
+    path, out = write_config(tmp_path)
+    assert main(["convergence", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"SBPU_LOG: unknown logging level {level!r}" in err
+    assert "DEBUG, INFO, WARNING, ERROR or CRITICAL" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,alpha", [("run-fl", -0.1), ("convergence", 0.6),

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbpu import objectives
 from sbpu import params as P
 from sbpu.objectives import (AssumptionConstants, ClassifierObjective, LrSchedule,
                              QuadraticObjective, QuadraticStack, _max_columns,
@@ -621,6 +624,57 @@ class TestStackedKernels:
             alone = obj._loss(V[k], (DX[k], DY[k]))
             assert type(alone) is float and _bits(rows[k]) == _bits(alone)
             assert _bits(broadcast[k]) == _bits(obj._loss(V[0], (DX[k], DY[k])))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_stacked_losses_in_runs_match_per_client_bit_for_bit(self, data):
+        # _loss on a (k, n, in) batch evaluates runs of whole clients within
+        # LOSS_BLOCK_BYTES; here the budget is set to a drawn run length (one
+        # client included, k not a multiple of it) or left as it is.  Rows
+        # (k, d), a boolean row mask as the round engine passes, one vector
+        # broadcast, and labels flattened as the public loss passes them
+        widths = data.draw(st.lists(st.integers(1, 70), min_size=2, max_size=4))
+        acts = data.draw(st.lists(st.sampled_from(["relu", "lrelu", "sigmoid"]),
+                                  min_size=len(widths) - 2, max_size=len(widths) - 2))
+        obj = ClassifierObjective(architecture=tuple(zip(widths, widths[1:], acts + ["linear"])))
+        k, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 300))
+        run = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+        budget = (objectives.LOSS_BLOCK_BYTES if run is None
+                  else run * 8 * n * max(widths[1:]) + data.draw(st.integers(0, 7)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        V = (rng.standard_normal((k, obj.template().vector.size))
+             * 10.0 ** rng.uniform(-2.0, 1.0, (k, 1)))
+        DX, DY = rng.uniform(-3.0, 3.0, (k, n, widths[0])), rng.integers(0, widths[-1], (k, n))
+        mask = rng.random(k) < 0.5
+        mask[rng.integers(k)] = True
+        with np.errstate(all="ignore"), mock.patch.object(objectives, "LOSS_BLOCK_BYTES", budget):
+            rows, masked = obj._loss(V, (DX, DY)), obj._loss(V[mask], (DX[mask], DY[mask]))
+            broadcast, flat = obj._loss(V[0], (DX, DY)), obj._loss(V[0], (DX, DY.ravel()))
+        assert rows.shape == broadcast.shape == flat.shape == (k,)
+        assert _bits(masked) == _bits(rows[mask]) and _bits(flat) == _bits(broadcast)
+        with np.errstate(all="ignore"):
+            assert _bits(rows) == _bits([obj._loss(V[i], (DX[i], DY[i])) for i in range(k)])
+            assert _bits(broadcast) == _bits([obj._loss(V[0], (DX[i], DY[i]))
+                                              for i in range(k)])
+
+    @pytest.mark.parametrize("broadcast", [False, True], ids=["rows", "broadcast"])
+    def test_full_data_loss_allocates_one_run(self, broadcast):
+        # a (16, 512) 32-64-10 group: its (16, 512, 64) hidden activation is
+        # 4 MiB in one stack, 512 KiB in a run of 2 clients
+        rng = np.random.default_rng(5)
+        obj = ClassifierObjective(architecture=((32, 64, "relu"), (64, 10, "linear")))
+        V = rng.standard_normal((16, obj.template().vector.size)) * 0.1
+        DX, DY = rng.uniform(size=(16, 512, 32)), rng.integers(0, 10, (16, 512))
+        v = V[0] if broadcast else V
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            obj._loss(v, (DX, DY))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * objectives.LOSS_BLOCK_BYTES, peak
 
 
 # ---------------------------------------------------------------------------

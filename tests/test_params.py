@@ -1,9 +1,11 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from sbpu import params as P
 
@@ -203,6 +205,24 @@ class TestJson:
     def test_dump_is_valid_json(self):
         p = single(0.1, 0.2)
         assert json.loads(P.dump_json(p)) == P.to_jsonable(p)
+
+    @given(data=st.data())
+    def test_write_json_is_the_json_dumps_text(self, data):
+        # row-at-a-time text against the whole model's json.dumps, over weight
+        # and bias layers and values down to subnormals, -0.0 and up to 1e308
+        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                          st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, -1e308,
+                                           1.7976931348623157e308]))
+        shapes = data.draw(st.lists(st.tuples(st.sampled_from(["weight", "bias"]),
+                                              st.integers(1, 5), st.integers(1, 5)),
+                                    min_size=1, max_size=4))
+        shapes = [(kind, 1 if kind == "bias" else nf, fl) for kind, nf, fl in shapes]
+        p = P.from_arrays([np.array(data.draw(st.lists(value, min_size=nf * fl,
+                                                       max_size=nf * fl))).reshape(nf, fl)
+                           for _, nf, fl in shapes], [kind for kind, _, _ in shapes])
+        fh = io.StringIO()
+        P.write_json(p, fh)
+        assert fh.getvalue() == P.dump_json(p) == json.dumps(P.to_jsonable(p))
 
 
 class TestLayerSqSumsBits:
