@@ -22,12 +22,11 @@ step, its largest); the experiment reads them and the cohort's weights.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -201,25 +200,17 @@ def final_decade_slope(series: Sequence[tuple[int, float, float]]) -> float:
     return loglog_slope(pts)
 
 
-def _opened(dest):
-    """dest itself when it is an open text file (its owner closes it), else the file at
-    the path dest opened for writing."""
-    return contextlib.nullcontext(dest) if hasattr(dest, "write") else open(dest, "w")
-
-
-def write_report_csv(report: ConvergenceReport, dest) -> None:
-    """Flat CSV to dest, a path or an open text file: one row per recorded round-end T,
-    with the divergence measured at that step."""
+def write_report_csv(report: ConvergenceReport, fh: TextIO) -> None:
+    """Flat CSV to the open text file fh: one row per recorded round-end T, with the
+    divergence measured at that step."""
     div, nan = report.divergence_series, (0, float("nan"), 0.0, float("nan"))
-    with _opened(dest) as fh:
-        fh.write("T,gap,bound,divergence,divergence_bound\n")
-        for T, gap, bound in report.series:
-            _, d, _, db = div[T - 1] if 0 < T <= len(div) else nan   # row t is step t
-            fh.write(f"{T},{gap:.6g},{bound:.6g},{d:.6g},{db:.6g}\n")
+    fh.write("T,gap,bound,divergence,divergence_bound\n")
+    for T, gap, bound in report.series:
+        _, d, _, db = div[T - 1] if 0 < T <= len(div) else nan   # row t is step t
+        fh.write(f"{T},{gap:.6g},{bound:.6g},{d:.6g},{db:.6g}\n")
 
 
-def write_report_json(report: ConvergenceReport, dest) -> None:
-    """The report as indented JSON to dest, a path or an open text file."""
-    with _opened(dest) as fh:
-        json.dump(report.to_jsonable(), fh, indent=2)
-        fh.write("\n")
+def write_report_json(report: ConvergenceReport, fh: TextIO) -> None:
+    """The report as indented JSON to the open text file fh."""
+    json.dump(report.to_jsonable(), fh, indent=2)
+    fh.write("\n")

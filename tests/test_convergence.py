@@ -308,8 +308,10 @@ class TestExperiment:
     def test_report_serialization(self, tmp_path):
         cfg = ConvergenceConfig(plan=tiny_plan(rounds=5), alpha=0.0, n_seeds=1)
         rep = run_convergence_experiment(cfg)
-        write_report_csv(rep, tmp_path / "r.csv")
-        write_report_json(rep, tmp_path / "r.json")
+        with open(tmp_path / "r.csv", "w") as fh:
+            write_report_csv(rep, fh)
+        with open(tmp_path / "r.json", "w") as fh:
+            write_report_json(rep, fh)
         lines = (tmp_path / "r.csv").read_text().strip().split("\n")
         assert lines[0] == "T,gap,bound,divergence,divergence_bound"
         assert len(lines) == 6
@@ -328,7 +330,8 @@ def test_report_writers_build_no_per_row_copies(tmp_path):
     for write, name in ((write_report_json, "r.json"), (write_report_csv, "r.csv")):
         tracemalloc.start()
         try:
-            write(rep, tmp_path / name)
+            with open(tmp_path / name, "w") as fh:
+                write(rep, fh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
