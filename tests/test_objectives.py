@@ -625,7 +625,6 @@ class TestStackedKernels:
             assert type(alone) is float and _bits(rows[k]) == _bits(alone)
             assert _bits(broadcast[k]) == _bits(obj._loss(V[0], (DX[k], DY[k])))
 
-
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_stacked_losses_in_runs_match_per_client_bit_for_bit(self, data):
