@@ -78,19 +78,6 @@ def confusion_scores(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[ClassScore
 # ---------------------------------------------------------------------------
 # label inference
 
-def logit_grad_identity(y_pred: np.ndarray, y_true: np.ndarray) -> np.ndarray:
-    """Cross-entropy gradient wrt the logits: predicted minus one-hot."""
-    y_pred = np.asarray(y_pred, dtype=np.float64).ravel()
-    y_true = np.asarray(y_true, dtype=np.float64).ravel()
-    if y_pred.size != y_true.size:
-        raise ValueError("prediction and label vectors differ in length")
-    if abs(float(np.sum(y_pred)) - 1.0) > 1e-9:
-        raise ValueError("y_pred must sum to 1")
-    if sorted(set(np.round(y_true, 12))) not in ([0.0, 1.0], [1.0]):
-        raise ValueError("y_true must be one-hot")
-    return y_pred - y_true
-
-
 def lia_infer_counts(bias_grad: np.ndarray, mean_pred: np.ndarray, bs: int) -> np.ndarray:
     """Per-class label counts from the final-layer bias gradient.
 
@@ -142,11 +129,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 def adam_train(obj: ClassifierObjective, w: LayeredParams, epochs: int,
                lr: float) -> LayeredParams:
     """Full-batch Adam on the objective's embedded dataset."""
-    v = P.as_vector(w)
+    v = w.vector
     m = np.zeros_like(v)
     s = np.zeros_like(v)
     for t in range(1, epochs + 1):
-        g = P.as_vector(obj.grad(P.from_vector(v, w)))
+        g = obj.grad(P.from_vector(v, w)).vector
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         s = ADAM_BETA2 * s + (1.0 - ADAM_BETA2) * g * g
         mh = m / (1.0 - ADAM_BETA1 ** t)

@@ -227,6 +227,8 @@ def main(argv=None) -> int:
                            "DEBUG, INFO, WARNING, ERROR or CRITICAL"]), file=sys.stderr)
         return EXIT_CONFIG
     logging.basicConfig(level=level.upper())
+    if "SBPU_LOG" in os.environ:   # basicConfig does nothing once the root logger has a handler
+        log.setLevel(level.upper())
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -51,7 +51,7 @@ def optimum_of(objs: Sequence[QuadraticObjective],
     lam = np.linalg.eigvalsh(A)   # A is SPD: its 2-norm condition number is lam[-1] / lam[0]
     if not lam[0] > 0.0 or lam[-1] / lam[0] > 1e14:
         raise np.linalg.LinAlgError("combined matrix numerically singular")
-    w_star = objs[0].params_from_vector(np.linalg.solve(A, rhs))
+    w_star = P.from_vector(np.linalg.solve(A, rhs), objs[0].template())
     f_star = math.fsum(p * o.loss(w_star) for p, o in zip(weights, objs))
     return w_star, f_star
 

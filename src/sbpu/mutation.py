@@ -102,9 +102,6 @@ class GlobalHistory:
         w_prev2 = self.w_glb if tie_gradients else self.w_prev
         return GlobalHistory(w_glb=new_glb, w_prev=w_prev, w_prev2=w_prev2, round=nxt)
 
-    def lagged_gradients(self) -> tuple[LayeredParams, LayeredParams]:
-        return P.diff(self.w_glb, self.w_prev), P.diff(self.w_glb, self.w_prev2)
-
 
 @dataclass(frozen=True)
 class BoundReport:

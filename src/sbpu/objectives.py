@@ -67,7 +67,7 @@ class QuadraticObjective:
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=np.float64)
         c = np.asarray(self.center, dtype=np.float64).ravel()
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != c.size:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != c.size or c.size < 1:
             raise ValueError("matrix must be d x d matching the center length")
         if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
             raise ValueError("matrix must be symmetric within 1e-12")
@@ -94,10 +94,6 @@ class QuadraticObjective:
         object.__setattr__(self, "_stack", QuadraticStack([self]))
 
     @property
-    def dim(self) -> int:
-        return self.center.size
-
-    @property
     def smoothness(self) -> float:
         return float(self._eigs[-1])
 
@@ -109,32 +105,29 @@ class QuadraticObjective:
         """A zero LayeredParams with this objective's layer layout."""
         return self._template
 
-    def params_from_vector(self, v: np.ndarray) -> LayeredParams:
-        return P.from_vector(v, self._template)
-
     def loss(self, w: LayeredParams, batch=None) -> float:
-        return float(self._stack.loss(P.as_vector(w))[0])
+        return float(self._stack.loss(w.vector)[0])
 
     def grad(self, w: LayeredParams, batch=None) -> LayeredParams:
-        dv = P.as_vector(w) - self.center
-        return self.params_from_vector(self.matrix @ dv)
+        dv = w.vector - self.center
+        return P.from_vector(self.matrix @ dv, self._template)
 
     def stochastic_grad(self, w: LayeredParams, rng: np.random.Generator) -> LayeredParams:
         """Exact gradient plus uniform sphere noise of radius sigma.
 
         Requires w inside the projection ball; callers project first.
         """
-        v = P.as_vector(w)
+        v = w.vector
         r = float(np.linalg.norm(v - self.center))
         if r > self.radius * (1.0 + 1e-12):
             raise ValueError(f"w outside projection ball: distance {r:g} > radius {self.radius:g}")
-        return self.params_from_vector(
-            self._stack.stochastic_grad(v[None], self._stack.noise([rng], 1), 0)[0])
+        return P.from_vector(
+            self._stack.stochastic_grad(v[None], self._stack.noise([rng], 1), 0)[0], self._template)
 
     def project(self, w: LayeredParams) -> LayeredParams:
         """Euclidean projection onto the ball of radius R around the center."""
         with np.errstate(over="ignore"):   # a far point's distance may overflow
-            return self.params_from_vector(self._stack.project(P.as_vector(w)[None])[0])
+            return P.from_vector(self._stack.project(w.vector[None])[0], self._template)
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -402,8 +395,6 @@ class ClassifierObjective:
     def template(self) -> LayeredParams:
         """The zero LayeredParams: one (out, in) weight and one bias layer per dense layer."""
         return self._template
-
-    zero_params = template
 
     def init_params(self, rng: np.random.Generator, scale: float = 0.1) -> LayeredParams:
         """Scaled standard-normal weights (drawn layer by layer), zero biases."""

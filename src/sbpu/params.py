@@ -9,14 +9,12 @@ A value checks its vector for finite entries once, when it takes it; each
 operation is one vector expression returning a fresh value, so instances
 can be shared freely across threads.  `.layers` gives read-only per-layer
 views for boundary callers (JSON, attacks); `Layer` validates input arrays.
-A model's JSON text (write_json, and dump_json through it) is written a
-filter row at a time, so a checkpoint never holds the whole model as Python
-floats or as one string.
+A model's JSON text (write_json) is written a filter row at a time, so a
+checkpoint never holds the whole model as Python floats or as one string.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -149,17 +147,6 @@ def check_same_shape(a: LayeredParams, b: LayeredParams) -> None:
             raise ShapeMismatchError(i, 0, f"filter length {fla} vs {flb}")
 
 
-def clone_params(p: LayeredParams) -> LayeredParams:
-    """Deep, value-equal copy; mutating one side never affects the other."""
-    return _wrap(p.vector.copy(), p.layout)
-
-
-def diff(a: LayeredParams, b: LayeredParams) -> LayeredParams:
-    """Element-wise a - b."""
-    check_same_shape(a, b)
-    return _wrap(a.vector - b.vector, a.layout)
-
-
 def add_scaled(base: LayeredParams, coef: float, delta: LayeredParams) -> LayeredParams:
     """Element-wise base + coef * delta."""
     if not math.isfinite(coef):
@@ -170,11 +157,11 @@ def add_scaled(base: LayeredParams, coef: float, delta: LayeredParams) -> Layere
 
 def layer_sq_sums(V: np.ndarray, layout: tuple) -> list[float]:
     """sum(v ** 2) for each row v of V, as one np.add.reduce per layer slice
-    of the row, then math.fsum: the summation order of sq_distance and sq_norm
-    (bounds.csv prints 17 digits).  The reduction along axis 1 adds each row in
-    the order it adds that row alone, so a row's sum does not depend on K.
-    A row whose finite layer sums add past the float range sums to inf.  V is
-    left as it is (sq_norm passes a stored vector); _row_sq_sums takes squares."""
+    of the row, then math.fsum: the summation order of sq_distance (bounds.csv
+    prints 17 digits).  The reduction along axis 1 adds each row in the order
+    it adds that row alone, so a row's sum does not depend on K.  A row whose
+    finite layer sums add past the float range sums to inf.  V is left as it
+    is; _row_sq_sums takes squares."""
     return _row_sq_sums(V ** 2, layout)
 
 
@@ -201,25 +188,12 @@ def sq_distance(a: LayeredParams, b: LayeredParams) -> float:
     return layer_sq_sums((a.vector - b.vector)[None], a.layout)[0]
 
 
-def sq_norm(p: LayeredParams) -> float:
-    return layer_sq_sums(p.vector[None], p.layout)[0]
-
-
-def zeros_like(p: LayeredParams) -> LayeredParams:
-    return _wrap(np.zeros_like(p.vector), p.layout)
-
-
 def scale(p: LayeredParams, coef: float) -> LayeredParams:
     return _wrap(coef * p.vector, p.layout)
 
 
-def as_vector(p: LayeredParams) -> np.ndarray:
-    """The stored read-only vector (layer order, row-major filters)."""
-    return p.vector
-
-
 def from_vector(v: np.ndarray, template: LayeredParams) -> LayeredParams:
-    """A copy of v laid out like template (inverse of as_vector)."""
+    """A copy of v laid out like template (inverse of .vector)."""
     v = np.array(v, dtype=np.float64).reshape(-1)
     if v.size != template.vector.size:
         raise ShapeMismatchError(0, None, f"vector length {v.size} vs {template.vector.size} scalars")
@@ -231,10 +205,6 @@ def to_jsonable(p: LayeredParams) -> list:
     return [[list(map(float, f)) for f in l.filters] for l in p.layers]
 
 
-def from_jsonable(data: Sequence, kinds: Sequence[str] | None = None) -> LayeredParams:
-    return from_arrays([np.asarray(layer, dtype=np.float64) for layer in data], kinds)
-
-
 def write_json(p: LayeredParams, fh: TextIO) -> None:
     """Write json.dumps(to_jsonable(p)) to the text file fh a filter row at a time, each
     row as json.dumps(row.tolist()), so only one row's text is held at once."""
@@ -244,14 +214,3 @@ def write_json(p: LayeredParams, fh: TextIO) -> None:
             fh.write((", " if j else "") + json.dumps(row.tolist()))
         fh.write("]")
     fh.write("]")
-
-
-def dump_json(p: LayeredParams) -> str:
-    """write_json's text as one string."""
-    fh = io.StringIO()
-    write_json(p, fh)
-    return fh.getvalue()
-
-
-def load_json(text: str) -> LayeredParams:
-    return from_jsonable(json.loads(text))

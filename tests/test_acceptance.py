@@ -161,7 +161,7 @@ def test_ac04_fedavg_reduction_bit_identical(capsys):
                     w = o.center + dv * (o.radius / r)
                 eta = plan.schedule.lr_at(round_idx * E + s)
                 g = o.matrix @ (w - o.center)
-                xi = rng.standard_normal(o.dim)
+                xi = rng.standard_normal(o.center.size)
                 g = g + (o.noise_sigma / np.linalg.norm(xi)) * xi
                 w = w - eta * g
             dv = w - o.center
@@ -175,13 +175,13 @@ def test_ac04_fedavg_reduction_bit_identical(capsys):
         return acc
 
     h = GlobalHistory.bootstrap(plan.w_init)
-    ref = P.as_vector(plan.w_init).copy()
+    ref = plan.w_init.vector.copy()
     diverged_at = None
     for r in range(rounds):
         h, _ = run_round(h, plan.clients, plan.rates, plan.schedule,
                          plan.policy, plan.seed)
         ref = reference_round(ref, r)
-        if P.as_vector(h.w_glb).tobytes() != ref.tobytes():
+        if h.w_glb.vector.tobytes() != ref.tobytes():
             diverged_at = r
             break
     _report(capsys, 4, diverged_at is None,

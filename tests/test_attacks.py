@@ -9,30 +9,36 @@ from sbpu import seeds
 from sbpu.attacks import (BlobDataset, MiaTrainConfig, ShadowSetup,
                           confusion_scores, estimate_mean_predictions,
                           final_bias_gradient, ir_reconstruct, lia_experiment,
-                          lia_infer_counts, logit_grad_identity, mia_experiment,
+                          lia_infer_counts, mia_experiment,
                           mia_run, psnr)
 from sbpu.objectives import ClassifierObjective, softmax
 
 
 class TestLogitGradIdentity:
-    def test_perfect_prediction_zero(self):
-        y = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(logit_grad_identity(y, y), np.zeros(3))
+    """The identity label inference rests on: on one sample, the final-layer
+    bias gradient is the cross-entropy gradient wrt the logits, softmax(z) - onehot(y)."""
+
+    @staticmethod
+    def _bias_grad(obj, w, x, label):
+        return final_bias_gradient(obj.grad(w, (x, np.array([label]))))
 
     def test_uniform_case(self):
-        out = logit_grad_identity(np.full(4, 0.25), np.array([1.0, 0, 0, 0]))
+        obj = ClassifierObjective(architecture=((3, 4, "linear"),))
+        out = self._bias_grad(obj, obj.template(), np.ones((1, 3)), 0)
         np.testing.assert_allclose(out, [-0.75, 0.25, 0.25, 0.25], rtol=1e-15)
 
     def test_matches_finite_difference_of_cross_entropy(self):
         rng = np.random.default_rng(0)
-        z = rng.standard_normal(5)
-        y = np.zeros(5); y[2] = 1.0
+        obj = ClassifierObjective(architecture=((3, 5, "linear"),))
+        w = obj.init_params(rng, scale=1.0)
+        x = rng.uniform(size=(1, 3))
+        z = obj.logits(w, x)[0]
 
         def ce(zv):
             zs = zv - np.max(zv)
             return float(-(zs[2] - math.log(np.sum(np.exp(zs)))))
 
-        g = logit_grad_identity(softmax(z), y)
+        g = self._bias_grad(obj, w, x, 2)
         h = 1e-6
         for j in range(5):
             e = np.zeros(5); e[j] = h
@@ -41,16 +47,11 @@ class TestLogitGradIdentity:
 
     def test_sums_to_zero(self):
         rng = np.random.default_rng(1)
+        obj = ClassifierObjective(architecture=((4, 6, "linear"),))
         for _ in range(50):
-            p = softmax(rng.standard_normal(6))
-            y = np.zeros(6); y[rng.integers(0, 6)] = 1.0
-            assert abs(float(np.sum(logit_grad_identity(p, y)))) < 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            logit_grad_identity(np.array([0.5, 0.6]), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            logit_grad_identity(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+            w = obj.init_params(rng, scale=1.0)
+            g = self._bias_grad(obj, w, rng.uniform(size=(1, 4)), int(rng.integers(0, 6)))
+            assert abs(float(np.sum(g))) < 1e-12
 
 
 class TestLiaCounts:
@@ -93,7 +94,7 @@ class TestLiaCounts:
 class TestMeanPredictions:
     def test_zero_model_uniform(self):
         obj = ClassifierObjective(architecture=((4, 5, "linear"),))
-        out = estimate_mean_predictions(obj, obj.zero_params(),
+        out = estimate_mean_predictions(obj, obj.template(),
                                         100, np.random.default_rng(4))
         np.testing.assert_allclose(out, np.full(5, 0.2), rtol=1e-12)
 
@@ -142,7 +143,7 @@ class TestShadowSetup:
 
     def test_disjointness_enforced(self):
         m = self._model()
-        w = m.zero_params()
+        w = m.template()
         shared = np.array([[0.1, 0.2]])
         with pytest.raises(ValueError, match="disjoint"):
             ShadowSetup(model=m, victim_params=w, others_params=w,
@@ -150,7 +151,7 @@ class TestShadowSetup:
 
     def test_degenerate_split_rejected(self):
         m = self._model()
-        w = m.zero_params()
+        w = m.template()
         with pytest.raises(ValueError, match="degenerate"):
             ShadowSetup(model=m, victim_params=w, others_params=w,
                         shadow_victim_x=np.zeros((0, 2)),
@@ -236,9 +237,9 @@ class TestIrReconstruct:
 
     def test_multi_layer_rejected(self):
         obj = ClassifierObjective(architecture=((4, 3, "relu"), (3, 2, "linear")))
-        w = obj.zero_params()
+        w = obj.template()
         with pytest.raises(ValueError):
-            ir_reconstruct(P.clone_params(w), obj, w, np.array([1.0, 0.0]),
+            ir_reconstruct(P.from_vector(w.vector, w), obj, w, np.array([1.0, 0.0]),
                            x_init=np.zeros(4))
 
 

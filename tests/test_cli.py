@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import tempfile
 import tracemalloc
 import warnings
@@ -345,8 +346,8 @@ def test_unwritable_output_file_exit_1(tmp_path, capsys, command, name):
 
 
 def test_checkpoint_is_written_a_row_at_a_time(tmp_path):
-    # a 784-128-10 model (101,770 parameters): its text through dump_json
-    # alone peaks at about 9 MiB
+    # a 784-128-10 model (101,770 parameters): its text as one string through
+    # json.dumps alone peaks at about 9 MiB
     obj = ClassifierObjective(architecture=((784, 128, "relu"), (128, 10, "linear")))
     w = obj.init_params(np.random.default_rng(2))
     path = tmp_path / "checkpoint_final.json"
@@ -357,8 +358,8 @@ def test_checkpoint_is_written_a_row_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    assert path.read_text() == P.dump_json(w) + "\n"
-    assert P.load_json(path.read_text()) == w
+    assert path.read_text() == json.dumps(P.to_jsonable(w)) + "\n"
+    assert P.from_arrays([np.array(l) for l in json.loads(path.read_text())]) == w
 
 
 @pytest.mark.parametrize("level", ["bogus", "5"])
@@ -371,6 +372,20 @@ def test_unknown_log_level_exit_1(tmp_path, capsys, monkeypatch, level):
     assert f"SBPU_LOG: unknown logging level {level!r}" in err
     assert "DEBUG, INFO, WARNING, ERROR or CRITICAL" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_log_level_applies_under_an_existing_root_handler(tmp_path, monkeypatch, caplog):
+    # caplog's handler sits on the root logger, so logging.basicConfig does nothing here
+    assert logging.getLogger().handlers
+    monkeypatch.setenv("SBPU_LOG", "DEBUG")
+    path, out = write_config(tmp_path)
+    sbpu_log = logging.getLogger("sbpu")
+    level = sbpu_log.level
+    try:
+        assert main(["run-fl", "--config", str(path)]) == 0
+    finally:
+        sbpu_log.setLevel(level)
+    assert f"run-fl: 4 rounds -> {out}" in caplog.messages
 
 
 @pytest.mark.parametrize("command,alpha", [("run-fl", -0.1), ("convergence", 0.6),
@@ -437,12 +452,15 @@ def test_diverging_classifier_exit_2(tmp_path, capsys):
     ({**base_config("")["objective"], "sigma": "0.1"}, "sigma"),
     ({"kind": "quadratic", "clients": [{"center": [0.0], "matrix": [1.0], "sigmaa": 3}] * 3},
      "clients[0]: unknown key 'sigmaa'"),
+    ({"kind": "quadratic", "clients": [{"center": [], "matrix": []}] * 3},
+     "clients[0]: matrix must be d x d"),
 ], ids=["indefinite-matrix", "zero-dim", "missing-matrix", "nonlinear-last-layer",
         "mixed-dimensions", "non-object-dataset", "infinite-dataset-n", "unallocatable-dim",
         "infinite-radius", "infinite-sigma", "infinite-center", "infinite-center-spread",
         "infinite-dataset-spread", "misspelt-center-spread", "string-shared-matrix",
         "fractional-dim", "string-dim", "boolean-dim", "fractional-dataset-n",
-        "fractional-architecture", "fractional-layout", "string-sigma", "misspelt-client-sigma"])
+        "fractional-architecture", "fractional-layout", "string-sigma", "misspelt-client-sigma",
+        "zero-dim-client"])
 def test_objective_construction_errors_exit_1(tmp_path, capsys, objective, field):
     path, _ = write_config(tmp_path, objective=objective)
     assert main(["run-fl", "--config", str(path)]) == 1
@@ -516,8 +534,9 @@ def test_client_admission_error_exit_1(tmp_path, capsys, monkeypatch):
 
     def two_kinds(spec, K, seed):
         objs = build(spec, K, seed)
-        x = np.zeros((2, objs[0].dim))
-        return objs[:-1] + [ClassifierObjective(architecture=((objs[0].dim, 2, "linear"),),
+        d = objs[0].center.size
+        x = np.zeros((2, d))
+        return objs[:-1] + [ClassifierObjective(architecture=((d, 2, "linear"),),
                                                 data_x=x, data_y=np.array([0, 1]))]
 
     monkeypatch.setattr(config, "build_objectives", two_kinds)

@@ -40,13 +40,13 @@ class TestOptimum:
     def test_symmetric_two_client(self):
         objs = [quad(np.eye(2), [1.0, 0.0]), quad(np.eye(2), [-1.0, 0.0])]
         w_star, f_star = optimum_of(objs, [0.5, 0.5])
-        np.testing.assert_allclose(P.as_vector(w_star), [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(w_star.vector, [0.0, 0.0], atol=1e-15)
         assert f_star == pytest.approx(0.5, rel=1e-15)
 
     def test_single_client(self):
         o = quad(np.diag([2.0, 5.0]), [0.3, -0.7])
         w_star, f_star = optimum_of([o], [1.0])
-        np.testing.assert_allclose(P.as_vector(w_star), [0.3, -0.7], atol=1e-12)
+        np.testing.assert_allclose(w_star.vector, [0.3, -0.7], atol=1e-12)
         assert abs(f_star) < 1e-24
 
     def test_stationarity_residual(self):
@@ -57,7 +57,7 @@ class TestOptimum:
             objs.append(quad(M @ M.T / 4 + np.eye(4), rng.standard_normal(4)))
         weights = [0.1, 0.2, 0.3, 0.25, 0.15]
         w_star, _ = optimum_of(objs, weights)
-        wv = P.as_vector(w_star)
+        wv = w_star.vector
         residual = sum(p * (o.matrix @ (wv - o.center))
                        for p, o in zip(weights, objs))
         assert np.linalg.norm(residual) < 1e-10
@@ -82,9 +82,9 @@ class TestOptimum:
         weights = [float(n) / K / (K + 1) * 2 for n in range(1, K + 1)]
         A = sum(p * o.matrix for p, o in zip(weights, objs))
         rhs = sum(p * (o.matrix @ o.center) for p, o in zip(weights, objs))
-        want = objs[0].params_from_vector(np.linalg.solve(A, rhs))
+        want = P.from_vector(np.linalg.solve(A, rhs), objs[0].template())
         w_star, f_star = optimum_of(objs, weights)
-        assert P.as_vector(w_star).tobytes() == P.as_vector(want).tobytes()
+        assert w_star.vector.tobytes() == want.vector.tobytes()
         assert f_star == math.fsum(p * o.loss(want) for p, o in zip(weights, objs))
 
 
@@ -145,7 +145,7 @@ class TestMeasureDivergence:
 
     def test_identical_zero(self):
         w = self._p(1.0, 2.0)
-        assert measure_divergence([w, P.clone_params(w)], [1, 1]) == 0.0
+        assert measure_divergence([w, P.from_vector(w.vector, w)], [1, 1]) == 0.0
 
     def test_symmetric_pair(self):
         assert measure_divergence([self._p(0.0), self._p(2.0)], [1, 1]) == 1.0
@@ -154,8 +154,8 @@ class TestMeasureDivergence:
         rng = np.random.default_rng(1)
         ws = [P.from_arrays([rng.standard_normal((2, 3))]) for _ in range(4)]
         sizes = [1, 2, 3, 4]
-        mean = sum((n / 10.0) * P.as_vector(w) for n, w in zip(sizes, ws))
-        expect = sum((n / 10.0) * np.sum((mean - P.as_vector(w)) ** 2)
+        mean = sum((n / 10.0) * w.vector for n, w in zip(sizes, ws))
+        expect = sum((n / 10.0) * np.sum((mean - w.vector) ** 2)
                      for n, w in zip(sizes, ws))
         assert measure_divergence(ws, sizes) == pytest.approx(expect, rel=1e-12)
 
@@ -165,8 +165,8 @@ class TestMeasureDivergence:
             ws = [P.from_arrays([rng.standard_normal((1, 4))]) for _ in range(3)]
             sizes = [int(rng.integers(1, 6)) for _ in range(3)]
             total = sum(sizes)
-            mean = sum((n / total) * P.as_vector(w) for n, w in zip(sizes, ws))
-            alt = sum((n / total) * float(np.sum(P.as_vector(w) ** 2))
+            mean = sum((n / total) * w.vector for n, w in zip(sizes, ws))
+            alt = sum((n / total) * float(np.sum(w.vector ** 2))
                       for n, w in zip(sizes, ws)) - float(np.sum(mean ** 2))
             assert measure_divergence(ws, sizes) == pytest.approx(alt, rel=1e-9,
                                                                   abs=1e-12)
@@ -243,7 +243,7 @@ class TestExperiment:
         plan = RunPlan(clients=clients, rates=DiversityRates(0.0, 0.0),
                        schedule=LrSchedule(mu=1.0, gamma=8.0),
                        policy=DefensePolicy(), rounds=1, seed=0,
-                       w_init=obj.zero_params())
+                       w_init=obj.template())
         with pytest.raises(ValueError):
             ConvergenceConfig(plan=plan, alpha=0.1)
 

@@ -71,16 +71,16 @@ class TestAggregate:
     def test_identical_updates_any_sizes(self):
         u = single(0.3, -0.7)
         for sizes in ([1, 1], [1, 5], [10, 3]):
-            assert aggregate([u, P.clone_params(u)], sizes) == u
+            assert aggregate([u, P.from_vector(u.vector, u)], sizes) == u
 
     def test_weighted_scalar_example(self):
         out = aggregate([single(-0.1), single(-0.2)], [1, 3])
-        assert P.as_vector(out)[0] == pytest.approx(-0.175, rel=1e-15)
+        assert out.vector[0] == pytest.approx(-0.175, rel=1e-15)
 
     def test_identical_inputs_bit_exact(self):
         rng = np.random.default_rng(0)
         u = P.from_arrays([rng.standard_normal((3, 4))])
-        out = aggregate([u, P.clone_params(u), P.clone_params(u)], [2, 5, 3])
+        out = aggregate([u, P.from_vector(u.vector, u), P.from_vector(u.vector, u)], [2, 5, 3])
         np.testing.assert_array_equal(out.layers[0].filters, u.layers[0].filters)
 
     def test_convex_combination_oracle(self):
@@ -88,8 +88,8 @@ class TestAggregate:
         us = [P.from_arrays([rng.standard_normal((2, 3))]) for _ in range(4)]
         sizes = [1, 2, 3, 4]
         out = aggregate(us, sizes)
-        expect = sum((n / 10.0) * P.as_vector(u) for n, u in zip(sizes, us))
-        np.testing.assert_allclose(P.as_vector(out), expect, rtol=1e-12)
+        expect = sum((n / 10.0) * u.vector for n, u in zip(sizes, us))
+        np.testing.assert_allclose(out.vector, expect, rtol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -109,13 +109,13 @@ class TestDefense:
         g = single(1.0, 0.1, -2.0, 0.05)
         out = apply_defense(g, DefensePolicy(tag="gc", prune_fraction=0.5),
                             np.random.default_rng(3))
-        np.testing.assert_array_equal(P.as_vector(out), [1.0, 0.0, -2.0, 0.0])
+        np.testing.assert_array_equal(out.vector, [1.0, 0.0, -2.0, 0.0])
 
     def test_dp_pure_clipping(self):
         g = single(4.0, 0.0)   # norm 4
         policy = DefensePolicy(tag="dp", epsilon_per_round=1.0, clip=1.0)
         out = apply_defense(g, policy, ZeroNoise())
-        np.testing.assert_allclose(P.as_vector(out), [1.0, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(out.vector, [1.0, 0.0], rtol=1e-15)
 
     def test_dp_noise_scale(self):
         policy = DefensePolicy(tag="dp", epsilon_per_round=2.0, clip=3.0)
@@ -129,14 +129,14 @@ class TestDefense:
         for p in (0.0, 0.1, 0.5, 0.9):
             out = apply_defense(g, DefensePolicy(tag="gc", prune_fraction=p),
                                 np.random.default_rng(5))
-            nonzero = int(np.count_nonzero(P.as_vector(out)))
+            nonzero = int(np.count_nonzero(out.vector))
             assert nonzero == math.ceil((1.0 - p) * 37)
 
     def test_gc_tie_break_by_flat_index(self):
         g = single(0.5, 0.5, 0.5, 0.5)
         out = apply_defense(g, DefensePolicy(tag="gc", prune_fraction=0.5),
                             np.random.default_rng(6))
-        np.testing.assert_array_equal(P.as_vector(out), [0.0, 0.0, 0.5, 0.5])
+        np.testing.assert_array_equal(out.vector, [0.0, 0.0, 0.5, 0.5])
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ class TestLocalTrain:
     def test_stationary_start(self):
         o = quad(np.eye(2), [1.0, 1.0])
         c = ClientState(id=0, n_k=1, objective=o, E=1)
-        w = o.params_from_vector(np.array([1.0, 1.0]))
+        w = P.from_vector(np.array([1.0, 1.0]), o.template())
         out = local_train(c, w, LrSchedule(mu=1.0, gamma=8.0), 0,
                           np.random.default_rng(7))
         assert out == w
@@ -159,16 +159,16 @@ class TestLocalTrain:
     def test_one_exact_step(self):
         o = quad(np.eye(2), [0.0, 0.0])
         c = ClientState(id=0, n_k=1, objective=o, E=1)
-        w = o.params_from_vector(np.array([1.0, 0.0]))
+        w = P.from_vector(np.array([1.0, 0.0]), o.template())
         # lr_at(0) = 2/(1*4) = 0.5
         out = local_train(c, w, LrSchedule(mu=1.0, gamma=4.0), 0,
                           np.random.default_rng(8))
-        np.testing.assert_allclose(P.as_vector(out), [0.5, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(out.vector, [0.5, 0.0], rtol=1e-15)
 
     def test_noiseless_descent(self):
         o = quad(np.eye(3), [0.2, -0.1, 0.4])
         c = ClientState(id=0, n_k=1, objective=o, E=100)
-        w = o.params_from_vector(np.array([2.0, 2.0, 2.0]))
+        w = P.from_vector(np.array([2.0, 2.0, 2.0]), o.template())
         out = local_train(c, w, LrSchedule(mu=1.0, gamma=8.0), 0,
                           np.random.default_rng(9))
         assert o.loss(out) < o.loss(w)
@@ -176,8 +176,8 @@ class TestLocalTrain:
     def test_input_unmodified(self):
         o = quad(np.eye(2), [0.0, 0.0], sigma=0.1)
         c = ClientState(id=0, n_k=1, objective=o, E=3)
-        w = o.params_from_vector(np.array([0.5, 0.5]))
-        w_copy = P.clone_params(w)
+        w = P.from_vector(np.array([0.5, 0.5]), o.template())
+        w_copy = P.from_vector(w.vector, w)
         local_train(c, w, LrSchedule(mu=1.0, gamma=8.0), 0, np.random.default_rng(10))
         assert w == w_copy
 
@@ -202,7 +202,7 @@ def naive_fedavg_round(h, objs, sizes, schedule, offset, seed, round_idx):
     finals = []
     for k, o in enumerate(objs):
         rng = seeds.stream(seed, "train", round_idx, k)
-        w = P.as_vector(h.w_glb).copy()
+        w = h.w_glb.vector.copy()
         dv = w - o.center
         r = float(np.linalg.norm(dv))
         if r > o.radius:
@@ -212,7 +212,7 @@ def naive_fedavg_round(h, objs, sizes, schedule, offset, seed, round_idx):
             dv = w - o.center
             g = o.matrix @ dv
             if o.noise_sigma > 0.0:
-                xi = rng.standard_normal(o.dim)
+                xi = rng.standard_normal(o.center.size)
                 n = np.linalg.norm(xi)
                 g = g + (o.noise_sigma / n) * xi
             w = w - eta * g
@@ -258,7 +258,7 @@ class TestRunRound:
                                                seed, r)
                 h, rec = run_round(h, self._clients(objs), DiversityRates(0.0, 0.0),
                                    schedule, DefensePolicy(), seed=seed)
-                np.testing.assert_array_equal(P.as_vector(h.w_glb), expect)
+                np.testing.assert_array_equal(h.w_glb.vector, expect)
 
     def test_history_rotation_exact(self):
         objs = quad_suite(2, 2, seed=24)
@@ -280,7 +280,7 @@ class TestRunRound:
                           DefensePolicy(), seed=26)
         # each client moves 0.5*(0 - c_k) = 0.5*c_k toward its center;
         # equal weights average to 0.5 * mean(c_k) = 0.5 * 4.5
-        assert P.as_vector(h2.w_glb)[0] == pytest.approx(0.1 * sum(
+        assert h2.w_glb.vector[0] == pytest.approx(0.1 * sum(
             0.5 * k for k in range(10)), rel=1e-12)
 
     def test_divergence_statistic_matches_oracle(self):
@@ -306,7 +306,7 @@ class TestRunRound:
         clients = [ClientState(id=k, n_k=n, objective=o, E=3)
                    for k, (o, n) in enumerate(zip(objs, sizes))]
         rng = np.random.default_rng(41)
-        w_glb, w_prev, w_prev2 = (objs[0].params_from_vector(rng.standard_normal(3))
+        w_glb, w_prev, w_prev2 = (P.from_vector(rng.standard_normal(3), objs[0].template())
                                   for _ in range(3))
         h = GlobalHistory(w_glb=w_glb, w_prev=w_prev, w_prev2=w_prev2, round=2)
         rates, schedule, seed = DiversityRates(0.3, 0.2), LrSchedule(mu=1.0, gamma=8.0), 42
@@ -357,7 +357,7 @@ def per_client_round(h, clients, rates, schedule, policy, seed, alpha, tie_gradi
     sizes = [c.n_k for c in clients]
     total = float(sum(sizes))
     dispatched = generate_diverse_models(h, K, rates, seed)
-    g, gp = h.lagged_gradients()
+    g, gp = P.add_scaled(h.w_glb, -1.0, h.w_prev), P.add_scaled(h.w_glb, -1.0, h.w_prev2)
     assert dispatched == [sbpu_mutate(h.w_glb, g, gp, rates,
                                       seeds.stream(seed, "sbpu", h.round, k))
                           for k in range(K)]
@@ -376,7 +376,7 @@ def per_client_round(h, clients, rates, schedule, policy, seed, alpha, tie_gradi
         assert local_train(c, w0, schedule, h.round * E,
                            seeds.stream(seed, "train", h.round, c.id)) == w
     uploads = trained if policy.tag == "none" else [
-        P.add_scaled(w0, 1.0, apply_defense(P.diff(w, w0), policy,
+        P.add_scaled(w0, 1.0, apply_defense(P.add_scaled(w, -1.0, w0), policy,
                                             seeds.stream(seed, "defense", h.round, c.id)))
         for c, w0, w in zip(clients, dispatched, trained)]
     new_glb = aggregate(uploads, sizes)
@@ -465,7 +465,7 @@ class TestBatchedEngine:
         objs = [quad(objs[0].matrix, [0.5, -0.5, 1.0], sigma=0.2, radius=1.0),
                 quad(objs[1].matrix, [9.0, 9.0, 9.0], sigma=0.0, radius=0.5)]
         clients = [ClientState(id=k, n_k=1, objective=o, E=2) for k, o in enumerate(objs)]
-        h = GlobalHistory.bootstrap(objs[0].params_from_vector(objs[0].center))
+        h = GlobalHistory.bootstrap(P.from_vector(objs[0].center, objs[0].template()))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             h2, rec = run_round(h, clients, DiversityRates(0.1, 0.05),
@@ -657,7 +657,7 @@ class TestBatchedEngine:
         clients = [ClientState(id=30 + k, n_k=k + 1, objective=o, E=3)
                    for k, o in enumerate(objs)]
         rng = np.random.default_rng(77)
-        h = GlobalHistory(*(objs[0].params_from_vector(rng.standard_normal(11))
+        h = GlobalHistory(*(P.from_vector(rng.standard_normal(11), objs[0].template())
                             for _ in range(3)), round=2)
         args = (DiversityRates(0.3, 0.2), LrSchedule(mu=1.0, gamma=20.0), DefensePolicy(), 78)
         rounds = [(h, None)]
@@ -703,7 +703,7 @@ class TestBatchedEngine:
                 for o, r in zip(quad_suite(2, 3, seed=70), (1e160, 1.0))]
         clients = Cohort([ClientState(id=k, n_k=1, objective=o, E=3) for k, o in enumerate(objs)])
         assert not clients.certified
-        h = GlobalHistory.bootstrap(objs[1].params_from_vector(objs[1].center))
+        h = GlobalHistory.bootstrap(P.from_vector(objs[1].center, objs[1].template()))
         args = (DiversityRates(0.1, 0.05), LrSchedule(mu=1.0, gamma=8.0), DefensePolicy(), 71)
         rows = self._stack_losses(monkeypatch, clients)
         h2, rec = run_round(h, clients, *args)
@@ -859,7 +859,7 @@ class TestRoundTrims:
             assert not v.flags.writeable
             assert len(seen) == 3 and not any(np.shares_memory(v, a) for a in seen)
             seen.clear()
-        updates = [objs[0].params_from_vector(np.full(5, k + 1.0)) for k in range(K)]
+        updates = [P.from_vector(np.full(5, k + 1.0), objs[0].template()) for k in range(K)]
         v = aggregate(updates, range(1, K + 1)).vector
         assert not v.flags.writeable
         assert not any(np.shares_memory(v, u.vector) for u in updates)

@@ -87,7 +87,7 @@ class TestMutate:
     def test_zero_gradients_identity(self):
         rng = np.random.default_rng(0)
         w = random_params(rng)
-        z = P.zeros_like(w)
+        z = P.from_vector(np.zeros_like(w.vector), w)
         out = sbpu_mutate(w, z, z, DiversityRates(0.5, 0.25), np.random.default_rng(1))
         assert out == w
 
@@ -122,7 +122,7 @@ class TestMutate:
         gp = row_params([[0.2], [0.2], [0.2], [0.2]])
         out = apply_stochastic_lists(w, g, gp, DiversityRates(0.5, 0.25),
                                      [[1, -1, 2, -2]])
-        np.testing.assert_allclose(P.as_vector(out), [1.05, 0.9, 1.1, 0.9],
+        np.testing.assert_allclose(out.vector, [1.05, 0.9, 1.1, 0.9],
                                    rtol=1e-15)
 
     def test_invalid_list_entry_rejected(self):
@@ -158,7 +158,7 @@ class TestMutate:
                     lists[li][j] = -2
                     a = apply_stochastic_lists(w, g, gp, rates, base)
                     b = apply_stochastic_lists(w, g, gp, rates, lists)
-                    d = P.diff(a, b)
+                    d = P.add_scaled(a, -1.0, b)
                     for lj, ld in enumerate(d.layers):
                         nz = np.flatnonzero(np.any(ld.filters != 0.0, axis=1))
                         if lj == li:
@@ -188,7 +188,7 @@ class TestMutate:
         rng = np.random.default_rng(6)
         w = random_params(rng)
         g = pair_like(rng, w)
-        w_copy, g_copy = P.clone_params(w), P.clone_params(g)
+        w_copy, g_copy = P.from_vector(w.vector, w), P.from_vector(g.vector, g)
         sbpu_mutate(w, g, g, DiversityRates(0.4, 0.3), np.random.default_rng(7))
         assert w == w_copy and g == g_copy
 
@@ -220,13 +220,7 @@ class TestGlobalHistory:
         h = GlobalHistory.bootstrap(single(0.0)).rotated(single(1.0)).rotated(single(2.0))
         h3 = h.rotated(single(3.0), tie_gradients=True)
         assert h3.w_prev == single(2.0) and h3.w_prev2 == single(2.0)
-        g, gp = h3.lagged_gradients()
-        assert g == gp
-
-    def test_lagged_gradients(self):
-        h = GlobalHistory(single(5.0), single(3.0), single(2.0), round=4)
-        g, gp = h.lagged_gradients()
-        assert g == single(2.0) and gp == single(3.0)
+        assert P.add_scaled(h3.w_glb, -1.0, h3.w_prev) == P.add_scaled(h3.w_glb, -1.0, h3.w_prev2)
 
 
 class TestGenerateDiverseModels:
@@ -241,7 +235,7 @@ class TestGenerateDiverseModels:
                           row_params([[1.0], [1.5], [0.5], [1.0]]),
                           row_params([[0.0], [1.0], [0.0], [0.5]]), round=3)
         rates = DiversityRates(0.3, 0.2)
-        g, gp = h.lagged_gradients()
+        g, gp = P.add_scaled(h.w_glb, -1.0, h.w_prev), P.add_scaled(h.w_glb, -1.0, h.w_prev2)
         out = generate_diverse_models(h, 1, rates, seed=9)
         direct = sbpu_mutate(h.w_glb, g, gp, rates, seeds.stream(9, "sbpu", 3, 0))
         assert out == [direct]
@@ -276,9 +270,10 @@ class TestDispatchTrims:
         rates = DiversityRates(0.3, 0.2)
         sel = stream_lists(w.layout, [(84, "sbpu", 4, k) for k in range(5)])
         for tied, copy in ((GlobalHistory(w, prev, prev, round=4),
-                            GlobalHistory(w, prev, P.clone_params(prev), round=4)),
+                            GlobalHistory(w, prev, P.from_vector(prev.vector, prev), round=4)),
                            (GlobalHistory.bootstrap(w),
-                            GlobalHistory(w, P.clone_params(w), P.clone_params(w)))):
+                            GlobalHistory(w, P.from_vector(w.vector, w),
+                                          P.from_vector(w.vector, w)))):
             assert tied.w_prev2 is tied.w_prev and copy.w_prev2 is not copy.w_prev
             a = mutation._dispatch_matrix(tied, rates, sel)
             b = mutation._dispatch_matrix(copy, rates, sel)
@@ -361,7 +356,7 @@ class TestNeighborhoodBound:
         alpha = 0.2
         rng = np.random.default_rng(11)
         h = self._tied_history(rng, f=8)
-        g, gp = h.lagged_gradients()
+        g, gp = P.add_scaled(h.w_glb, -1.0, h.w_prev), P.add_scaled(h.w_glb, -1.0, h.w_prev2)
         w_loc = sbpu_mutate(h.w_glb, g, gp, DiversityRates(alpha, alpha / 2),
                             np.random.default_rng(12))
         rep = check_neighborhood_bound(w_loc, h, alpha)
@@ -374,7 +369,7 @@ class TestNeighborhoodBound:
         for trial in range(20):
             h = self._tied_history(rng, f=int(rng.integers(1, 12)))
             beta2 = float(rng.uniform(alpha / 2, alpha))
-            g, gp = h.lagged_gradients()
+            g, gp = P.add_scaled(h.w_glb, -1.0, h.w_prev), P.add_scaled(h.w_glb, -1.0, h.w_prev2)
             w_loc = sbpu_mutate(h.w_glb, g, gp, DiversityRates(alpha, beta2),
                                 np.random.default_rng(trial))
             assert check_neighborhood_bound(w_loc, h, alpha).holds
@@ -385,12 +380,12 @@ class TestNeighborhoodBound:
         g = pair_like(rng, w)
         gp = pair_like(rng, w)
         rates = DiversityRates(0.7, 0.4)
-        total = P.zeros_like(w)
+        total = np.zeros_like(w.vector)
         perms = set(itertools.permutations(stochastic_multiset(4)))
         for perm in perms:
             out = apply_stochastic_lists(w, g, gp, rates, [list(perm)])
-            total = P.add_scaled(total, 1.0, P.diff(out, w))
-        assert math.sqrt(P.sq_norm(total)) / len(perms) < 1e-12
+            total = total + (out.vector - w.vector)
+        assert math.sqrt(P.layer_sq_sums(total[None], w.layout)[0]) / len(perms) < 1e-12
 
     def test_overflowed_distance_does_not_hold(self):
         h = GlobalHistory.bootstrap(single(0.0, 0.0))

@@ -22,7 +22,7 @@ def quad(A, c, sigma=0.0, radius=10.0):
 
 
 def vec(obj, *values):
-    return obj.params_from_vector(np.array(values, dtype=float))
+    return P.from_vector(np.array(values, dtype=float), obj.template())
 
 
 class TestQuadratic:
@@ -37,12 +37,12 @@ class TestQuadratic:
     def test_grad_stationary_at_center(self):
         o = quad(np.eye(3), [0.5, 0.5, 0.5])
         g = o.grad(vec(o, 0.5, 0.5, 0.5))
-        assert P.sq_norm(g) == 0.0
+        assert P.sq_distance(g, o.template()) == 0.0
 
     def test_grad_diagonal(self):
         o = quad(np.diag([2.0, 3.0]), [0.0, 0.0])
         g = o.grad(vec(o, 1.0, 1.0))
-        np.testing.assert_array_equal(P.as_vector(g), [2.0, 3.0])
+        np.testing.assert_array_equal(g.vector, [2.0, 3.0])
 
     def test_grad_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -52,12 +52,12 @@ class TestQuadratic:
             A = M @ M.T + d * np.eye(d)
             o = quad(A, rng.standard_normal(d))
             w = rng.standard_normal(d)
-            g = P.as_vector(o.grad(o.params_from_vector(w)))
+            g = o.grad(P.from_vector(w, o.template())).vector
             h = 1e-5
             for j in range(d):
                 e = np.zeros(d); e[j] = h
-                fd = (o.loss(o.params_from_vector(w + e))
-                      - o.loss(o.params_from_vector(w - e))) / (2 * h)
+                fd = (o.loss(P.from_vector(w + e, o.template()))
+                      - o.loss(P.from_vector(w - e, o.template()))) / (2 * h)
                 assert g[j] == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
     def test_asymmetric_matrix_rejected(self):
@@ -67,6 +67,10 @@ class TestQuadratic:
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(ValueError):
             quad(np.diag([1.0, -1.0]), [0.0, 0.0])
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="matrix must be d x d"):
+            quad(np.zeros((0, 0)), [])
 
 
 @pytest.mark.parametrize("layout", [((3, 1.5),), ((2, 1), (1.0, 1)), ((np.float64(3), 1),),
@@ -93,16 +97,16 @@ class TestStochasticGrad:
     def test_pure_noise_has_norm_sigma(self):
         o = quad(np.eye(3), [0.0, 0.0, 0.0], sigma=1.0)
         g = o.stochastic_grad(vec(o, 0.0, 0.0, 0.0), np.random.default_rng(2))
-        assert math.sqrt(P.sq_norm(g)) == pytest.approx(1.0, rel=1e-12)
+        assert math.sqrt(P.sq_distance(g, o.template())) == pytest.approx(1.0, rel=1e-12)
 
     def test_monte_carlo_moments(self):
         sigma = 0.7
         o = quad(np.eye(4), np.zeros(4), sigma=sigma)
         w = vec(o, 0.1, 0.2, 0.3, 0.4)
-        g0 = P.as_vector(o.grad(w))
+        g0 = o.grad(w).vector
         rng = np.random.default_rng(3)
         n = 10_000
-        xi = np.array([P.as_vector(o.stochastic_grad(w, rng)) - g0 for _ in range(n)])
+        xi = np.array([o.stochastic_grad(w, rng).vector - g0 for _ in range(n)])
         assert np.mean(np.sum(xi ** 2, axis=1)) == pytest.approx(sigma ** 2, rel=1e-9)
         assert np.all(np.abs(xi.mean(axis=0)) <= 3 * sigma / math.sqrt(n))
 
@@ -164,11 +168,11 @@ class TestStochasticGrad:
         G = 2.0 * 2.0 + 0.5
         rng = np.random.default_rng(5)
         for _ in range(200):
-            w = o.project(o.params_from_vector(rng.uniform(-3, 3, size=2)))
+            w = o.project(P.from_vector(rng.uniform(-3, 3, size=2), o.template()))
             g = o.stochastic_grad(w, rng)
             dev = math.sqrt(P.sq_distance(g, o.grad(w)))
             assert dev <= 0.5 * (1 + 1e-12)
-            assert math.sqrt(P.sq_norm(g)) <= G * (1 + 1e-12)
+            assert math.sqrt(P.sq_distance(g, o.template())) <= G * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("E, d", [(1, 1), (2, 1), (7, 1), (2, 16), (3, 5), (4, 129)])
@@ -206,7 +210,7 @@ class TestProjectRows:
             warnings.simplefilter("error")
             for w in (o.project(far), sgd_step(far, vec(o, 0.0, 0.0, 0.0, 0.0), 1.0,
                                                (o.center, o.radius))):
-                np.testing.assert_allclose(P.as_vector(w) - o.center,
+                np.testing.assert_allclose(w.vector - o.center,
                                            [math.sqrt(2.0), math.sqrt(2.0), 0.0, 0.0], rtol=1e-12)
 
 
@@ -214,18 +218,18 @@ class TestSgdStep:
     def test_zero_gradient(self):
         o = quad(np.eye(2), [0.0, 0.0])
         w = vec(o, 1.0, 2.0)
-        assert sgd_step(w, P.zeros_like(w), 0.3) == w
+        assert sgd_step(w, o.template(), 0.3) == w
 
     def test_scalar_step(self):
         o = quad(np.eye(2), [0.0, 0.0])
         out = sgd_step(vec(o, 0.0, 0.0), vec(o, 1.0, 0.0), 0.5)
-        np.testing.assert_array_equal(P.as_vector(out), [-0.5, 0.0])
+        np.testing.assert_array_equal(out.vector, [-0.5, 0.0])
 
     def test_projection_onto_ball(self):
         o = quad(np.eye(2), [0.0, 0.0])
         out = sgd_step(vec(o, 0.9, 0.0), vec(o, -1.0, 0.0), 0.5,
                        ball=(np.zeros(2), 1.0))
-        np.testing.assert_allclose(P.as_vector(out), [1.0, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(out.vector, [1.0, 0.0], rtol=1e-15)
 
     def test_eta_positive_required(self):
         o = quad(np.eye(2), [0.0, 0.0])
@@ -285,7 +289,7 @@ class TestConstantsFor:
 class TestClassifier:
     def test_uniform_logits_loss(self):
         obj = ClassifierObjective(architecture=((3, 4, "linear"),))
-        w = obj.zero_params()
+        w = obj.template()
         x = np.random.default_rng(6).uniform(size=(5, 3))
         y = np.array([0, 1, 2, 3, 0])
         assert obj.loss(w, (x, y)) == pytest.approx(math.log(4.0), rel=1e-12)
@@ -301,8 +305,8 @@ class TestClassifier:
         w = obj.init_params(rng, scale=0.5)
         x = rng.uniform(size=(6, 5))
         y = rng.integers(0, 3, size=6)
-        g = P.as_vector(obj.grad(w, (x, y)))
-        wv = P.as_vector(w)
+        g = obj.grad(w, (x, y)).vector
+        wv = w.vector
         h = 1e-5
         idx = rng.choice(wv.size, size=25, replace=False)
         for j in idx:
@@ -329,7 +333,7 @@ class TestClassifier:
     def test_empty_batch_rejected(self):
         obj = ClassifierObjective(architecture=((2, 2, "linear"),))
         with pytest.raises(ValueError):
-            obj.loss(obj.zero_params(), (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+            obj.loss(obj.template(), (np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
     def test_empty_embedded_dataset_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -344,7 +348,7 @@ class TestClassifier:
         obj = ClassifierObjective(architecture=((2, 2, "linear"),))
         for y in ([2], [-1], [0, 1]):
             with pytest.raises(ValueError, match="one label in"):
-                obj.grad(obj.zero_params(), (np.zeros((1, 2)), np.array(y)))
+                obj.grad(obj.template(), (np.zeros((1, 2)), np.array(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +437,7 @@ class TestClassifierKernelBits:
         obj = ClassifierObjective(architecture=arch, data_x=x, data_y=y)
         for scale in (0.1, 2.0):
             w = obj.init_params(rng, scale=scale)
-            v = P.as_vector(w)
+            v = w.vector
             for batch, (bx, by) in ((None, (x, y)), ((xb, yb), (xb, yb))):
                 assert _bits(obj.loss(w, batch)) == _bits(_loss_ref(arch, v, bx, by))
                 g = obj.grad(w, batch)
