@@ -211,6 +211,16 @@ def write_report_csv(report: ConvergenceReport, fh: TextIO) -> None:
 
 
 def write_report_json(report: ConvergenceReport, fh: TextIO) -> None:
-    """The report as indented JSON to the open text file fh."""
-    json.dump(report.to_jsonable(), fh, indent=2)
-    fh.write("\n")
+    """The report to the open text file fh with the bytes of json.dump(report.to_jsonable(),
+    fh, indent=2) and a newline, through json's C encoder, which indent turns off: a json.dumps
+    of the head, then of each series 64 rows at a time, its ", " separators made indent=2's."""
+    head, row, num = report.to_jsonable(), "\n    ],\n    [\n      ", ",\n      "
+    series = [(key, head.pop(key)) for key in ("series", "divergence_series")]
+    fh.write(json.dumps(head, indent=2)[:-2])   # all but its closing "\n}"
+    for key, rows in series:
+        fh.write(f',\n  "{key}": [')
+        for i in range(0, len(rows), 64):
+            text = json.dumps(rows[i:i + 64])[2:-2].replace("], [", row).replace(", ", num)
+            fh.write(("," if i else "") + "\n    [\n      " + text + "\n    ]")
+        fh.write("\n  ]" if rows else "]")
+    fh.write("\n}\n")

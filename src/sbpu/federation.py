@@ -10,16 +10,16 @@ client divergence after each, (4) defend each uploaded parameter delta and
 aggregate by sample fraction, (5) rotate the history and advance the round
 counter.  So a round pays only for its random draws and its arithmetic.
 
-Inside a round the K dispatched models are the rows of one (K, d) float64
-array, from the mutation through the envelope reports, local SGD, defense
-and aggregation: quadratic clients step all rows at once (QuadraticStack),
-classifier clients one stacked backprop per run of like clients, a slice
-of the rows (Cohort.groups), each row with the bits it gets alone.  Only
-the last local step's losses are recorded, like the global loss by stacked
-forwards per group over its data, a run of clients at a time whose widest
-activation stays within objectives.LOSS_BLOCK_BYTES (ClassifierObjective._loss);
-earlier ones are certified finite, a classifier's per row
-(ClassifierObjective._loss_certified) and evaluated where that fails, a
+Inside a round the K dispatched models are the rows of one (K, d) float64 array,
+from the mutation through the envelope reports, local SGD, defense and
+aggregation: quadratic clients step all rows at once (QuadraticStack) on the
+centred rows the step before handed on, classifier clients one stacked backprop
+per run of like clients, a slice of the rows (Cohort.groups), each row with the
+bits it gets alone.  Only the last local step's losses are recorded, like the
+global loss by stacked forwards per group over its data, a run of clients at a
+time whose widest activation stays within objectives.LOSS_BLOCK_BYTES
+(ClassifierObjective._loss); earlier ones are certified finite, a classifier's per
+row (ClassifierObjective._loss_certified) and evaluated where that fails, a
 quadratic cohort's once per run (Cohort.certified).
 The divergence squares its deviations in place; under the identity defense
 the aggregate is the mean it computed at the last step.  The new aggregate
@@ -268,18 +268,20 @@ class Cohort(tuple):
             for obj, size, ks, _, _ in self.groups]
 
 
-def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
-                draws) -> tuple[np.ndarray, list[float] | None]:
-    """Local iteration s of client k on row k of X: (new rows, their full
-    losses if s is the last iteration E - 1, else None).
+def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int, draws, D=None
+                ) -> tuple[np.ndarray, list[float] | None, np.ndarray | None]:
+    """Local iteration s of client k on row k of X (and a quadratic cohort's D = X - c
+    from iteration s - 1): (new rows, their full losses if s is the last iteration
+    E - 1, else None, a quadratic cohort's new D, else None).
 
     Rows stay flat; LayeredParams appears only at the history and the public
     functions.  Quadratic clients start from their row projected onto their
     radius-R ball and take projected sphere-noise gradient steps, all rows at
-    once, with draws the round's noise block; classifier clients each step
-    X[k] + (-eta) * g on one batch sampled uniformly with replacement, one
-    stacked backprop per Cohort group on a slice of the rows, with no copy,
-    with draws per group its batch indices (k, E, batch_size): slices of data its
+    once, with draws the round's noise block; rows whose projection flags them all
+    in their balls, so finite, skip the rows' check.  Classifier clients each step
+    X[k] + (-eta) * g on one batch sampled uniformly with replacement, one stacked
+    backprop per Cohort group on a slice of the rows, with no copy, with draws
+    per group its batch indices (k, E, batch_size): slices of data its
     objectives checked when built, which the kernels take unchecked.  The first client
     whose row is not finite raises params.NonFiniteError, or DivergenceError if only its
     loss is not.  A group's losses are one stacked _loss call over its data: at the last
@@ -289,7 +291,7 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
-    quads, last = clients.quads, s == clients[0].E - 1
+    quads, last, ok = clients.quads, s == clients[0].E - 1, False
     if quads is None:
         new, losses = np.empty_like(X), np.zeros(len(clients))
         for (obj, _, ks, (DX, DY), x_max), batches in zip(clients.groups, draws):
@@ -300,15 +302,17 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int,
                 losses[ks][due] = obj._loss(rows[due], (DX[due], DY[due]))
         X = new
     else:
-        X = quads.sgd_step(quads.project(X) if s == 0 else X, eta, draws, s)
+        if s == 0:
+            X, D, _ = quads.project(X)
+        X, D, ok = quads.sgd_step(X, D, eta, draws, s)
         losses = quads.loss(X) if last or not clients.certified else None
-    if not (np.isfinite(X).all() and (losses is None or np.isfinite(losses).all())):
+    if not ((ok or np.isfinite(X).all()) and (losses is None or np.isfinite(losses).all())):
         k = int(np.argmin(np.isfinite(X).all(axis=1) & (losses is None or np.isfinite(losses))))
         if not np.isfinite(X[k]).all():
             raise P.NonFiniteError(f"client {clients[k].id}, local iteration {s}: "
                                    "non-finite value in parameters")
         raise DivergenceError(clients[k].id, s)
-    return X, losses.tolist() if last else None
+    return X, losses.tolist() if last else None, D
 
 
 def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
@@ -318,9 +322,9 @@ def local_train(c: ClientState, w_init: LayeredParams, schedule: LrSchedule,
     E steps' noise or batches are one rng call, Cohort.draws, as in a round."""
     cohort, X = Cohort([c]), w_init.vector[None, :]
     P.check_same_shape(cohort.template, w_init)
-    draws = cohort.draws([rng])
+    draws, D = cohort.draws([rng]), None
     for s in range(c.E):
-        X, _ = _local_step(cohort, X, schedule.lr_at(global_step_offset + s), s, draws)
+        X, _, D = _local_step(cohort, X, schedule.lr_at(global_step_offset + s), s, draws, D)
     return P.from_vector(X[0], w_init)
 
 
@@ -426,11 +430,11 @@ def run_round(h: GlobalHistory, clients: Sequence[ClientState], rates: Diversity
             raise P.NonFiniteError(f"round {h.round}, client {c.id}: non-finite "
                                    f"envelope quantity in {b}")
 
-    trained, step_divergences = dispatched, []
+    trained, D, step_divergences = dispatched, None, []
     for s in range(E):
         try:
-            trained, losses = _local_step(cohort, trained, schedule.lr_at(h.round * E + s), s,
-                                          streams["train"])
+            trained, losses, D = _local_step(cohort, trained, schedule.lr_at(h.round * E + s),
+                                             s, streams["train"], D)
         except P.NonFiniteError as e:
             raise P.NonFiniteError(f"round {h.round}, {e}") from e
         d, mean = _divergence(trained, p, h.w_glb.layout)

@@ -261,11 +261,12 @@ def _envelopes(X: np.ndarray, h: GlobalHistory, alpha: float) -> list[BoundRepor
     if alpha <= 0.0:
         raise ValueError("alpha must be > 0")
     w, layout = h.w_glb.vector, h.w_glb.layout
-    delta_sq = P.layer_sq_sums((w - h.w_prev.vector)[None], layout)[0]
+    delta, V = w - h.w_prev.vector, X - w   # fresh differences: squared in place
+    delta_sq = P._row_sq_sums(np.multiply(delta, delta, out=delta)[None], layout)[0]
     lower = alpha * alpha * delta_sq
     upper = 4.0 * alpha * alpha * delta_sq
     reports = []
-    for dist_sq in P.layer_sq_sums(X - w, layout):
+    for dist_sq in P._row_sq_sums(np.multiply(V, V, out=V), layout):
         slack = BOUND_SLACK * max(dist_sq, upper, 1e-300)
         # an overflowed distance would make the slack infinite and always hold
         holds = math.isfinite(dist_sq) and (lower - slack) <= dist_sq <= (upper + slack)

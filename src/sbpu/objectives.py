@@ -13,7 +13,8 @@ Strong convexity forces unbounded gradients globally, so the bounded-
 gradient constant G is defined on a projection ball of radius R around the
 quadratic's center: stochastic gradients there satisfy ||g|| <= L*R + sigma.
 Stochastic noise is drawn uniformly from the sphere of radius sigma, so the
-variance bound holds with equality and the norm bound holds surely.
+variance bound holds with equality and the norm bound holds surely.  QuadraticStack
+steps on the centred rows X - c its projection hands on, with a finiteness flag.
 
 Kernel rule: the per-call kernels use np.add.reduce, np.maximum.reduce and
 np.array, not np.sum, np.max, np.mean or np.stack, whose Python-level dispatch
@@ -117,17 +118,17 @@ class QuadraticObjective:
 
         Requires w inside the projection ball; callers project first.
         """
-        v = w.vector
-        r = float(np.linalg.norm(v - self.center))
+        D = w.vector[None] - self.center
+        r = float(np.linalg.norm(D))
         if r > self.radius * (1.0 + 1e-12):
             raise ValueError(f"w outside projection ball: distance {r:g} > radius {self.radius:g}")
         return P.from_vector(
-            self._stack.stochastic_grad(v[None], self._stack.noise([rng], 1), 0)[0], self._template)
+            self._stack.stochastic_grad(D, self._stack.noise([rng], 1), 0)[0], self._template)
 
     def project(self, w: LayeredParams) -> LayeredParams:
         """Euclidean projection onto the ball of radius R around the center."""
         with np.errstate(over="ignore"):   # a far point's distance may overflow
-            return P.from_vector(self._stack.project(w.vector[None])[0], self._template)
+            return P.from_vector(self._stack.project(w.vector[None])[0][0], self._template)
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -184,8 +185,14 @@ class QuadraticStack:
         D = X - self.center
         return 0.5 * np.vecdot(np.matmul(D[:, None, :], self.matrix)[:, 0], D)
 
-    def project(self, X: np.ndarray) -> np.ndarray:
-        return _project_rows(X, self.center, self.radius)
+    def project(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(_project_rows(X), its D = rows - center, ok), ok true only when every row's norm
+        r has r <= R, so no row moved and all are finite (a NaN or inf r fails <=)."""
+        D = X - self.center
+        if np.logical_and.reduce(_row_norms(D) <= self.radius):
+            return X, D, True
+        X = _project_rows(X, self.center, self.radius)
+        return X, X - self.center, False
 
     def noise(self, rngs: Sequence[np.random.Generator], E: int) -> np.ndarray | None:
         """E steps' sphere noise of one round or several, rngs holding K generators a
@@ -212,21 +219,23 @@ class QuadraticStack:
         rounds *= self.scale / n.reshape(-1, len(self.rows), E, 1)
         return xi
 
-    def stochastic_grad(self, X: np.ndarray, noise: np.ndarray | None, s: int) -> np.ndarray:
-        """Row k: objective k's gradient plus its step s of noise (a noise block),
-        for rows inside their balls (unchecked)."""
-        D = X - self.center
+    def stochastic_grad(self, D: np.ndarray, noise: np.ndarray | None, s: int) -> np.ndarray:
+        """Row k: objective k's gradient at the centred row D[k] = x - c plus its step s
+        of noise (a noise block), for rows inside their balls (unchecked)."""
         G = np.matmul(self.matrix, D[:, :, None])[:, :, 0]
-        if noise is not None:
+        if noise is not None and isinstance(self.noisy, slice):   # all noisy: no view set back
+            G += noise[:, s]
+        elif noise is not None:
             G[self.noisy] += noise[:, s]
         return G
 
-    def sgd_step(self, X: np.ndarray, eta: float, noise: np.ndarray | None, s: int) -> np.ndarray:
-        """One projected stochastic gradient step s per row (sgd_step with the
-        ball) at an eta > 0 the caller has checked, from rows inside their
-        balls: the result's rows are, up to rounding, which is what lets the
-        stack skip the ball check and a Cohort certify their losses finite."""
-        return self.project(X + (-eta) * self.stochastic_grad(X, noise, s))
+    def sgd_step(self, X: np.ndarray, D: np.ndarray, eta: float, noise: np.ndarray | None,
+                 s: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        """One projected stochastic gradient step s per row (sgd_step with the ball) at
+        an eta > 0 the caller has checked, from rows X inside their balls and their D:
+        project's triple.  Its rows are in their balls, up to rounding, which is what
+        lets the stack skip the ball check and a Cohort certify their losses finite."""
+        return self.project(X + (-eta) * self.stochastic_grad(D, noise, s))
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def layer_sq_sums(V: np.ndarray, layout: tuple) -> list[float]:
     prints 17 digits).  The reduction along axis 1 adds each row in the order
     it adds that row alone, so a row's sum does not depend on K.  A row whose
     finite layer sums add past the float range sums to inf.  V is left as it
-    is; _row_sq_sums takes squares."""
+    is; _row_sq_sums takes squares, which callers with a fresh V square in place."""
     return _row_sq_sums(V ** 2, layout)
 
 
@@ -185,7 +185,8 @@ def _row_sq_sums(sq: np.ndarray, layout: tuple) -> list[float]:
 def sq_distance(a: LayeredParams, b: LayeredParams) -> float:
     """Squared Euclidean distance over all scalars."""
     check_same_shape(a, b)
-    return layer_sq_sums((a.vector - b.vector)[None], a.layout)[0]
+    v = a.vector - b.vector
+    return _row_sq_sums(np.multiply(v, v, out=v)[None], a.layout)[0]
 
 
 def scale(p: LayeredParams, coef: float) -> LayeredParams:

@@ -1,10 +1,13 @@
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbpu import convergence
 from sbpu import params as P
@@ -340,3 +343,32 @@ def test_report_writers_build_no_per_row_copies(tmp_path):
     assert lines[1] == "2,1,3,0.0005,0.0025" and lines[-2] == "3000,0.000666667,0.002,nan,nan"
     data = json.loads((tmp_path / "r.json").read_text())
     assert data["series"][0] == [2, 1.0, 3.0] and len(data["divergence_series"]) == 2999
+
+
+_report_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=st.lists(st.tuples(st.integers(0, 10 ** 6), _report_floats, _report_floats),
+                       max_size=150),
+       divergence=st.lists(st.tuples(st.integers(0, 10 ** 6), _report_floats, _report_floats,
+                                     _report_floats), max_size=150),
+       head=st.tuples(_report_floats, _report_floats, _report_floats),
+       sigma=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=3),
+       n_seeds=st.integers(1, 3), repeat=st.sampled_from([1, 1, 70]))
+def test_report_json_is_the_indented_json_dump(series, divergence, head, sigma, n_seeds,
+                                               repeat):
+    # empty series, NaN, +-inf, -0.0 and subnormals; single_seed_note null or a string;
+    # repeated, series span several of the writer's 64-row runs
+    rep = ConvergenceReport(series=tuple(series) * repeat,
+                            divergence_series=tuple(divergence) * repeat,
+                            constants=consts(sigma=sigma), B=head[0], f_star=head[1],
+                            D0=head[2], n_seeds=n_seeds)
+    want = io.StringIO()
+    json.dump(rep.to_jsonable(), want, indent=2)
+    want.write("\n")
+    got = io.StringIO()
+    write_report_json(rep, got)
+    assert got.getvalue() == want.getvalue()

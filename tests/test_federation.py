@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbpu
-from sbpu import federation
+from sbpu import federation, objectives
 from sbpu import params as P
 from sbpu import seeds
 from sbpu.federation import (NOISE_BLOCK_BYTES, ROUND_BLOCK, ClientState, Cohort, DefensePolicy,
@@ -26,7 +26,7 @@ from sbpu.federation import (NOISE_BLOCK_BYTES, ROUND_BLOCK, ClientState, Cohort
 from sbpu.mutation import (DiversityRates, GlobalHistory, _dispatch_matrix,
                            check_neighborhood_bound, generate_diverse_models, sbpu_mutate)
 from sbpu.objectives import (ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack,
-                             sgd_step)
+                             _project_rows, sgd_step)
 
 from conftest import stream_lists
 
@@ -601,9 +601,9 @@ class TestBatchedEngine:
         X = rng.standard_normal((2, clients.template.vector.size)) * 1e150
         batches = [rng.integers(0, 20, size=(1, 3, 3)) for _ in clients.groups]   # (k, E, b)
         with np.errstate(all="ignore"):   # the sigmoid saturates
-            _, losses = _local_step(clients, X, 1e-300, 0, batches)
+            _, losses, _ = _local_step(clients, X, 1e-300, 0, batches)
             assert losses is None and evaluated == ["relu"]
-            _, losses = _local_step(clients, X, 1e-300, 2, batches)
+            _, losses, _ = _local_step(clients, X, 1e-300, 2, batches)
         assert evaluated == ["relu"] * 2 + ["sigmoid"] and all(map(math.isfinite, losses))
 
     def test_classifier_round_draws_batches_with_one_integers_call(self, monkeypatch):
@@ -826,11 +826,11 @@ class TestRoundTrims:
         assert clients.certified
         draws = clients.quads.noise([seeds.stream(82, "train", 0, c.id) for c in clients], 3)
         draws[1, 1, 2] = math.nan   # client 21's noise at local iteration 1
-        X, losses = _local_step(clients, np.array([o.center for o in objs]), 0.1, 0, draws)
+        X, losses, D = _local_step(clients, np.array([o.center for o in objs]), 0.1, 0, draws)
         assert losses is None and np.isfinite(X).all()
         with pytest.raises(P.NonFiniteError,
                            match="client 21, local iteration 1: non-finite value in parameters"):
-            _local_step(clients, X, 0.1, 1, draws)
+            _local_step(clients, X, 0.1, 1, draws, D)
 
     @pytest.mark.parametrize("K, policy", [
         (1, DefensePolicy()), (3, DefensePolicy()),
@@ -863,6 +863,123 @@ class TestRoundTrims:
         v = aggregate(updates, range(1, K + 1)).vector
         assert not v.flags.writeable
         assert not any(np.shares_memory(v, u.vector) for u in updates)
+
+
+def recentred_steps(clients, X, etas, draws):
+    """The reference for _local_step's quadratic steps, each centring its rows anew: per
+    step s, the projection (at s = 0 also one first), the gradient at X by its own
+    centring, X + (-eta) * G, then every row's finiteness check.  Each step's (rows'
+    bytes, last step's losses or None); it raises as _local_step does."""
+    q, E, out = clients.quads, clients[0].E, []
+    for s, eta in enumerate(etas):
+        if s == 0:
+            X = _project_rows(X, q.center, q.radius)
+        G = np.matmul(q.matrix, (X - q.center)[:, :, None])[:, :, 0]
+        if draws is not None:
+            G[q.noisy] += draws[:, s]
+        X = _project_rows(X + (-eta) * G, q.center, q.radius)
+        losses = q.loss(X) if s == E - 1 or not clients.certified else None
+        if not (np.isfinite(X).all() and (losses is None or np.isfinite(losses).all())):
+            k = int(np.argmin(np.isfinite(X).all(axis=1) & (losses is None or np.isfinite(losses))))
+            if not np.isfinite(X[k]).all():
+                raise P.NonFiniteError(f"client {clients[k].id}, local iteration {s}: "
+                                       "non-finite value in parameters")
+            raise DivergenceError(clients[k].id, s)
+        out.append((X.tobytes(), losses.tolist() if s == E - 1 else None))
+    return out
+
+
+def carried_steps(clients, X, etas, draws):
+    """_local_step's E steps, each on the D its step before returned."""
+    out, D = [], None
+    for s, eta in enumerate(etas):
+        X, losses, D = _local_step(clients, X, eta, s, draws, D)
+        assert D.tobytes() == (X - clients.quads.center).tobytes()
+        out.append((X.tobytes(), losses))
+    return out
+
+
+def steps_outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except (P.NonFiniteError, DivergenceError) as e:
+        return type(e), str(e)
+
+
+class TestCentredSteps:
+    """A quadratic step takes its rows' D from the projection before it, and skips the
+    rows' finiteness check where that projection's norms all pass r <= R."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_carried_steps_match_recentred_steps_bit_for_bit(self, data):
+        # rows inside, on and outside their balls, finite rows past 1.3e154, NaN and inf
+        # rows and noise, zero-sigma rows among noisy ones, uncertified cohorts
+        K, d, E = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6)), data.draw(
+            st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        sigmas = data.draw(st.lists(st.sampled_from([0.0, 0.3, 2.0]), min_size=K, max_size=K))
+        radii = data.draw(st.lists(st.sampled_from([0.5, 3.0, 3.0, 1e160]), min_size=K,
+                                   max_size=K))
+        objs = []
+        for sigma, radius in zip(sigmas, radii):
+            M = rng.standard_normal((d, d))
+            objs.append(quad(M @ M.T / d + np.eye(d), rng.integers(-8, 8, d) / 8.0,
+                             sigma=sigma, radius=radius))
+        clients = Cohort([ClientState(id=30 + k, n_k=1, objective=o, E=E)
+                          for k, o in enumerate(objs)])
+        X = np.empty((K, d))
+        for k, (o, start) in enumerate(zip(objs, data.draw(st.lists(st.sampled_from(
+                ["inside", "on", "outside", "far", "nan", "inf"]), min_size=K, max_size=K)))):
+            u = rng.standard_normal(d)
+            X[k] = {"inside": o.center + 0.1 * u / max(np.linalg.norm(u), 1.0),
+                    "on": o.center + o.radius * np.eye(d)[0], "outside": o.center + 1e3 * u,
+                    "far": 1e155 * u, "nan": np.full(d, math.nan), "inf": np.full(d, -math.inf)
+                    }[start]
+        draws = clients.quads.noise([seeds.stream(31, "train", 0, c.id) for c in clients], E)
+        if draws is not None and data.draw(st.booleans()):
+            draws[data.draw(st.integers(0, len(draws) - 1)), data.draw(st.integers(0, E - 1)),
+                  data.draw(st.integers(0, d - 1))] = data.draw(
+                st.sampled_from([math.nan, math.inf, 1e300]))
+        etas = data.draw(st.lists(st.sampled_from([0.01, 0.3, 1e300]), min_size=E, max_size=E))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            want = steps_outcome(recentred_steps, clients, X.copy(), etas, draws)
+            got = steps_outcome(carried_steps, clients, X.copy(), etas, draws)
+        assert got == want
+
+    def test_steady_round_projects_no_row_and_takes_e_plus_one_norms(self, monkeypatch):
+        # an AC-06-shaped cohort (K 4, d 16, E 2, radius 4, sigma 0.1) in its second round,
+        # which slices its noise from the block: every row stays in its ball, so only the
+        # first projection's and each step's norms run, no row is projected, and the rows
+        # get no isfinite pass (the round's only one is the last step's losses')
+        objs = quad_suite(4, 16, seed=87, sigma=0.1, spread=0.3, radius=4.0)
+        plan = RunPlan(clients=[ClientState(id=k, n_k=1, objective=o, E=2)
+                                for k, o in enumerate(objs)],
+                       rates=DiversityRates(0.05, 0.0375), schedule=LrSchedule(mu=1.0, gamma=16.0),
+                       policy=DefensePolicy(), rounds=3, seed=88, w_init=objs[0].template(),
+                       tie_gradients=True)
+        assert plan.clients.certified
+        rounds, calls = iter_rounds(plan), []
+        next(rounds)
+        for name in ("_project_rows", "_row_norms"):
+            f = getattr(objectives, name)
+            monkeypatch.setattr(objectives, name,
+                                lambda *a, f=f, name=name: calls.append(name) or f(*a))
+
+        class Numpy:   # federation's numpy, its isfinite calls counted
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def isfinite(a):
+                calls.append(("isfinite", np.shape(a)))
+                return np.isfinite(a)
+
+        monkeypatch.setattr(federation, "np", Numpy())
+        next(rounds)
+        assert calls == ["_row_norms"] * 3 + [("isfinite", (4,))]
 
 
 class TestRunFederation:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -386,6 +387,27 @@ class TestNeighborhoodBound:
             out = apply_stochastic_lists(w, g, gp, rates, [list(perm)])
             total = total + (out.vector - w.vector)
         assert math.sqrt(P.layer_sq_sums(total[None], w.layout)[0]) / len(perms) < 1e-12
+
+    def test_envelopes_square_their_differences_in_place(self):
+        # a (16, 4096) stack: each difference is squared where it is made, so the
+        # audit allocates at most one (16, 4096) array beyond its reports (two with
+        # layer_sq_sums, which squares a copy), with the same bits; the slack covers
+        # the 32 KiB aggregate difference and numpy's 64 KiB broadcast buffer
+        rng = np.random.default_rng(16)
+        w = P.from_arrays([rng.standard_normal((64, 48)), rng.standard_normal(1024)],
+                          ["weight", "bias"])
+        h = GlobalHistory(w, pair_like(rng, w), pair_like(rng, w), round=4)
+        X = rng.standard_normal((16, 4096))
+        tracemalloc.start()
+        try:
+            reports = mutation._envelopes(X, h, 0.2)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= X.nbytes + X.nbytes // 4, peak - current
+        delta_sq = P.layer_sq_sums((w.vector - h.w_prev.vector)[None], w.layout)[0]
+        assert [r.dist_sq for r in reports] == P.layer_sq_sums(X - w.vector, w.layout)
+        assert {r.delta_sq for r in reports} == {delta_sq}
 
     def test_overflowed_distance_does_not_hold(self):
         h = GlobalHistory.bootstrap(single(0.0, 0.0))
