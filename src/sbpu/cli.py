@@ -6,6 +6,11 @@ convergence (Monte-Carlo gap and divergence measurement against the
 closed-form bounds).  FederationConfig validates the file together with the
 command-line values and each command's needs; this module only dispatches.
 
+run-fl (metrics.csv, and bounds.csv when alpha is set) and verify-bounds
+(bounds.csv, and its table on stdout) open their per-round outputs before round 0
+and write each round's rows as it arrives: they keep no round records, and a run
+that stops leaves the rows of the rounds it finished.
+
 Exit codes: 0 ok, 1 configuration error (or a run too large to allocate, or an
 output file that cannot be written, named in the message), 2 runtime divergence
 (a non-finite loss, parameter value, divergence or envelope quantity), 3 bound
@@ -20,6 +25,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -27,7 +33,7 @@ from . import params as P
 from .attacks import ir_experiment, lia_experiment, mia_experiment
 from .config import ConfigError, FederationConfig
 from .convergence import run_convergence_experiment, write_report_csv, write_report_json
-from .federation import DivergenceError, iter_rounds, run_federation
+from .federation import DivergenceError, iter_rounds
 
 log = logging.getLogger("sbpu")
 
@@ -49,68 +55,68 @@ def _load(args, **fixed) -> FederationConfig:
 
 
 def _outdir(cfg: FederationConfig) -> Path:
+    """The output directory, created, with the run's manifest.json written in it."""
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:   # e.g. a path under a regular file
         raise ConfigError([f"out_dir: cannot create {str(out)!r}: {e.strerror or e}"]) from e
+    _write(out / "manifest.json", json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n")
     return out
 
 
-def _write(path: Path, *parts) -> None:
-    """Write the output file at path part by part: a str as it is, a function f as f(fh)
-    on the open file.  A file that cannot be opened or written is a configuration error
-    naming it (exit 1), not a traceback."""
+@contextmanager
+def _output(path: Path):
+    """The output file at path, open for writing.  A file that cannot be opened, written
+    or closed is a configuration error naming it (exit 1), not a traceback."""
     try:
         with open(path, "w") as fh:
-            for part in parts:
-                if isinstance(part, str):
-                    fh.write(part)
-                else:
-                    part(fh)
+            yield fh
     except OSError as e:
         raise ConfigError([f"cannot write {str(path)!r}: {e.strerror or e}"]) from e
 
 
-def _write_manifest(cfg: FederationConfig, out: Path) -> None:
-    _write(out / "manifest.json", json.dumps(cfg.manifest(), indent=2, sort_keys=True) + "\n")
+def _write(path: Path, *parts) -> None:
+    """Write path part by part: a str as it is, a function f as f(fh) on the open file."""
+    with _output(path) as fh:
+        for part in parts:
+            if isinstance(part, str):
+                fh.write(part)
+            else:
+                part(fh)
 
 
-def _write_metrics(records, K: int, out: Path) -> None:
-    cols = ["round", "global_loss", "divergence"] + [f"loss_{k}" for k in range(K)]
-    lines = [",".join(cols)]
-    for rec in records:
-        row = [str(rec.round), _fmt6(rec.global_loss), _fmt6(rec.divergence)]
-        row += [_fmt6(v) for v in rec.client_losses]
-        lines.append(",".join(row))
-    _write(out / "metrics.csv", "\n".join(lines) + "\n")
-
-
-def _write_bounds(records, out: Path) -> None:
-    """bounds.csv from the per-round reports."""
-    lines = ["round,client,dist_sq,lower,upper,holds"]
-    lines += [f"{rec.round},{k},{b.dist_sq:.17g},{b.lower:.17g},{b.upper:.17g},{int(b.holds)}"
-              for rec in records for k, b in enumerate(rec.bound_reports)]
-    _write(out / "bounds.csv", "\n".join(lines) + "\n")
+def _rounds(plan, out: Path):
+    """iter_rounds(plan), with each round's rows written to out/bounds.csv as it arrives
+    when alpha is set.  The file opens before round 0 runs, and its errors name it."""
+    if plan.alpha is None:
+        yield from iter_rounds(plan)
+        return
+    with _output(out / "bounds.csv") as fh:
+        fh.write("round,client,dist_sq,lower,upper,holds\n")
+        for h, rec in iter_rounds(plan):
+            fh.writelines(f"{rec.round},{k},{b.dist_sq:.17g},{b.lower:.17g},{b.upper:.17g},"
+                          f"{int(b.holds)}\n" for k, b in enumerate(rec.bound_reports))
+            yield h, rec
 
 
 def cmd_run_fl(args) -> int:
     cfg = _load(args)
     plan = cfg.build_plan()
     out = _outdir(cfg)
-    _write_manifest(cfg, out)
     w_final = plan.w_init
-    records = []
-    for h, rec in iter_rounds(plan):
-        records.append(rec)
-        w_final = h.w_glb
-        if cfg.checkpoint_every > 0 and (rec.round + 1) % cfg.checkpoint_every == 0:
-            _write(out / f"checkpoint_{rec.round:05d}.json", partial(P.write_json, w_final), "\n")
-    _write_metrics(records, len(plan.clients), out)
-    if plan.alpha is not None:
-        _write_bounds(records, out)
+    with _output(out / "metrics.csv") as fh:
+        fh.write(",".join(["round,global_loss,divergence"]
+                          + [f"loss_{k}" for k in range(len(plan.clients))]) + "\n")
+        for h, rec in _rounds(plan, out):
+            fh.write(",".join([str(rec.round), _fmt6(rec.global_loss), _fmt6(rec.divergence),
+                               *map(_fmt6, rec.client_losses)]) + "\n")
+            w_final = h.w_glb
+            if cfg.checkpoint_every > 0 and (rec.round + 1) % cfg.checkpoint_every == 0:
+                _write(out / f"checkpoint_{rec.round:05d}.json", partial(P.write_json, w_final),
+                       "\n")
     _write(out / "checkpoint_final.json", partial(P.write_json, w_final), "\n")
-    log.info("run-fl: %d rounds -> %s", len(records), out)
+    log.info("run-fl: %d rounds -> %s", plan.rounds, out)
     return EXIT_OK
 
 
@@ -118,19 +124,13 @@ def cmd_verify_bounds(args) -> int:
     cfg = _load(args, check_bounds=True)
     plan = cfg.build_plan()
     out = _outdir(cfg)
-    _write_manifest(cfg, out)
-    records = run_federation(plan)
-    _write_bounds(records, out)
-    violations = sum(not b.holds for rec in records for b in rec.bound_reports)
-
-    rates = cfg.rates()
-    a = cfg.alpha
-    compliant = (cfg.tie_gradients and rates.beta1 == a
-                 and a / 2.0 <= rates.beta2 <= a)
-    checked = sum(len(r.bound_reports) for r in records)
+    a, rates = cfg.alpha, cfg.rates()
+    compliant = cfg.tie_gradients and rates.beta1 == a and a / 2.0 <= rates.beta2 <= a
+    violations = checked = 0
     print(f"{'round':>5} {'violations':>10} {'checked':>8}")
-    for rec in records:
+    for _, rec in _rounds(plan, out):
         bad = sum(not b.holds for b in rec.bound_reports)
+        violations, checked = violations + bad, checked + len(rec.bound_reports)
         print(f"{rec.round:>5} {bad:>10} {len(rec.bound_reports):>8}")
     verdict = "PASS" if violations == 0 else "FAIL"
     print(f"total: {violations} violation(s) over {checked} checks "
@@ -152,7 +152,6 @@ def cmd_run_attack(args) -> int:
     cfg = _load(args)
     tag = cfg.attack_tag(args.attack)
     out = _outdir(cfg)
-    _write_manifest(cfg, out)
     rows = ["attack,setting,metric,member,nonmember"]
     if tag == "lia":
         rep = lia_experiment(cfg.seed)
@@ -186,7 +185,6 @@ def cmd_convergence(args) -> int:
     cfg = _load(args, check_bounds=True)
     ccfg = cfg.build_convergence()
     out = _outdir(cfg)
-    _write_manifest(cfg, out)
     report = run_convergence_experiment(ccfg)
     _write(out / "report.json", partial(write_report_json, report))
     _write(out / "report.csv", partial(write_report_csv, report))

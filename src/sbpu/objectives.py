@@ -137,14 +137,17 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
 
 
-def _project_rows(X: np.ndarray, center: np.ndarray, radius: np.ndarray) -> np.ndarray:
+def _project_rows(X: np.ndarray, center: np.ndarray, radius: np.ndarray,
+                  D: np.ndarray | None = None, r: np.ndarray | None = None) -> np.ndarray:
     """Row k of X, or center[k] + (x - center[k]) * R/r when it lies r > R =
     radius[k] from center[k]; only those rows are divided, and a finite one
-    whose r overflows (past about 1.3e154) by its largest |x - c| first.  The
-    public projections silence the overflow's numpy notice; the round engine,
+    whose r overflows (past about 1.3e154) by its largest |x - c| first.  A caller
+    holding D = X - center and r = _row_norms(D) passes them, to be overwritten.
+    The public projections silence the overflow's numpy notice; the round engine,
     where np.errstate would cost about 1 us a step, leaves it, as it does others."""
-    D = X - center
-    r = _row_norms(D)
+    if D is None:
+        D = X - center
+        r = _row_norms(D)
     out = r > radius
     if not out.any():
         return X
@@ -189,9 +192,10 @@ class QuadraticStack:
         """(_project_rows(X), its D = rows - center, ok), ok true only when every row's norm
         r has r <= R, so no row moved and all are finite (a NaN or inf r fails <=)."""
         D = X - self.center
-        if np.logical_and.reduce(_row_norms(D) <= self.radius):
+        r = _row_norms(D)
+        if np.logical_and.reduce(r <= self.radius):
             return X, D, True
-        X = _project_rows(X, self.center, self.radius)
+        X = _project_rows(X, self.center, self.radius, D, r)
         return X, X - self.center, False
 
     def noise(self, rngs: Sequence[np.random.Generator], E: int) -> np.ndarray | None:
@@ -344,7 +348,7 @@ class ClassifierObjective:
     """Fully connected softmax classifier over a fixed labeled dataset.
 
     architecture: (in_dim, out_dim, activation) per hidden layer; the final
-    entry must use activation "linear" and have out_dim == n_c.  Parameters
+    entry must use activation "linear", and its out_dim is n_c.  Parameters
     live in a LayeredParams with one weight layer (out x in filters-as-rows)
     and one bias layer per dense layer.  logits, predict, loss and grad check
     that layout once and run the flat-vector kernels the round engine calls.
@@ -353,7 +357,7 @@ class ClassifierObjective:
     architecture: tuple[tuple[int, int, str], ...]
     data_x: np.ndarray = None     # (n, in_dim)
     data_y: np.ndarray = None     # (n,) int labels
-    n_c: int = field(default=None)
+    n_c: int = field(init=False)   # the final layer's width
 
     def __post_init__(self):
         arch = tuple((*_widths("architecture", n, i, o), str(a))
@@ -368,9 +372,7 @@ class ClassifierObjective:
         for (_, o1, _), (i2, _, _) in zip(arch, arch[1:]):
             if o1 != i2:
                 raise ValueError("layer dimensions do not chain")
-        n_c = self.n_c if self.n_c is not None else arch[-1][1]
-        if n_c != arch[-1][1]:
-            raise ValueError("n_c must equal the final layer width")
+        n_c = arch[-1][1]
         x = None if self.data_x is None else np.asarray(self.data_x, dtype=np.float64)
         y = None if self.data_y is None else np.asarray(self.data_y, dtype=np.int64).ravel()
         if (x is None) != (y is None):
@@ -387,7 +389,7 @@ class ClassifierObjective:
         object.__setattr__(self, "architecture", arch)
         object.__setattr__(self, "data_x", x)
         object.__setattr__(self, "data_y", y)
-        object.__setattr__(self, "n_c", int(n_c))
+        object.__setattr__(self, "n_c", n_c)
         zeros = [np.zeros(s) for i, o, _ in arch for s in ((o, i), (1, o))]
         object.__setattr__(self, "_template", P.from_arrays(zeros, ["weight", "bias"] * len(arch)))
         dense, pos = [], 0   # per layer: W's index, W's shape, b's index (as a row), activation

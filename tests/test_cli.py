@@ -345,6 +345,62 @@ def test_unwritable_output_file_exit_1(tmp_path, capsys, command, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,name", [
+    ("run-fl", "metrics.csv"), ("run-fl", "bounds.csv"), ("verify-bounds", "bounds.csv"),
+])
+def test_unwritable_round_output_exit_1_before_any_round(tmp_path, capsys, monkeypatch, command,
+                                                         name):
+    # the per-round outputs open before round 0, so their errors cost no round
+    from sbpu import federation
+    monkeypatch.setattr(federation, "run_round", lambda *a, **k: pytest.fail("a round ran"))
+    path, out = write_config(tmp_path)
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and f"cannot write {str(out / name)!r}" in err
+    assert "Traceback" not in err
+
+
+def test_run_fl_memory_does_not_grow_with_rounds(tmp_path):
+    # each round's rows go to metrics.csv and bounds.csv as the round arrives, so
+    # no round record outlives its round: a kept K = 8 record is about 4 KiB
+    def peak(rounds):
+        path, _ = write_config(tmp_path, f"c{rounds}.json", K=8, E=1, rounds=rounds,
+                               objective={**base_config(tmp_path)["objective"], "dim": 4,
+                                          "layout": [[4, 1]]})
+        argv = ["run-fl", "--config", str(path), "--out", str(tmp_path / str(rounds))]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)   # the process's one-time allocations (caches, lazy imports) land here
+    short, long = peak(200), peak(1000)
+    assert abs(long - short) < 256 << 10, (short, long)
+
+
+@pytest.mark.parametrize("command", ["run-fl", "verify-bounds"])
+def test_run_that_stops_keeps_the_rows_of_its_finished_rounds(tmp_path, capsys, command):
+    # test_overflowed_envelope_exit_2's config fails in round 2: its files hold
+    # rounds 0 and 1, byte for byte those of the same run stopped after 2 rounds
+    def run(rounds, code):
+        out = tmp_path / f"out{rounds}"
+        path, _ = write_config(tmp_path, f"c{rounds}.json", K=2, beta1=1e300, beta2=1e300,
+                               tie_gradients=False, rounds=rounds,
+                               objective={**base_config(tmp_path)["objective"], "sigma": 0.3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
+            assert main([command, "--config", str(path), "--out", str(out)]) == code
+        return {f.name: f.read_bytes() for f in out.glob("*.csv")}, capsys.readouterr().out
+
+    (stopped, printed), (whole, table) = run(4, 2), run(2, 0)
+    assert stopped == whole and len(whole) == (2 if command == "run-fl" else 1)
+    # verify-bounds has printed the table lines of the finished rounds, all but the total
+    assert printed == table.rpartition("total: ")[0]
+
+
 def test_checkpoint_is_written_a_row_at_a_time(tmp_path):
     # a 784-128-10 model (101,770 parameters): its text as one string through
     # json.dumps alone peaks at about 9 MiB
@@ -727,7 +783,7 @@ def test_overflowed_global_loss_exit_2(tmp_path, capsys):
         warnings.simplefilter("ignore", RuntimeWarning)   # numpy overflow notices
         assert main(["run-fl", "--config", str(path)]) == 2
     assert "round 0: non-finite global loss inf" in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert (out / "metrics.csv").read_text() == "round,global_loss,divergence,loss_0,loss_1\n"
 
 
 def test_overflowed_dispatched_models_exit_2(tmp_path, capsys):

@@ -213,6 +213,15 @@ class TestProjectRows:
                 np.testing.assert_allclose(w.vector - o.center,
                                            [math.sqrt(2.0), math.sqrt(2.0), 0.0, 0.0], rtol=1e-12)
 
+    def test_projecting_a_point_outside_takes_its_norms_once(self, monkeypatch):
+        # the move reuses the centred rows and norms the ball check took
+        o = quad(np.eye(3), [1.0, 0.0, 0.0], radius=2.0)
+        calls, row_norms = [], objectives._row_norms
+        monkeypatch.setattr(objectives, "_row_norms", lambda V: calls.append(1) or row_norms(V))
+        w = o.project(vec(o, 4.0, 4.0, 0.0))
+        assert len(calls) == 1
+        np.testing.assert_allclose(w.vector, [1.0 + 1.2, 1.6, 0.0], rtol=1e-15)
+
 
 class TestSgdStep:
     def test_zero_gradient(self):
