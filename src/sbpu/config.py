@@ -31,10 +31,9 @@ import numpy as np
 
 from . import seeds
 from .convergence import ConvergenceConfig
-from .federation import ClientState, DefensePolicy, RunPlan
+from .federation import ClientState, Cohort, DefensePolicy, RunPlan
 from .mutation import DiversityRates
-from .objectives import (BlobDataset, ClassifierObjective, LrSchedule, QuadraticObjective,
-                         constants_for)
+from .objectives import BlobDataset, ClassifierObjective, LrSchedule, QuadraticObjective
 
 PRESETS = {"mnist": 0.025, "fmnist": 0.25, "cifar10": 0.15, "svhn": 1.1}
 ATTACK_TAGS = ("lia", "mia", "ir")
@@ -193,21 +192,21 @@ class FederationConfig:
     def build_plan(self) -> RunPlan:
         with _construction_errors("objective: "):
             objs = build_objectives(self.objective, self.K, self.seed)
-            schedule = self.build_schedule(objs)
         n_k = self.n_k or [1] * self.K
-        clients = tuple(ClientState(id=k, n_k=n_k[k], objective=objs[k],
-                                    E=self.E, batch_size=self.batch_size)
-                        for k in range(self.K))
-        with _construction_errors():    # RunPlan admits the clients
+        with _construction_errors():    # the clients, admitted once (Cohort)
+            clients = Cohort([ClientState(id=k, n_k=n_k[k], objective=objs[k], E=self.E,
+                                          batch_size=self.batch_size) for k in range(self.K)])
+        with _construction_errors("objective: "):
+            schedule = self.build_schedule(clients)
+        with _construction_errors():
             return RunPlan(clients=clients, rates=self.rates(), schedule=schedule,
                            policy=_checked(DefensePolicy, self.defense), rounds=self.rounds,
                            seed=self.seed, w_init=objs[0].template(),
                            alpha=self.alpha, tie_gradients=self.tie_gradients)
 
-    def build_schedule(self, objs) -> LrSchedule:
-        if all(isinstance(o, QuadraticObjective) for o in objs):
-            c = constants_for(objs, self.E, max(o.radius for o in objs))
-            mu, gamma = c.mu, c.gamma
+    def build_schedule(self, clients: Cohort) -> LrSchedule:
+        if clients.quads is not None:
+            mu, gamma = clients.constants.mu, clients.constants.gamma
         elif self.mu is None:
             raise ConfigError(["classifier runs need an explicit 'mu'"])
         else:

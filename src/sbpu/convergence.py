@@ -13,11 +13,12 @@ and the per-step client divergence against
 
 Expectations are estimated by averaging independent seeds; both the batch
 noise and the shuffles of the branch-selector lists are resampled per seed.
-Both bounds hold on one schedule, eta_t = 2/(mu*(t + gamma)) at the clients'
-mu and gamma = max(8*kappa, E).  ConvergenceConfig derives those constants, the
-optimum, D0 and B once, refusing any other schedule, a numerically singular combined
-matrix (by its eigenvalues) and bounds that overflow (B, or either bound at its first
-step, its largest); the experiment reads them and the cohort's weights.
+Both bounds hold on one schedule, eta_t = 2/(mu*(t + gamma)) at the clients' mu and
+gamma = max(8*kappa, E).  ConvergenceConfig reads those constants from the plan's Cohort,
+which derives them once per run, and derives the optimum, D0 and B once, refusing any
+other schedule, a numerically singular combined matrix (by its eigenvalues) and bounds
+that overflow (B, or either bound at its first step, its largest); the experiment reads
+them and the cohort's weights.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import params as P
 from . import seeds
 from .federation import measure_divergence  # re-exported: the divergence this module bounds
 from .federation import RunPlan, iter_rounds
-from .objectives import AssumptionConstants, QuadraticObjective, constants_for
+from .objectives import AssumptionConstants, QuadraticObjective
 from .params import LayeredParams
 
 
@@ -103,11 +104,10 @@ class ConvergenceConfig:
             raise ValueError("the bounds overflow: B = {}, gap bound at T = E {}, divergence "
                              "bound at t = 0 {}".format(*first))
 
-    @functools.cached_property
+    @property
     def constants(self) -> AssumptionConstants:
-        """The clients' constants on the largest of their projection balls."""
-        objs = [c.objective for c in self.plan.clients]
-        return constants_for(objs, self.plan.clients[0].E, max(o.radius for o in objs))
+        """The clients' constants on their largest ball, derived once (Cohort.constants)."""
+        return self.plan.clients.constants
 
     @functools.cached_property
     def B(self) -> float:

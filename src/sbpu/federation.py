@@ -20,7 +20,8 @@ global loss by stacked forwards per group over its data, a run of clients at a
 time whose widest activation stays within objectives.LOSS_BLOCK_BYTES
 (ClassifierObjective._loss); earlier ones are certified finite, a classifier's per
 row (ClassifierObjective._loss_certified) and evaluated where that fails, a
-quadratic cohort's once per run (Cohort.certified).
+quadratic cohort's once per run (Cohort.certified), which also covers a certified
+cohort's last-step losses where that step left every row in its ball.
 The divergence squares its deviations in place; under the identity defense
 the aggregate is the mean it computed at the last step.  The new aggregate
 is a copy of that mean, made once the local steps' temporaries are freed:
@@ -59,7 +60,8 @@ from . import params as P
 from . import seeds
 from .mutation import (BoundReport, DiversityRates, GlobalHistory, _dispatch_matrix, _envelopes,
                        _selector_plan)
-from .objectives import ClassifierObjective, LrSchedule, QuadraticObjective, QuadraticStack
+from .objectives import (AssumptionConstants, ClassifierObjective, LrSchedule, QuadraticObjective,
+                         QuadraticStack, constants_for)
 from .params import LayeredParams
 
 DP_DELTA = 1e-5  # delta used by the Gaussian-mechanism noise calibration
@@ -224,6 +226,11 @@ class Cohort(tuple):
         self.end, self._block = None, None
         return self
 
+    @functools.cached_property
+    def constants(self) -> AssumptionConstants:   # a quadratic cohort's, on its largest ball
+        objs = [c.objective for c in self]
+        return constants_for(objs, self[0].E, max(o.radius for o in objs))
+
     def for_rounds(self, end: int) -> "Cohort":
         """A copy for one run of the rounds below end, with its own block."""
         run = tuple.__new__(Cohort, self)
@@ -287,7 +294,8 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int, draws, D=Non
     loss is not.  A group's losses are one stacked _loss call over its data: at the last
     iteration all its rows, before it only the rows _loss_certified cannot show finite;
     0.0 stands in for the others.  Quadratic losses before the last iteration are
-    computed only for a cohort that is not certified; a certified one checks its rows.
+    computed only for a cohort that is not certified; a certified one checks its rows,
+    and its last iteration's losses, from the carried D, only where a row moved.
     """
     if eta <= 0.0:
         raise ValueError("eta must be > 0")
@@ -305,8 +313,9 @@ def _local_step(clients: Cohort, X: np.ndarray, eta: float, s: int, draws, D=Non
         if s == 0:
             X, D, _ = quads.project(X)
         X, D, ok = quads.sgd_step(X, D, eta, draws, s)
-        losses = quads.loss(X) if last or not clients.certified else None
-    if not ((ok or np.isfinite(X).all()) and (losses is None or np.isfinite(losses).all())):
+        losses = quads.loss(X, D) if last or not clients.certified else None
+    if not ((ok or np.isfinite(X).all()) and (losses is None or ok and clients.certified
+                                               or np.isfinite(losses).all())):
         k = int(np.argmin(np.isfinite(X).all(axis=1) & (losses is None or np.isfinite(losses))))
         if not np.isfinite(X[k]).all():
             raise P.NonFiniteError(f"client {clients[k].id}, local iteration {s}: "
@@ -350,8 +359,9 @@ def _fractions(sizes: Sequence[int]) -> list[float]:
 def _weighted_mean(X: np.ndarray, p: Sequence[float]) -> np.ndarray:
     """sum_k p_k * X[k] as a fresh vector: the anchor plus weighted
     deviations from the first row, so identical rows give that row bit for bit."""
-    base, acc = X[0], X[0].copy()
-    for x, pk in zip(X[1:], p[1:]):
+    base = X[0]
+    acc = base + p[1] * (X[1] - base) if len(X) > 1 else base.copy()
+    for x, pk in zip(X[2:], p[2:]):
         acc += pk * (x - base)
     return acc
 

@@ -132,9 +132,10 @@ class QuadraticObjective:
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of V as a stacked matmul self-dot: the
-    bits of np.linalg.norm per row (einsum and norm(axis=1) sum differently)."""
-    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+    """The Euclidean norm of each row of V as one self-dot per row (np.vecdot): the
+    bits of np.linalg.norm per row (einsum and norm(axis=1) sum differently); a row
+    past about 1.3e154 gives inf, with numpy's "overflow encountered in vecdot"."""
+    return np.sqrt(np.vecdot(V, V))
 
 
 def _project_rows(X: np.ndarray, center: np.ndarray, radius: np.ndarray,
@@ -143,8 +144,8 @@ def _project_rows(X: np.ndarray, center: np.ndarray, radius: np.ndarray,
     radius[k] from center[k]; only those rows are divided, and a finite one
     whose r overflows (past about 1.3e154) by its largest |x - c| first.  A caller
     holding D = X - center and r = _row_norms(D) passes them, to be overwritten.
-    The public projections silence the overflow's numpy notice; the round engine,
-    where np.errstate would cost about 1 us a step, leaves it, as it does others."""
+    The public projections silence the overflow's numpy notice (in vecdot); the round
+    engine, where np.errstate would cost about 1 us a step, leaves it, as it does others."""
     if D is None:
         D = X - center
         r = _row_norms(D)
@@ -183,9 +184,9 @@ class QuadraticStack:
         self.noisy = slice(None) if rows.size == len(objs) else rows
         self.scale = self.sigma[self.noisy, None, None]   # noise's sigma column, per noisy row
 
-    def loss(self, X: np.ndarray) -> np.ndarray:
-        """Objective k's loss at row k of X (or at X itself, when 1-D)."""
-        D = X - self.center
+    def loss(self, X: np.ndarray, D: np.ndarray | None = None) -> np.ndarray:
+        """Objective k's loss at row k of X (or at X itself, when 1-D); D = X - c if given."""
+        D = X - self.center if D is None else D
         return 0.5 * np.vecdot(np.matmul(D[:, None, :], self.matrix)[:, 0], D)
 
     def project(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:

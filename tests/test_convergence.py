@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbpu
 from sbpu import convergence
 from sbpu import params as P
 from sbpu.config import FederationConfig
@@ -292,6 +293,24 @@ class TestExperiment:
         # with theorem1_bound's bits at every recorded T
         assert [b for _, _, b in rep.series] == [
             theorem1_bound(rep.constants, 0.1, 2, 2, rep.D0, T) for T, _, _ in rep.series]
+
+    def test_constants_derived_once_per_run(self, monkeypatch):
+        # a convergence run's schedule and its report read the constants the plan's
+        # Cohort derives once; a moved schedule is still refused (the test above)
+        calls = []
+        for module in (sbpu, sbpu.objectives, sbpu.federation, sbpu.config, convergence):
+            if hasattr(module, "constants_for"):
+                monkeypatch.setattr(module, "constants_for",
+                                    lambda *a: calls.append(a) or constants_for(*a))
+        cfg = FederationConfig.from_dict({
+            "objective": {"kind": "quadratic_random", "dim": 4, "sigma": 0.1},
+            "K": 3, "E": 2, "rounds": 4, "alpha": 0.05, "beta1": 0.05, "beta2": 0.0375,
+            "tie_gradients": True, "n_seeds": 2}).build_convergence()
+        rep = run_convergence_experiment(cfg)
+        assert len(calls) == 1
+        assert rep.constants == cfg.plan.clients.constants == constants_for(*calls[0])
+        assert (cfg.plan.schedule.mu, cfg.plan.schedule.gamma) == (rep.constants.mu,
+                                                                  rep.constants.gamma)
 
     def test_eigenvalues_computed_once_per_objective(self, monkeypatch):
         # K = 4: each objective's eigvalsh at construction, which its smoothness,

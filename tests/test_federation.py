@@ -675,10 +675,10 @@ class TestBatchedEngine:
         """The row counts of the cohort's QuadraticStack.loss calls, as they come."""
         loss, rows = QuadraticStack.loss, []
 
-        def counted(self, X):
+        def counted(self, X, D=None):
             if self is cohort.quads:
                 rows.append(len(X) if X.ndim == 2 else None)
-            return loss(self, X)
+            return loss(self, X, D)
 
         monkeypatch.setattr(QuadraticStack, "loss", counted)
         return rows
@@ -899,6 +899,20 @@ def carried_steps(clients, X, etas, draws):
     return out
 
 
+def count_isfinite(monkeypatch, calls):
+    """Give federation a numpy whose isfinite calls append ("isfinite", shape) to calls."""
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def isfinite(a):
+            calls.append(("isfinite", np.shape(a)))
+            return np.isfinite(a)
+
+    monkeypatch.setattr(federation, "np", Numpy())
+
+
 def steps_outcome(f, *args):
     """f(*args), or the type and message of the exception it raises."""
     try:
@@ -952,8 +966,9 @@ class TestCentredSteps:
     def test_steady_round_projects_no_row_and_takes_e_plus_one_norms(self, monkeypatch):
         # an AC-06-shaped cohort (K 4, d 16, E 2, radius 4, sigma 0.1) in its second round,
         # which slices its noise from the block: every row stays in its ball, so only the
-        # first projection's and each step's norms run, no row is projected, and the rows
-        # get no isfinite pass (the round's only one is the last step's losses')
+        # first projection's and each step's norms run, no row is projected, and neither
+        # the rows nor the last step's losses, which the certificate covers, get an
+        # isfinite pass
         objs = quad_suite(4, 16, seed=87, sigma=0.1, spread=0.3, radius=4.0)
         plan = RunPlan(clients=[ClientState(id=k, n_k=1, objective=o, E=2)
                                 for k, o in enumerate(objs)],
@@ -967,19 +982,40 @@ class TestCentredSteps:
             f = getattr(objectives, name)
             monkeypatch.setattr(objectives, name,
                                 lambda *a, f=f, name=name: calls.append(name) or f(*a))
-
-        class Numpy:   # federation's numpy, its isfinite calls counted
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def isfinite(a):
-                calls.append(("isfinite", np.shape(a)))
-                return np.isfinite(a)
-
-        monkeypatch.setattr(federation, "np", Numpy())
+        count_isfinite(monkeypatch, calls)
         next(rounds)
-        assert calls == ["_row_norms"] * 3 + [("isfinite", (4,))]
+        assert calls == ["_row_norms"] * 3
+
+    def test_certified_last_step_that_projects_a_row_checks_rows_and_losses(self, monkeypatch):
+        # a certified cohort whose one (last) step carries row 1 out of its ball: the
+        # projection moves it, so the rows and the losses get their isfinite pass
+        objs = quad_suite(3, 4, seed=89, radius=1.0)
+        clients = Cohort([ClientState(id=40 + k, n_k=1, objective=o, E=1)
+                          for k, o in enumerate(objs)])
+        assert clients.certified
+        X = clients.quads.center + 0.1 * np.eye(3, 4)
+        X[1] = objs[1].center + 0.9 * np.eye(4)[1]
+        calls = []
+        count_isfinite(monkeypatch, calls)
+        got = carried_steps(clients, X.copy(), [5.0], None)
+        assert calls == [("isfinite", (3, 4)), ("isfinite", (3,))]
+        monkeypatch.undo()
+        assert got == recentred_steps(clients, X.copy(), [5.0], None)
+
+    def test_uncertified_inf_last_loss_raises_divergence(self):
+        # radius 1e151 with L = 1e10 overflows the certificate; client 31's second
+        # step doubles its distance to 2e149, still in its ball, where its loss
+        # 0.5 * 1e10 * r^2 overflows: the finite rows pass, the losses do not
+        objs = [quad(np.eye(2), [0.0, 0.0], radius=1e151),
+                quad(1e10 * np.eye(2), [1.0, 0.0], radius=1e151)]
+        clients = Cohort([ClientState(id=30 + k, n_k=1, objective=o, E=2)
+                          for k, o in enumerate(objs)])
+        assert not clients.certified
+        X, etas = np.array([[0.5, 0.0], [1e149, 0.0]]), [1e-30, 3e-10]
+        want = (DivergenceError, str(DivergenceError(31, 1)))
+        with np.errstate(over="ignore"):
+            assert steps_outcome(carried_steps, clients, X.copy(), etas, None) == want
+            assert steps_outcome(recentred_steps, clients, X.copy(), etas, None) == want
 
 
 class TestRunFederation:

@@ -223,6 +223,56 @@ class TestProjectRows:
         np.testing.assert_allclose(w.vector, [1.0 + 1.2, 1.6, 0.0], rtol=1e-15)
 
 
+ROW_KINDS = ("normal", "zero", "subnormal", "overflowing", "nan", "inf", "-inf", "infs")
+
+
+def _norm_rows(rng, kinds, d):
+    """One row per kind: standard normals scaled by 1e-5 to 1e5, zeros, subnormals, entries
+    near 1e154 (whose squares' sum may overflow), or a NaN, +inf, -inf or +-inf entry
+    among normal ones."""
+    V = rng.standard_normal((len(kinds), d)) * 10.0 ** rng.uniform(-5, 5, (len(kinds), 1))
+    for v, kind in zip(V, kinds):
+        if kind in ("zero", "subnormal", "overflowing"):
+            v *= {"zero": 0.0, "subnormal": 1e-310 / np.abs(v).max(),
+                  "overflowing": 1e154 / np.abs(v).max()}[kind]
+        elif kind != "normal":
+            v[rng.integers(0, d, 2)] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                                        "infs": (math.inf, -math.inf)}[kind]
+    return V
+
+
+class TestRowNorms:
+    """_row_norms, np.vecdot's one dot per row, has the bits of np.linalg.norm per row and
+    of the stacked np.matmul self-dot it replaced, NaN aside (_same_bits)."""
+
+    @staticmethod
+    def _check(V):
+        with np.errstate(all="ignore"):
+            got = objectives._row_norms(V)
+            stacked = np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0])
+            per_row = np.array([np.linalg.norm(v) for v in V])
+        assert _same_bits(got, per_row) and _same_bits(got, stacked)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cohort_rows_match_per_row_norm_and_stacked_self_dot(self, data):
+        K, d = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 64))
+        kinds = data.draw(st.lists(st.sampled_from(ROW_KINDS), min_size=K, max_size=K))
+        self._check(_norm_rows(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                               kinds, d))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_noise_block_rows_match_per_row_norm_and_stacked_self_dot(self, data):
+        # QuadraticStack.noise's (rounds * noisy rows * E, d) block of a whole round block
+        rounds, rows, E = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 8)), \
+            data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(1, 64))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        kinds = rng.choice(ROW_KINDS, rounds * rows * E, p=[0.93] + [0.01] * 7)
+        self._check(_norm_rows(rng, kinds, d))
+
+
 class TestSgdStep:
     def test_zero_gradient(self):
         o = quad(np.eye(2), [0.0, 0.0])
